@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidAxis, NonScalarLoss, ShapeMismatch
+from .errors import InvalidAxis, InvalidSetting, NonScalarLoss, ShapeMismatch
 
 DEFAULT_DTYPE = np.float32
 
@@ -184,13 +184,14 @@ def layer_norm(x, gain, bias, eps=1e-5):
 def dropout(x, rate, train, rng):
     """Inverted dropout: kept activations are scaled by 1/(1-rate).
 
-    Identity when train is false or rate is 0. The mask is drawn from `rng`.
+    Returns `x` itself when train is false or rate is 0. The mask is drawn
+    from `rng`.
     """
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
+        raise InvalidSetting(f"dropout rate {rate} outside [0, 1)")
     if not train or rate == 0.0:
-        return _make(x.data.copy(), (x,), lambda g: (g,))
+        return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
 
     def vjp(g):
@@ -303,8 +304,8 @@ def canonical_bucket_mean(x):
     a plain uniform spread.
     """
     x = _as_tensor(x)
-    if x.data.ndim < 2:
-        raise ShapeMismatch("canonical_bucket_mean needs >=2-D input", x.shape)
+    if x.data.ndim < 2 or x.shape[-2] == 0:
+        raise ShapeMismatch("canonical_bucket_mean needs >=2-D input with rows", x.shape)
     n = x.shape[-2]
     flat = x.data.reshape(-1, n, x.shape[-1])
     out = np.empty((flat.shape[0], x.shape[-1]), dtype=np.float64)
@@ -319,6 +320,20 @@ def canonical_bucket_mean(x):
     return _make(data, (x,), vjp)
 
 
+def cross_entropy_rows(z, targets):
+    """Per-row log-sum-exp and cross-entropy of float64 logits z (B, K)
+    against integer targets (B,) -> (lse, losses), both (B,)."""
+    zmax = z.max(axis=-1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+    return lse, lse - z[np.arange(z.shape[0]), targets]
+
+
+def bce_elements(z, y):
+    """Elementwise binary cross-entropy of sigmoid(z) against 0/1 targets y,
+    for float64 arrays of one shape (stable log1p/exp formulation)."""
+    return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+
+
 def softmax_cross_entropy(logits, targets):
     """Mean cross-entropy between softmax(logits) rows and integer targets.
 
@@ -329,10 +344,9 @@ def softmax_cross_entropy(logits, targets):
     if logits.data.ndim != 2 or t.shape != (logits.shape[0],):
         raise ShapeMismatch("cross-entropy operands", logits.shape, t.shape)
     z = logits.data.astype(np.float64)
-    zmax = z.max(axis=-1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+    lse, per = cross_entropy_rows(z, t)
     b = z.shape[0]
-    data = np.asarray((lse - z[np.arange(b), t]).mean(), dtype=logits.dtype)
+    data = np.asarray(per.mean(), dtype=logits.dtype)
     p = np.exp(z - lse[:, None])
 
     def vjp(g):
@@ -346,14 +360,14 @@ def softmax_cross_entropy(logits, targets):
 def bce_with_logits(logits, targets):
     """Mean elementwise binary cross-entropy of sigmoid(logits) vs targets.
 
-    Stable log1p/exp formulation; mean over every element.
+    Mean of `bce_elements` over every element.
     """
     logits = _as_tensor(logits)
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != logits.shape:
         raise ShapeMismatch("bce operands", logits.shape, y.shape)
     z = logits.data.astype(np.float64)
-    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    per = bce_elements(z, y)
     n = z.size
     data = np.asarray(per.mean(), dtype=logits.dtype)
     sig = 1.0 / (1.0 + np.exp(-z))

@@ -3,7 +3,8 @@
 Subcommands: ingest, synth, sample, train, eval, attn-dump, attn-stats.
 Settings resolve as flag > config file > default; logs are line-oriented
 JSON on stderr, command outputs go to stdout or the requested file.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error or invalid setting,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,23 +28,28 @@ from .trainer import TrainConfig, fit, load_model_checkpoint
 
 log = logging.getLogger("pathsage")
 
+# CLI setting -> TrainConfig field; the defaults of these settings are the
+# TrainConfig defaults.
+TRAIN_SETTINGS = {
+    "seed": "seed",
+    "epochs": "epochs",
+    "depth": "depth_s",
+    "counts": "counts_per_length",
+    "hidden": "hidden",
+    "heads": "heads",
+    "layers": "layers",
+    "batch_size": "batch_size",
+    "lr": "lr",
+    "warmup_ratio": "warmup_ratio",
+    "dropout_encoder": "dropout_encoder",
+    "dropout_output": "dropout_output",
+}
+
 CONFIG_DEFAULTS = {
     "dataset": None,
     "out": None,
     "checkpoint": None,
-    "seed": 0,
-    "workers": 1,
-    "epochs": 10,
-    "depth": 8,
-    "counts": [5, 5, 5, 5, 5, 10, 10, 10],
-    "hidden": 128,
-    "heads": 8,
-    "layers": 2,
-    "batch_size": 32,
-    "lr": 1e-3,
-    "warmup_ratio": 0.1,
-    "dropout_encoder": 0.1,
-    "dropout_output": 0.3,
+    **{key: getattr(TrainConfig, name) for key, name in TRAIN_SETTINGS.items()},
     "runs": 5,
     "node": None,
     "split": "test",
@@ -99,15 +105,8 @@ def resolve_config(args):
     return cfg
 
 
-def _train_config(cfg, depth=None, counts=None):
-    depth = depth if depth is not None else cfg["depth"]
-    counts = counts if counts is not None else cfg["counts"]
-    return TrainConfig(
-        epochs=cfg["epochs"], seed=cfg["seed"], depth_s=depth,
-        counts_per_length=tuple(counts), hidden=cfg["hidden"], heads=cfg["heads"],
-        layers=cfg["layers"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        warmup_ratio=cfg["warmup_ratio"], dropout_encoder=cfg["dropout_encoder"],
-        dropout_output=cfg["dropout_output"])
+def _train_config(cfg):
+    return TrainConfig(**{name: cfg[key] for key, name in TRAIN_SETTINGS.items()})
 
 
 def _require(cfg, key, flag):
@@ -192,7 +191,7 @@ def cmd_train(args):
     result = fit(model, graph, labels, splits, tc,
                  checkpoint_path=ckpt,
                  eval_fn=eval_fn if len(splits.val) else None,
-                 log_fn=log_fn, workers=cfg["workers"])
+                 log_fn=log_fn)
     summary = {"event": "train_done", "epochs_run": result.epochs_run,
                "best_val_micro_f1": result.best_val, "checkpoint": str(ckpt)}
     _log_json(**summary)
@@ -249,7 +248,6 @@ def _add_common(p):
     p.add_argument("--out")
     p.add_argument("--checkpoint")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--depth", type=int)
     p.add_argument("--counts", type=_parse_counts)

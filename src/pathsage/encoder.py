@@ -125,11 +125,11 @@ def _encoder_layer(layer, x, heads, dropout_rate, train, rng):
     ff = ag.matmul(ag.relu(ag.add(ag.matmul(x, layer.w1), layer.b1)), layer.w2)
     ff = ag.dropout(ag.add(ff, layer.b2), dropout_rate, train, rng)
     x = ag.layer_norm(ag.add(x, ff), layer.ln2_g, layer.ln2_b)
-    return x, attn.data.copy()
+    return x, attn.data
 
 
 def encode_paths(params: EncoderParams, pos: PositionTable, path_features,
-                 train=False, rng=None, dropout_rate=0.1):
+                 train=False, rng=None, dropout_rate=0.0):
     """Encode a batch of equal-length paths.
 
     path_features: Tensor or array (N, T, F) of per-token node features in
@@ -153,14 +153,3 @@ def encode_paths(params: EncoderParams, pos: PositionTable, path_features,
         attn_all.append(attn)
     reprs = ag.select(x, axis=1, index=0)  # position-0 readout
     return reprs, attn_all
-
-
-def encode_path(params, pos, path_features, train=False, rng=None, dropout_rate=0.1):
-    """Single-path convenience wrapper: ( (l+1) x F ) -> ([d], attn per
-    layer of (heads, l+1, l+1))."""
-    feats = path_features if isinstance(path_features, Tensor) else Tensor(path_features)
-    if feats.data.ndim != 2:
-        raise ShapeMismatch("expected (T, F) features", feats.shape)
-    batched = ag.reshape(feats, (1, *feats.shape))
-    reprs, attn_all = encode_paths(params, pos, batched, train, rng, dropout_rate)
-    return ag.select(reprs, axis=0, index=0), [a[0] for a in attn_all]

@@ -13,6 +13,10 @@ class NumericalError(PathSageError):
     """Numerical failure during training (CLI exit code 3)."""
 
 
+class InvalidSetting(PathSageError, ValueError):
+    """A configuration value outside its allowed range (CLI exit code 2)."""
+
+
 # --- tensor engine ---
 
 class ShapeMismatch(PathSageError):
@@ -74,11 +78,7 @@ class PathTooLong(PathSageError):
     pass
 
 
-# --- aggregator / head ---
-
-class EmptyBucket(PathSageError):
-    pass
-
+# --- head ---
 
 class WidthMismatch(ShapeMismatch):
     pass
@@ -91,6 +91,10 @@ class InvalidTarget(PathSageError):
 # --- trainer / checkpoint ---
 
 class NonFiniteLoss(NumericalError):
+    pass
+
+
+class NonFiniteGradient(NumericalError):
     pass
 
 

@@ -54,9 +54,6 @@ class LabelSet:
     num_classes: int
     labels: np.ndarray  # single: int64 [N]; multi: uint8 [N, num_classes]
 
-    def of(self, u):
-        return self.labels[u]
-
 
 @dataclass(frozen=True)
 class SplitMasks:

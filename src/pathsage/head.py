@@ -1,10 +1,8 @@
-"""Second-stage aggregation and the classification head.
+"""The classification head, its losses and predictions.
 
-Path representations are mean-pooled per length bucket (canonical-order
-summation so bucket shuffles are bit-exact no-ops), concatenated in
-ascending length order, and fused by a two-layer relu feed-forward that
-maps straight to class logits. Activations (softmax / sigmoid) live only
-inside loss and prediction; logits stay raw.
+The concatenated per-length path summaries are fused by a two-layer relu
+feed-forward that maps straight to class logits. Activations (softmax /
+sigmoid) live only inside loss and prediction; logits stay raw.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import EmptyBucket, InvalidTarget, WidthMismatch
+from .errors import InvalidTarget, WidthMismatch
 from .graph import MULTI_LABEL, SINGLE_LABEL
 
 
@@ -47,36 +45,8 @@ class HeadParams:
         yield "head.b2", self.b2
 
 
-def aggregate(reprs_by_length):
-    """Mean each length bucket and concatenate ascending: C_1 || ... || C_s.
-
-    Buckets are lists of [d] vectors (Tensors or arrays), or stacked
-    (n_l, d) Tensors. Empty buckets are an error.
-    """
-    pooled = []
-    width = None
-    for bucket in reprs_by_length:
-        if isinstance(bucket, Tensor):
-            stacked = bucket
-        else:
-            if len(bucket) == 0:
-                raise EmptyBucket("length bucket with no paths")
-            rows = [v if isinstance(v, Tensor) else Tensor(v) for v in bucket]
-            stacked = ag.concat([ag.reshape(v, (1, -1)) for v in rows], axis=0)
-        if stacked.data.ndim != 2 or stacked.shape[0] == 0:
-            raise EmptyBucket("length bucket with no paths")
-        if width is None:
-            width = stacked.shape[1]
-        elif stacked.shape[1] != width:
-            raise WidthMismatch("bucket vector widths differ", (width,), (stacked.shape[1],))
-        pooled.append(ag.canonical_bucket_mean(stacked))
-    if not pooled:
-        raise EmptyBucket("no length buckets")
-    return ag.concat(pooled, axis=-1)
-
-
 def head_forward(params: HeadParams, concat_vector, train=False, rng=None,
-                 dropout_rate=0.3):
+                 dropout_rate=0.0):
     """logits = relu(C W1 + b1) W2 + b2, with dropout on the hidden relu
     activations during training. Accepts a [s*d] vector or a (B, s*d) batch."""
     c = concat_vector if isinstance(concat_vector, Tensor) else Tensor(concat_vector)
@@ -117,6 +87,17 @@ def loss(logits, target, task):
             raise InvalidTarget("multi_label targets must be 0/1")
         return ag.bce_with_logits(t, y)
     raise InvalidTarget(f"unknown task {task!r}")
+
+
+def sample_losses(logits, target, task):
+    """Per-sample float64 losses for a batch of logits with valid targets:
+    the cross-entropy of each row (single_label) or the binary
+    cross-entropy averaged over classes (multi_label)."""
+    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    z = z.astype(np.float64)
+    if task == SINGLE_LABEL:
+        return ag.cross_entropy_rows(z, np.asarray(target, dtype=np.int64))[1]
+    return ag.bce_elements(z, np.asarray(target, dtype=np.float64)).mean(axis=-1)
 
 
 def predict(logits, task):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import EmptySplit, LengthMismatch
 from .graph import SINGLE_LABEL
-from .head import predict
+from .head import predict, sample_losses
 from .sampler import derive_sample_seed, rng_for, sample_paths
 
 _EVAL_TAG = 0xE7A1
@@ -37,17 +37,6 @@ def micro_f1(predictions, targets, task):
     return 2 * tp / denom if denom else 0.0
 
 
-def _per_sample_losses(logits, targets, task):
-    z = logits.astype(np.float64)
-    if task == SINGLE_LABEL:
-        zmax = z.max(axis=-1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
-        return lse - z[np.arange(len(z)), np.asarray(targets, dtype=np.int64)]
-    y = np.asarray(targets, dtype=np.float64)
-    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return per.mean(axis=-1)
-
-
 def eval_split(model, graph, labels, nodes, counts_per_length, seed,
                batch_size=64, run=0):
     """Inference-mode evaluation over a node set -> (micro-F1, mean loss).
@@ -68,7 +57,7 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
         logits, _ = model.forward_batch(graph, batches, train=False)
         target = labels.labels[chunk]
         preds.append(predict(logits, labels.task))
-        losses.append(_per_sample_losses(logits.data, target, labels.task))
+        losses.append(sample_losses(logits, target, labels.task))
     preds = np.concatenate(preds)
     losses = np.concatenate(losses)
     return micro_f1(preds, labels.labels[nodes], labels.task), float(losses.mean())
@@ -119,8 +108,7 @@ def dump_attention(model, graph, labels, node, counts_per_length, seed, out_path
     plan = model.plan(counts_per_length)
     batch = sample_paths(graph, int(node), plan,
                          rng_for(derive_sample_seed(seed ^ _EVAL_TAG, 0, int(node))))
-    _, attention = model.forward_node(graph, batch, train=False,
-                                      collect_attention=True)
+    _, attention = model.forward_batch(graph, [batch], collect_attention=True)
     count = 0
     with open(out_path, "w") as fh:
         for l in range(1, model.config.depth_s + 1):

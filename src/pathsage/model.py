@@ -12,7 +12,7 @@ from .encoder import EncoderParams, build_position_table, encode_paths
 from .errors import ShapeMismatch
 from .graph import Graph
 from .head import HeadParams, head_forward
-from .sampler import PathBatch, SamplePlan
+from .sampler import SamplePlan
 
 
 @dataclass
@@ -91,13 +91,6 @@ class PathSageModel:
         logits = head_forward(self.head, concat, train=train, rng=rng,
                               dropout_rate=self.config.dropout_output)
         return logits, attention
-
-    def forward_node(self, graph: Graph, batch: PathBatch, train=False, rng=None,
-                     collect_attention=False):
-        """Single-node forward -> (logits [num_classes], attention)."""
-        logits, attention = self.forward_batch(graph, [batch], train=train, rng=rng,
-                                               collect_attention=collect_attention)
-        return ag.select(logits, axis=0, index=0), attention
 
     def plan(self, counts_per_length):
         return SamplePlan(depth_s=self.config.depth_s,

@@ -14,7 +14,7 @@ import collections
 
 import numpy as np
 
-from .errors import DegenerateGraph
+from .errors import DegenerateGraph, InvalidSetting
 from .graph import SINGLE_LABEL, build_csr, write_dataset
 
 
@@ -86,11 +86,11 @@ def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
     shell is empty, then raises DegenerateGraph.
     """
     if num_nodes < 10:
-        raise ValueError("num_nodes must be >= 10")
+        raise InvalidSetting("num_nodes must be >= 10")
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidSetting("k must be >= 0")
     if topology not in ("er", "ring"):
-        raise ValueError(f"unknown topology {topology!r}")
+        raise InvalidSetting(f"unknown topology {topology!r}")
     directed = topology == "ring"
     for attempt in range(10):
         rng = np.random.Generator(np.random.PCG64(np.uint64(seed) + np.uint64(attempt)))

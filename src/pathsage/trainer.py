@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from . import head as head_ops
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import NonFiniteLoss, ShapeMismatch
+from .errors import InvalidSetting, NonFiniteGradient, NonFiniteLoss, ShapeMismatch
 from .graph import SINGLE_LABEL
 from .metrics import micro_f1
 from .model import ModelConfig, PathSageModel
@@ -30,27 +30,27 @@ _DROPOUT_TAG = 0xD20F0C37
 class TrainConfig:
     epochs: int = 10
     seed: int = 0
-    depth_s: int = 8
+    depth_s: int = ModelConfig.depth_s
     counts_per_length: tuple = (5, 5, 5, 5, 5, 10, 10, 10)
-    hidden: int = 128
-    heads: int = 8
-    layers: int = 2
+    hidden: int = ModelConfig.hidden
+    heads: int = ModelConfig.heads
+    layers: int = ModelConfig.layers
     batch_size: int = 32
     lr: float = 1e-3
     warmup_ratio: float = 0.1
-    dropout_encoder: float = 0.1
-    dropout_output: float = 0.3
+    dropout_encoder: float = ModelConfig.dropout_encoder
+    dropout_output: float = ModelConfig.dropout_output
     grad_clip: float = 5.0
     patience: int = 10
 
     def __post_init__(self):
         self.counts_per_length = tuple(int(c) for c in self.counts_per_length)
         if not 0.0 <= self.warmup_ratio <= 1.0:
-            raise ValueError(f"warmup_ratio {self.warmup_ratio} outside [0,1]")
+            raise InvalidSetting(f"warmup_ratio {self.warmup_ratio} outside [0,1]")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidSetting("batch_size must be >= 1")
         if len(self.counts_per_length) != self.depth_s:
-            raise ValueError(f"{len(self.counts_per_length)} counts for depth {self.depth_s}")
+            raise InvalidSetting(f"{len(self.counts_per_length)} counts for depth {self.depth_s}")
 
     def plan(self):
         return SamplePlan(self.depth_s, self.counts_per_length)
@@ -102,8 +102,10 @@ def adam_step(named_params, grads, state: OptimizerState, lr):
 
 
 def _clip_grads(grads, max_norm):
+    """Scale the gradients in place to a global L2 norm of at most max_norm
+    and return the norm before scaling; a non-finite norm scales nothing."""
     total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
-    if max_norm and total > max_norm:
+    if max_norm and max_norm < total < math.inf:
         factor = max_norm / total
         for g in grads.values():
             g *= factor
@@ -116,21 +118,14 @@ def _batch_targets(labels, nodes):
     return labels.labels[nodes].astype(np.float64)
 
 
-def sample_many(graph, nodes, plan, seed_for_node, workers=1):
-    """Sample PathBatches for many central nodes, optionally on a thread
-    pool. Per-node seeds keep the result identical for any worker count."""
-    def one(c):
-        return sample_paths(graph, int(c), plan, rng_for(seed_for_node(int(c))))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, nodes))
-    return [one(c) for c in nodes]
+def sample_many(graph, nodes, plan, seed_for_node):
+    """Sample one PathBatch per central node, each from its own seed."""
+    return [sample_paths(graph, int(c), plan, rng_for(seed_for_node(int(c))))
+            for c in nodes]
 
 
 def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConfig,
-                epoch, state: OptimizerState, total_steps, workers=1):
+                epoch, state: OptimizerState, total_steps):
     """One pass over the training nodes; fresh paths are sampled per epoch.
 
     Returns (mean loss, micro-F1 of the in-epoch predictions).
@@ -142,8 +137,7 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
     for b0 in range(0, len(order), cfg.batch_size):
         nodes = order[b0:b0 + cfg.batch_size]
         batches = sample_many(graph, nodes, plan,
-                              lambda c: derive_sample_seed(cfg.seed, epoch, c),
-                              workers=workers)
+                              lambda c: derive_sample_seed(cfg.seed, epoch, c))
         drop_rng = rng_for(derive_sample_seed(cfg.seed ^ _DROPOUT_TAG, epoch, b0))
         model.zero_grad()
         logits, _ = model.forward_batch(graph, batches, train=True, rng=drop_rng)
@@ -156,7 +150,10 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
                 f"(lr={lr_at(state.step + 1, total_steps, cfg):.3e})")
         ag.backward(loss)
         grads = {name: p.grad for name, p in model.named_params() if p.grad is not None}
-        _clip_grads(grads, cfg.grad_clip)
+        norm = _clip_grads(grads, cfg.grad_clip)
+        if not math.isfinite(norm):
+            raise NonFiniteGradient(
+                f"non-finite gradient norm {norm} at epoch {epoch} step {state.step}")
         adam_step(model.named_params(), grads, state,
                   lr_at(state.step + 1, total_steps, cfg))
         losses.append(value)
@@ -176,7 +173,7 @@ class FitResult:
 
 def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
         start_epoch=0, checkpoint_path=None, eval_fn=None, log_fn=None,
-        early_stopping=True, best_val=-1.0, bad_epochs=0, workers=1):
+        early_stopping=True, best_val=-1.0, bad_epochs=0):
     """Train for cfg.epochs epochs with patience-based early stopping on
     validation micro-F1 (when a val split and eval_fn are provided)."""
     state = state or OptimizerState()
@@ -186,8 +183,7 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
     epoch = start_epoch
     for epoch in range(start_epoch, cfg.epochs):
         mean_loss, train_f1 = train_epoch(model, graph, labels, splits.train,
-                                          cfg, epoch, state, total_steps,
-                                          workers=workers)
+                                          cfg, epoch, state, total_steps)
         record = {"epoch": epoch, "loss": mean_loss, "train_micro_f1": train_f1}
         if eval_fn is not None and len(splits.val):
             val_f1, val_loss = eval_fn(model, epoch)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathsage
+from pathsage import trainer
 from pathsage.cli import build_parser, main, resolve_config
 from pathsage.graph import load_dataset, read_features_bin
 
@@ -71,6 +76,32 @@ def test_missing_dataset_exits_2(capsys):
 def test_missing_required_setting_exits_2(dataset, capsys):
     code, _ = run(capsys, "sample", "--dataset", str(dataset))  # no --node
     assert code == 2
+
+
+def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pathsage.__file__).parents[1]))
+    for argv in (["train", "--dataset", str(dataset), "--depth", "3",
+                  "--checkpoint", str(tmp_path / "m.psck")],
+                 ["synth", "--nodes", "5", "--k", "1", "--out", str(tmp_path / "s")]):
+        proc = subprocess.run([sys.executable, "-m", "pathsage.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "pathsage: error:" in proc.stderr
+
+
+def test_non_finite_gradient_exits_3(dataset, tmp_path, capsys, monkeypatch):
+    real_clip = trainer._clip_grads
+
+    def poisoned_clip(grads, max_norm):
+        next(iter(grads.values()))[...] = np.nan
+        return real_clip(grads, max_norm)
+
+    monkeypatch.setattr(trainer, "_clip_grads", poisoned_clip)
+    code = main(["train", "--dataset", str(dataset),
+                 "--checkpoint", str(tmp_path / "m.psck"), *TRAIN_FLAGS])
+    assert code == 3
+    assert "non-finite gradient norm nan at epoch 0 step 0" in capsys.readouterr().err
 
 
 def test_bad_checkpoint_exits_2(dataset, capsys):

@@ -7,7 +7,6 @@ from pathsage import autograd as ag
 from pathsage.encoder import (
     EncoderParams,
     build_position_table,
-    encode_path,
     encode_paths,
 )
 from pathsage.errors import OddDimension, PathTooLong, ShapeMismatch
@@ -71,11 +70,11 @@ def test_attention_rows_sum_to_one():
 def test_single_token_attention_is_identity():
     params = tiny_encoder()
     pos = build_position_table(4, 8, dtype=np.float64)
-    repr_, attn = encode_path(params, pos, RNG.normal(size=(1, 5)))
-    assert repr_.shape == (8,)
+    reprs, attn = encode_paths(params, pos, RNG.normal(size=(1, 1, 5)))
+    assert reprs.data[0].shape == (8,)
     for layer in attn:
-        np.testing.assert_allclose(layer, 1.0)
-        assert layer.shape == (2, 1, 1)
+        np.testing.assert_allclose(layer[0], 1.0)
+        assert layer[0].shape == (2, 1, 1)
 
 
 def test_deterministic_without_dropout():
@@ -93,10 +92,10 @@ def test_position_sensitivity():
     params = tiny_encoder(layers=1, seed=5)
     pos = build_position_table(6, 8, dtype=np.float64)
     path = RNG.normal(size=(4, 5))
-    base, _ = encode_path(params, pos, path)
+    base, _ = encode_paths(params, pos, path[None])
     changed = False
     for perm in ([0, 2, 1, 3], [0, 3, 1, 2], [0, 1, 3, 2]):
-        out, _ = encode_path(params, pos, path[perm])
+        out, _ = encode_paths(params, pos, path[perm][None])
         if not np.allclose(out.data, base.data):
             changed = True
     assert changed
@@ -157,8 +156,8 @@ def test_forward_matches_straight_line_oracle():
     ffn = np.maximum(x1 @ layer.w1.data + layer.b1.data, 0) @ layer.w2.data + layer.b2.data
     x2 = ln(x1 + ffn, layer.ln2_g.data, layer.ln2_b.data)
 
-    repr_, _ = encode_path(params, pos, feats)
-    np.testing.assert_allclose(repr_.data, x2[0], atol=1e-8)
+    reprs, _ = encode_paths(params, pos, feats[None])
+    np.testing.assert_allclose(reprs.data[0], x2[0], atol=1e-8)
 
 
 def test_encoder_gradients_finite_difference():

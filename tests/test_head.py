@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pathsage import autograd as ag
-from pathsage.errors import EmptyBucket, InvalidTarget, WidthMismatch
-from pathsage.head import HeadParams, aggregate, head_forward, loss, predict
+from pathsage.errors import InvalidTarget, ShapeMismatch, WidthMismatch
+from pathsage.head import HeadParams, head_forward, loss, predict
 
 from helpers import check_grad
 
@@ -17,42 +17,48 @@ def make_head(depth=2, hidden=4, classes=3, seed=0, dtype=np.float64):
     return HeadParams.init(rng, depth, hidden, classes, dtype=dtype)
 
 
-# --- aggregate ----------------------------------------------------------
+# --- per-length pooling ------------------------------------------------
+
+def pool(buckets):
+    """C_1 || ... || C_s from (n_l, d) buckets, pooled as forward_batch does."""
+    return ag.concat([ag.canonical_bucket_mean(b) for b in buckets], axis=-1)
+
 
 def test_mean_of_identical_vectors():
     v = np.array([1.0, 2.0, 3.0])
-    out = aggregate([[v, v, v]])
+    out = pool([np.stack([v, v, v])])
     np.testing.assert_allclose(out.data, v)
 
 
 def test_cancellation():
     v = np.array([1.0, -2.0, 0.5])
-    out = aggregate([[v, -v]])
+    out = pool([np.stack([v, -v])])
     np.testing.assert_allclose(out.data, 0.0)
 
 
 def test_concat_order_ascending_length():
-    out = aggregate([[np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-                     [np.array([2.0, 2.0])]])
+    out = pool([np.array([[1.0, 0.0], [0.0, 1.0]]),
+                np.array([[2.0, 2.0]])])
     np.testing.assert_allclose(out.data, [0.5, 0.5, 2.0, 2.0])
 
 
 def test_empty_bucket_rejected():
-    with pytest.raises(EmptyBucket):
-        aggregate([[]])
+    with pytest.raises(ShapeMismatch):
+        pool([np.zeros((0, 3))])
 
 
 def test_width_mismatch():
+    # buckets of unequal width reach the head with the wrong input width
     with pytest.raises(WidthMismatch):
-        aggregate([[np.zeros(3)], [np.zeros(4)]])
+        head_forward(make_head(depth=2, hidden=4), pool([np.zeros((1, 3)), np.zeros((1, 4))]))
 
 
 def test_bucket_shuffle_bit_identical():
     bucket = [RNG.normal(size=4).astype(np.float32) for _ in range(9)]
-    base = aggregate([bucket]).data
+    base = pool([np.stack(bucket)]).data
     for _ in range(6):
         perm = RNG.permutation(9)
-        again = aggregate([[bucket[i] for i in perm]]).data
+        again = pool([np.stack([bucket[i] for i in perm])]).data
         assert (base == again).all()
 
 
@@ -178,7 +184,7 @@ def test_aggregate_plus_head_gradient():
     target = np.array([1])
 
     def build(ts):
-        agg = aggregate([ts[0], ts[1]])
+        agg = pool([ts[0], ts[1]])
         p = make_head(depth=2, hidden=4, classes=3, seed=11)
         p.w1, p.b1, p.w2, p.b2 = ts[2], ts[3], ts[4], ts[5]
         logits = head_forward(p, agg)

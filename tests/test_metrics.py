@@ -162,16 +162,16 @@ def test_eval_loss_matches_training_loss_definition(small_setup):
     # inference per-sample loss must agree with the training loss on the
     # same logits
     from pathsage.head import loss as train_loss
-    from pathsage.metrics import _per_sample_losses
+    from pathsage.head import sample_losses
 
     logits = RNG.normal(size=(9, 3)) * 4
     targets = RNG.integers(0, 3, size=9)
-    a = float(_per_sample_losses(logits, targets, "single_label").mean())
+    a = float(sample_losses(logits, targets, "single_label").mean())
     b = train_loss(logits, targets, "single_label").item()
     assert a == pytest.approx(b, rel=1e-6)
 
     y = (RNG.random((9, 3)) < 0.5).astype(np.float64)
-    a = float(_per_sample_losses(logits, y, "multi_label").mean())
+    a = float(sample_losses(logits, y, "multi_label").mean())
     b = train_loss(logits, y, "multi_label").item()
     assert a == pytest.approx(b, rel=1e-6)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from pathsage import autograd as ag
 from pathsage.checkpoint import save_checkpoint
-from pathsage.errors import ChecksumMismatch, VersionMismatch
+from pathsage.errors import ChecksumMismatch, NonFiniteGradient, VersionMismatch
 from pathsage.graph import load_dataset
 from pathsage.model import ModelConfig, PathSageModel
 from pathsage.sampler import rng_for
@@ -166,17 +167,25 @@ def test_epoch_returns_finite_loss_and_f1(tiny_dataset):
     assert 0.0 <= f1 <= 1.0
 
 
-def test_multi_worker_sampling_matches_single(tiny_dataset):
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_stops_training(tiny_dataset, monkeypatch, bad):
     graph, labels, splits = tiny_dataset
     cfg = tiny_cfg()
-    m1 = make_model(graph, labels, cfg)
-    m2 = make_model(graph, labels, cfg)
-    l1, _ = train_epoch(m1, graph, labels, splits.train, cfg, 0, OptimizerState(), 100)
-    l2, _ = train_epoch(m2, graph, labels, splits.train, cfg, 0, OptimizerState(), 100,
-                        workers=4)
-    assert l1 == l2
-    for (n, p1), (_, p2) in zip(m1.named_params(), m2.named_params()):
-        assert (p1.data == p2.data).all(), n
+    model = make_model(graph, labels, cfg)
+    before = {n: p.data.copy() for n, p in model.named_params()}
+    real_backward = ag.backward
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        model.head.b2.grad[0] = bad
+
+    monkeypatch.setattr(ag, "backward", poisoned_backward)
+    state = OptimizerState()
+    with pytest.raises(NonFiniteGradient, match="epoch 0 step 0"):
+        train_epoch(model, graph, labels, splits.train, cfg, 0, state, 100)
+    assert state.step == 0
+    for name, p in model.named_params():
+        assert (p.data == before[name]).all(), name
 
 
 # --- fit + checkpointing ------------------------------------------------
