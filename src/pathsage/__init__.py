@@ -1,7 +1,7 @@
 """Graph node classification by random-path sampling and transformer
 aggregation, on a self-contained numpy tensor engine."""
 
-from .graph import Graph, LabelSet, SplitMasks, load_dataset, neighbors_of
+from .graph import Graph, LabelSet, SplitMasks, load_dataset
 from .model import ModelConfig, PathSageModel
 from .sampler import PathBatch, SamplePlan, derive_sample_seed, sample_paths
 from .trainer import OptimizerState, TrainConfig, fit, lr_at
@@ -9,7 +9,7 @@ from .trainer import OptimizerState, TrainConfig, fit, lr_at
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "LabelSet", "SplitMasks", "load_dataset", "neighbors_of",
+    "Graph", "LabelSet", "SplitMasks", "load_dataset",
     "ModelConfig", "PathSageModel",
     "PathBatch", "SamplePlan", "derive_sample_seed", "sample_paths",
     "OptimizerState", "TrainConfig", "fit", "lr_at",

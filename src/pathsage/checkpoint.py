@@ -4,11 +4,16 @@ Layout: magic "PSCK", u32 version, u64 json_len, JSON state blob
 (sorted keys), u64 block count, then per block: u16 name length, name
 bytes, u8 ndim, ndim x u64 dims, raw little-endian f32 payload; finally
 a u64 CRC64 (ECMA, reflected) of everything before it.
+
+Saving writes a temporary file next to the target, fsyncs it and renames it
+over the target, so a failed or interrupted save leaves the previous
+checkpoint intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -55,7 +60,17 @@ def save_checkpoint(path, state_json, blocks):
             buf += struct.pack("<Q", dim)
         buf += arr.tobytes()
     buf += struct.pack("<Q", crc64(buf))
-    Path(path).write_bytes(bytes(buf))
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

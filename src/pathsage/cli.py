@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ingest, synth, sample, train, eval, attn-dump, attn-stats.
-Settings resolve as flag > config file > default; logs are line-oriented
-JSON on stderr, command outputs go to stdout or the requested file.
+Each subcommand takes only the flags of the settings it reads, plus
+--config; a config file may hold any setting. Settings resolve as flag >
+config file > default; logs are line-oriented JSON on stderr, command
+outputs go to stdout or the requested file.
 Exit codes: 0 success, 1 usage error, 2 data error or invalid setting,
 3 numerical failure.
 """
@@ -56,6 +58,20 @@ CONFIG_DEFAULTS = {
     "log_interval": 1,
 }
 
+# Subcommand -> the settings its cmd_* function reads. Each becomes a flag
+# of that subcommand only; every subcommand also takes --config.
+COMMAND_FLAGS = {
+    "ingest": ("out",),
+    "synth": ("out", "seed"),
+    "sample": ("dataset", "node", "seed", "depth", "counts"),
+    "train": ("dataset", "checkpoint", "out", "log_interval", "seed", "epochs",
+              "depth", "counts", "hidden", "heads", "layers", "batch_size", "lr",
+              "warmup_ratio"),
+    "eval": ("dataset", "checkpoint", "out", "seed", "split", "runs"),
+    "attn-dump": ("dataset", "checkpoint", "out", "seed", "node"),
+    "attn-stats": ("out",),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -84,7 +100,7 @@ def _parse_counts(text):
 def resolve_config(args):
     """Merge defaults <- config file <- explicitly-set flags."""
     cfg = dict(CONFIG_DEFAULTS)
-    config_path = getattr(args, "config", None)
+    config_path = args.config
     if config_path:
         try:
             raw = json.loads(Path(config_path).read_text())
@@ -242,66 +258,43 @@ def cmd_attn_stats(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+# argparse type of each flag that does not take a plain string
+FLAG_TYPES = {
+    "seed": int, "epochs": int, "depth": int, "counts": _parse_counts,
+    "hidden": int, "heads": int, "layers": int, "batch_size": int, "lr": float,
+    "warmup_ratio": float, "runs": int, "node": int, "log_interval": int,
+}
+
+
+def _command(sub, name, fn, help_text):
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--config")
-    p.add_argument("--dataset")
-    p.add_argument("--out")
-    p.add_argument("--checkpoint")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--counts", type=_parse_counts)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--warmup-ratio", dest="warmup_ratio", type=float)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--node", type=int)
-    p.add_argument("--split")
-    p.add_argument("--log-interval", dest="log_interval", type=int)
+    for key in COMMAND_FLAGS[name]:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=FLAG_TYPES.get(key, str))
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser():
     parser = _Parser(prog="pathsage")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="convert raw CSVs to the dataset layout")
+    p = _command(sub, "ingest", cmd_ingest, "convert raw CSVs to the dataset layout")
     p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a planted-k-hop dataset")
+    p = _command(sub, "synth", cmd_synth, "generate a planted-k-hop dataset")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--avg-degree", dest="avg_degree", type=float, default=3.0)
     p.add_argument("--topology", choices=("er", "ring"), default="er")
-    _add_common(p)
-    p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("sample", help="print sampled paths as JSON lines")
-    _add_common(p)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("train", help="train a model")
-    _add_common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("attn-dump", help="dump attention weights for a node")
-    _add_common(p)
-    p.set_defaults(fn=cmd_attn_dump)
-
-    p = sub.add_parser("attn-stats", help="aggregate an attention dump")
+    _command(sub, "sample", cmd_sample, "print sampled paths as JSON lines")
+    _command(sub, "train", cmd_train, "train a model")
+    _command(sub, "eval", cmd_eval, "evaluate a checkpoint on a split")
+    _command(sub, "attn-dump", cmd_attn_dump, "dump attention weights for a node")
+    p = _command(sub, "attn-stats", cmd_attn_stats, "aggregate an attention dump")
     p.add_argument("--dump", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_attn_stats)
-
     return parser
 
 

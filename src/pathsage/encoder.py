@@ -9,7 +9,7 @@ position-0 output is the path representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,7 +38,9 @@ def build_position_table(max_len, d, dtype=np.float32) -> PositionTable:
     return PositionTable(max_len=max_len, table=table.astype(dtype))
 
 
-def _affine_init(rng, fan_in, fan_out, dtype):
+def affine_init(rng, fan_in, fan_out, dtype):
+    """Weight (fan_in, fan_out) ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)) and a zero
+    bias, both trainable."""
     bound = 1.0 / math.sqrt(fan_in)
     w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype),
                requires_grad=True)
@@ -78,15 +80,15 @@ class EncoderParams:
     def init(rng, feature_dim, hidden, heads, num_layers, dtype=np.float32):
         if hidden % heads != 0:
             raise ShapeMismatch(f"hidden {hidden} not divisible by heads {heads}")
-        w_in, b_in = _affine_init(rng, feature_dim, hidden, dtype)
+        w_in, b_in = affine_init(rng, feature_dim, hidden, dtype)
         params = EncoderParams(hidden=hidden, heads=heads, w_in=w_in, b_in=b_in)
         for _ in range(num_layers):
-            wq, bq = _affine_init(rng, hidden, hidden, dtype)
-            wk, bk = _affine_init(rng, hidden, hidden, dtype)
-            wv, bv = _affine_init(rng, hidden, hidden, dtype)
-            wo, bo = _affine_init(rng, hidden, hidden, dtype)
-            w1, b1 = _affine_init(rng, hidden, 4 * hidden, dtype)
-            w2, b2 = _affine_init(rng, 4 * hidden, hidden, dtype)
+            wq, bq = affine_init(rng, hidden, hidden, dtype)
+            wk, bk = affine_init(rng, hidden, hidden, dtype)
+            wv, bv = affine_init(rng, hidden, hidden, dtype)
+            wo, bo = affine_init(rng, hidden, hidden, dtype)
+            w1, b1 = affine_init(rng, hidden, 4 * hidden, dtype)
+            w2, b2 = affine_init(rng, 4 * hidden, hidden, dtype)
             ones = lambda: Tensor(np.ones(hidden, dtype=dtype), requires_grad=True)
             zeros = lambda: Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
             params.layers.append(EncoderLayerParams(
@@ -98,9 +100,8 @@ class EncoderParams:
         yield "encoder.w_in", self.w_in
         yield "encoder.b_in", self.b_in
         for k, layer in enumerate(self.layers):
-            for fname in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                          "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-                yield f"encoder.layer{k}.{fname}", getattr(layer, fname)
+            for f in fields(layer):
+                yield f"encoder.layer{k}.{f.name}", getattr(layer, f.name)
 
 
 def _split_heads(x, heads):

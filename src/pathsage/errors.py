@@ -26,10 +26,6 @@ class ShapeMismatch(PathSageError):
         super().__init__(msg)
 
 
-class InvalidAxis(PathSageError):
-    pass
-
-
 class NonScalarLoss(PathSageError):
     pass
 
@@ -104,6 +100,11 @@ class VersionMismatch(DataError):
 
 class ChecksumMismatch(DataError):
     pass
+
+
+class IncompleteCheckpoint(DataError):
+    """A checkpoint with a valid CRC lacks a block or a state key, or carries
+    an unknown one."""
 
 
 # --- metrics ---

@@ -44,9 +44,6 @@ class Graph:
     def feature_dim(self):
         return self.features.shape[1]
 
-    def degree(self, u):
-        return int(self.offsets[u + 1] - self.offsets[u])
-
 
 @dataclass(frozen=True)
 class LabelSet:
@@ -60,13 +57,6 @@ class SplitMasks:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-
-
-def neighbors_of(g: Graph, u) -> np.ndarray:
-    """Read-only CSR slice of u's neighbors (O(1))."""
-    if not 0 <= u < g.num_nodes:
-        raise IndexOutOfRange(f"node {u} not in [0, {g.num_nodes})")
-    return g.neighbors[g.offsets[u]:g.offsets[u + 1]]
 
 
 def build_csr(num_nodes, edges, directed):

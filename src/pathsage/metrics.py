@@ -82,17 +82,11 @@ def eval_runs(model, graph, labels, nodes, counts_per_length, seed, runs=5,
     }
 
 
-def format_score(mean, std):
-    return f"{mean:.3f}±{std:.3f}"
-
-
 # ---------------------------------------------------------------------------
 # attention extraction
 # ---------------------------------------------------------------------------
 
 def _token_labels(labels, path):
-    if labels is None:
-        return [-1] * len(path)
     if labels.task == SINGLE_LABEL:
         return [int(labels.labels[v]) for v in path]
     out = []

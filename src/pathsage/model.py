@@ -27,11 +27,6 @@ class ModelConfig:
     dropout_encoder: float = 0.1
     dropout_output: float = 0.3
 
-    def to_json_dict(self):
-        return {k: getattr(self, k) for k in (
-            "feature_dim", "num_classes", "task", "hidden", "heads",
-            "layers", "depth_s", "dropout_encoder", "dropout_output")}
-
 
 @dataclass
 class PathSageModel:

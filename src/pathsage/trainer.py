@@ -16,11 +16,11 @@ import numpy as np
 from . import autograd as ag
 from . import head as head_ops
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import InvalidSetting, NonFiniteGradient, NonFiniteLoss, ShapeMismatch
-from .graph import SINGLE_LABEL
+from .errors import (IncompleteCheckpoint, InvalidSetting, NonFiniteGradient, NonFiniteLoss,
+                     ShapeMismatch)
 from .metrics import micro_f1
 from .model import ModelConfig, PathSageModel
-from .sampler import SamplePlan, derive_sample_seed, rng_for, sample_paths
+from .sampler import derive_sample_seed, rng_for, sample_paths
 
 _SHUFFLE_TAG = 0x5F5CAA1D
 _DROPOUT_TAG = 0xD20F0C37
@@ -51,9 +51,6 @@ class TrainConfig:
             raise InvalidSetting("batch_size must be >= 1")
         if len(self.counts_per_length) != self.depth_s:
             raise InvalidSetting(f"{len(self.counts_per_length)} counts for depth {self.depth_s}")
-
-    def plan(self):
-        return SamplePlan(self.depth_s, self.counts_per_length)
 
 
 def lr_at(step, total_steps, cfg: TrainConfig):
@@ -112,12 +109,6 @@ def _clip_grads(grads, max_norm):
     return total
 
 
-def _batch_targets(labels, nodes):
-    if labels.task == SINGLE_LABEL:
-        return labels.labels[nodes]
-    return labels.labels[nodes].astype(np.float64)
-
-
 def sample_many(graph, nodes, plan, seed_for_node):
     """Sample one PathBatch per central node, each from its own seed."""
     return [sample_paths(graph, int(c), plan, rng_for(seed_for_node(int(c))))
@@ -130,7 +121,7 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
 
     Returns (mean loss, micro-F1 of the in-epoch predictions).
     """
-    plan = cfg.plan()
+    plan = model.plan(cfg.counts_per_length)
     order = rng_for(derive_sample_seed(cfg.seed, epoch, _SHUFFLE_TAG)).permutation(train_nodes)
     losses = []
     preds, targets = [], []
@@ -141,7 +132,7 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
         drop_rng = rng_for(derive_sample_seed(cfg.seed ^ _DROPOUT_TAG, epoch, b0))
         model.zero_grad()
         logits, _ = model.forward_batch(graph, batches, train=True, rng=drop_rng)
-        target = _batch_targets(labels, nodes)
+        target = labels.labels[nodes]
         loss = head_ops.loss(logits, target, labels.task)
         value = loss.item()
         if not math.isfinite(value):
@@ -158,7 +149,7 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
                   lr_at(state.step + 1, total_steps, cfg))
         losses.append(value)
         preds.append(head_ops.predict(logits, labels.task))
-        targets.append(labels.labels[nodes])
+        targets.append(target)
     preds = np.concatenate(preds)
     targets = np.concatenate(targets)
     return float(np.mean(losses)), micro_f1(preds, targets, labels.task)
@@ -173,7 +164,7 @@ class FitResult:
 
 def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
         start_epoch=0, checkpoint_path=None, eval_fn=None, log_fn=None,
-        early_stopping=True, best_val=-1.0, bad_epochs=0):
+        best_val=-1.0, bad_epochs=0):
     """Train for cfg.epochs epochs with patience-based early stopping on
     validation micro-F1 (when a val split and eval_fn are provided)."""
     state = state or OptimizerState()
@@ -199,7 +190,7 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
             save_model_checkpoint(checkpoint_path, model, state, cfg,
                                   next_epoch=epoch + 1, best_val=best_val,
                                   bad_epochs=bad_epochs)
-        if early_stopping and eval_fn is not None and bad_epochs >= cfg.patience:
+        if eval_fn is not None and bad_epochs >= cfg.patience:
             break
     return FitResult(history=history, best_val=best_val, epochs_run=len(history))
 
@@ -217,7 +208,7 @@ def save_model_checkpoint(path, model, state, cfg, next_epoch, best_val=-1.0,
         blocks[f"adam.m:{name}"] = m
         blocks[f"adam.v:{name}"] = state.v[name]
     meta = {
-        "model": model.config.to_json_dict(),
+        "model": asdict(model.config),
         "train": dict(asdict(cfg), counts_per_length=list(cfg.counts_per_length)),
         "adam": {"beta1": state.beta1, "beta2": state.beta2, "eps": state.eps,
                  "step": state.step},
@@ -229,8 +220,21 @@ def save_model_checkpoint(path, model, state, cfg, next_epoch, best_val=-1.0,
 
 
 def load_model_checkpoint(path):
-    """-> (model, optimizer state, TrainConfig, extras dict)."""
+    """-> (model, optimizer state, TrainConfig, extras dict).
+
+    A file that passes its CRC but lacks a block or a state key, or carries
+    an unknown config key, raises IncompleteCheckpoint.
+    """
     meta, blocks = load_checkpoint(path)
+    try:
+        return _restore(meta, blocks)
+    except KeyError as exc:
+        raise IncompleteCheckpoint(f"{path}: missing {exc.args[0]!r}") from None
+    except TypeError as exc:  # a config key missing or unknown
+        raise IncompleteCheckpoint(f"{path}: {exc}") from None
+
+
+def _restore(meta, blocks):
     mc = ModelConfig(**meta["model"])
     model = PathSageModel.init(mc, rng_for(0))
     for name, p in model.named_params():
@@ -243,9 +247,9 @@ def load_model_checkpoint(path):
                            eps=adam_meta["eps"], step=adam_meta["step"])
     for key, arr in blocks.items():
         if key.startswith("adam.m:"):
-            state.m[key[len("adam.m:"):]] = arr.copy()
-        elif key.startswith("adam.v:"):
-            state.v[key[len("adam.v:"):]] = arr.copy()
+            name = key[len("adam.m:"):]
+            state.m[name] = arr.copy()
+            state.v[name] = blocks[f"adam.v:{name}"].copy()
     cfg = TrainConfig(**dict(meta["train"],
                              counts_per_length=tuple(meta["train"]["counts_per_length"])))
     extras = {"next_epoch": meta["next_epoch"], "best_val": meta["best_val"],

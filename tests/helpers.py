@@ -1,8 +1,33 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and the
+reducers that turn an op's output into a scalar loss."""
 
 import numpy as np
 
 from pathsage import autograd as ag
+from pathsage.errors import ShapeMismatch
+
+
+def tsum(x):
+    """Sum of all elements, as a scalar tensor (64-bit accumulation)."""
+    x = ag._as_tensor(x)
+    data = np.asarray(x.data.astype(np.float64).sum(), dtype=x.dtype)
+
+    def vjp(g):
+        return (np.broadcast_to(g, x.shape).astype(x.dtype),)
+
+    return ag._make(data, (x,), vjp)
+
+
+def mul(a, b):
+    """Elementwise product of two equal-shape tensors."""
+    a, b = ag._as_tensor(a), ag._as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeMismatch("mul operands incompatible", a.shape, b.shape)
+
+    def vjp(g):
+        return g * b.data, g * a.data
+
+    return ag._make(a.data * b.data, (a, b), vjp)
 
 
 def fd_grad(fn, arr, step=1e-6):

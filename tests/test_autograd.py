@@ -4,7 +4,7 @@ import pytest
 from pathsage import autograd as ag
 from pathsage.errors import NonScalarLoss, ShapeMismatch
 
-from helpers import check_grad
+from helpers import check_grad, mul, tsum
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -25,19 +25,19 @@ def test_relu_forward_and_vjp():
     x = ag.Tensor([-1.0, 2.0], requires_grad=True)
     y = ag.relu(x)
     np.testing.assert_array_equal(y.data, [0.0, 2.0])
-    ag.backward(ag.tsum(y))
+    ag.backward(tsum(y))
     np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
 
 def test_sum_gradient_is_ones():
     x = ag.Tensor(np.zeros(3), requires_grad=True)
-    ag.backward(ag.tsum(x))
+    ag.backward(tsum(x))
     np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_square_sum_gradient():
     x = ag.Tensor([1.0, 2.0], requires_grad=True)
-    ag.backward(ag.tsum(ag.mul(x, x)))
+    ag.backward(tsum(mul(x, x)))
     np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
 
@@ -56,25 +56,25 @@ def test_matmul_matches_triple_loop_oracle():
 def test_matmul_gradient():
     a = RNG.normal(size=(2, 3))
     b = RNG.normal(size=(3, 2))
-    check_grad(lambda ts: ag.tsum(ag.mul(m := ag.matmul(ts[0], ts[1]), m)), [a, b])
+    check_grad(lambda ts: tsum(mul(m := ag.matmul(ts[0], ts[1]), m)), [a, b])
 
 
 def test_batched_matmul_gradient():
     a = RNG.normal(size=(2, 2, 3, 4))
     b = RNG.normal(size=(2, 2, 4, 3))
-    check_grad(lambda ts: ag.tsum(ag.mul(m := ag.matmul(ts[0], ts[1]), m)), [a, b])
+    check_grad(lambda ts: tsum(mul(m := ag.matmul(ts[0], ts[1]), m)), [a, b])
 
 
 def test_batched_matmul_with_shared_2d_operand():
     a = RNG.normal(size=(3, 4, 5))
     w = RNG.normal(size=(5, 2))
-    check_grad(lambda ts: ag.tsum(ag.mul(m := ag.matmul(ts[0], ts[1]), m)), [a, w])
+    check_grad(lambda ts: tsum(mul(m := ag.matmul(ts[0], ts[1]), m)), [a, w])
 
 
 @pytest.mark.parametrize("prim,shapes", [
     ("relu", [(4, 5)]),
     ("softmax", [(4, 5)]),
-    ("mean0", [(6, 3)]),
+    ("dropout", [(6, 3)]),
     ("select", [(4, 3, 2)]),
     ("concat", [(2, 3), (2, 4)]),
     ("add_bias", [(4, 3, 5), (5,)]),
@@ -91,8 +91,9 @@ def test_primitive_gradients(prim, shapes):
             y = ag.relu(ts[0])
         elif prim == "softmax":
             y = ag.softmax(ts[0])
-        elif prim == "mean0":
-            y = ag.mean(ts[0], axis=0)
+        elif prim == "dropout":
+            # a fresh generator per call draws the same mask every time
+            y = ag.dropout(ts[0], 0.4, True, np.random.Generator(np.random.PCG64(8)))
         elif prim == "select":
             y = ag.select(ts[0], axis=1, index=1)
         elif prim == "concat":
@@ -108,7 +109,7 @@ def test_primitive_gradients(prim, shapes):
         elif prim == "canon_mean":
             y = ag.canonical_bucket_mean(ts[0])
         # squared sum makes the upstream gradient non-trivial
-        return ag.tsum(ag.mul(y, y))
+        return tsum(mul(y, y))
 
     check_grad(build, arrays)
 
@@ -120,13 +121,8 @@ def test_layer_norm_stats_and_gradient():
     out = ag.layer_norm(ag.Tensor(x), ag.Tensor(g), ag.Tensor(b)).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-5)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
-    check_grad(lambda ts: ag.tsum(ag.mul(y := ag.layer_norm(ts[0], ts[1], ts[2]), y)),
+    check_grad(lambda ts: tsum(mul(y := ag.layer_norm(ts[0], ts[1], ts[2]), y)),
                [x, RNG.normal(size=8), RNG.normal(size=8)])
-
-
-def test_gather_rows_accumulates_duplicates():
-    x = RNG.normal(size=(4, 3))
-    check_grad(lambda ts: ag.tsum(ag.mul(y := ag.gather_rows(ts[0], [0, 2, 0]), y)), [x])
 
 
 def test_cross_entropy_gradient_and_value():
@@ -162,22 +158,22 @@ def test_dropout_identity_in_eval_and_scales_in_train():
 
 def test_gradient_accumulates_across_branches():
     x = ag.Tensor([1.0, -2.0, 3.0], requires_grad=True)
-    ag.backward(ag.tsum(ag.add(ag.mul(x, x), ag.mul(x, x))))
+    ag.backward(tsum(ag.add(mul(x, x), mul(x, x))))
     # doubling construction: grad of 2*x^2 is 4x
     np.testing.assert_allclose(x.grad, [4.0, -8.0, 12.0])
 
 
 def test_grad_accumulates_across_backward_calls():
     x = ag.Tensor([2.0], requires_grad=True)
-    ag.backward(ag.tsum(ag.mul(x, x)))
-    ag.backward(ag.tsum(ag.mul(x, x)))
+    ag.backward(tsum(mul(x, x)))
+    ag.backward(tsum(mul(x, x)))
     np.testing.assert_allclose(x.grad, [8.0])
 
 
 def test_non_scalar_loss_raises():
     x = ag.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(NonScalarLoss):
-        ag.backward(ag.mul(x, x))
+        ag.backward(mul(x, x))
 
 
 def test_shape_mismatch_reports_both_shapes():

@@ -9,7 +9,8 @@ import pytest
 
 import pathsage
 from pathsage import trainer
-from pathsage.cli import build_parser, main, resolve_config
+from pathsage.checkpoint import load_checkpoint, save_checkpoint
+from pathsage.cli import COMMAND_FLAGS, CONFIG_DEFAULTS, build_parser, main, resolve_config
 from pathsage.graph import load_dataset, read_features_bin
 
 
@@ -108,6 +109,47 @@ def test_bad_checkpoint_exits_2(dataset, capsys):
     code, _ = run(capsys, "eval", "--dataset", str(dataset),
                   "--checkpoint", "/nonexistent.psck")
     assert code == 2
+
+
+def test_flag_of_another_subcommand_exits_1(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "model.psck"
+    assert run(capsys, "train", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+               *TRAIN_FLAGS)[0] == 0
+    # eval takes its counts from the checkpoint; a --counts flag would be ignored
+    code = main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                 "--counts", "9,9"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "unrecognized arguments: --counts 9,9" in captured.err
+    for argv in (["attn-stats", "--dump", "x.jsonl", "--epochs", "5"],
+                 ["synth", "--nodes", "30", "--k", "1", "--out", str(tmp_path / "s"),
+                  "--dataset", str(dataset)],
+                 ["ingest", "--input", "raw", "--out", "x", "--seed", "1"]):
+        assert main(argv) == 1, argv
+
+
+def test_subcommand_flags_follow_the_table():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    slots = 0
+    for name, p in sub.choices.items():
+        flags = {a.dest for a in p._actions if a.dest in CONFIG_DEFAULTS or a.dest == "config"}
+        assert flags == {"config", *COMMAND_FLAGS[name]}, name
+        slots += len(flags)
+    assert slots == 41
+
+
+def test_incomplete_checkpoint_exits_2(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "model.psck"
+    assert main(["train", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                 *TRAIN_FLAGS]) == 0
+    meta, blocks = load_checkpoint(ckpt)
+    del blocks["param:head.w2"]
+    save_checkpoint(ckpt, meta, blocks)
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "param:head.w2" in err and "Traceback" not in err
 
 
 # --- subcommands --------------------------------------------------------

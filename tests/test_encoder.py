@@ -1,9 +1,9 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pathsage import autograd as ag
 from pathsage.encoder import (
     EncoderParams,
     build_position_table,
@@ -11,7 +11,7 @@ from pathsage.encoder import (
 )
 from pathsage.errors import OddDimension, PathTooLong, ShapeMismatch
 
-from helpers import check_grad
+from helpers import check_grad, mul, tsum
 
 RNG = np.random.Generator(np.random.PCG64(77))
 
@@ -171,13 +171,11 @@ def test_encoder_gradients_finite_difference():
         params = tiny_encoder(d=d, heads=heads, layers=1, seed=3)
         params.w_in, params.b_in = ts[0], ts[1]
         layer = params.layers[0]
-        for fname, t in zip(("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                             "w1", "b1", "w2", "b2",
-                             "ln1_g", "ln1_b", "ln2_g", "ln2_b"), ts[2:]):
-            setattr(layer, fname, t)
+        for f, t in zip(fields(layer), ts[2:]):
+            setattr(layer, f.name, t)
         pos = build_position_table(6, d, dtype=np.float64)
         reprs, _ = encode_paths(params, pos, feats)
-        return ag.tsum(ag.mul(reprs, reprs))
+        return tsum(mul(reprs, reprs))
 
     worst = check_grad(build, arrays, step=1e-5, rtol=1e-3)
     assert worst < 1e-3

@@ -12,7 +12,6 @@ from pathsage.errors import (
 )
 from pathsage.graph import (
     load_dataset,
-    neighbors_of,
     read_features_bin,
     write_dataset,
     write_features_bin,
@@ -32,12 +31,16 @@ def make_dataset(tmp_path, edges, num_nodes, task="single_label", num_classes=2,
                          task=task, num_classes=num_classes)
 
 
+def neighbors(g, u):
+    return g.neighbors[g.offsets[u]:g.offsets[u + 1]]
+
+
 def test_triangle_graph_offsets(tmp_path):
     d = make_dataset(tmp_path, [(0, 1), (1, 2), (0, 2)], 3)
     g, _, _ = load_dataset(d)
     assert list(g.offsets) == [0, 2, 4, 6]
-    assert [g.degree(u) for u in range(3)] == [2, 2, 2]
-    assert list(neighbors_of(g, 0)) == [1, 2]
+    assert list(np.diff(g.offsets)) == [2, 2, 2]
+    assert list(neighbors(g, 0)) == [1, 2]
 
 
 def test_isolated_node_gets_self_loop(tmp_path):
@@ -45,7 +48,7 @@ def test_isolated_node_gets_self_loop(tmp_path):
     g, _, _ = load_dataset(d)
     assert list(g.offsets) == [0, 1]
     assert list(g.neighbors) == [0]
-    assert list(neighbors_of(g, 0)) == [0]
+    assert list(neighbors(g, 0)) == [0]
 
 
 def test_path_graph_offsets(tmp_path):
@@ -53,7 +56,7 @@ def test_path_graph_offsets(tmp_path):
     d = make_dataset(tmp_path, [(0, 1), (1, 2), (2, 3), (3, 4)], 5)
     g, _, _ = load_dataset(d)
     assert list(g.offsets) == [0, 1, 3, 5, 7, 8]
-    assert list(neighbors_of(g, 2)) == [1, 3]
+    assert list(neighbors(g, 2)) == [1, 3]
 
 
 def test_csr_round_trip_undirected(tmp_path):
@@ -64,10 +67,10 @@ def test_csr_round_trip_undirected(tmp_path):
     d = make_dataset(tmp_path, sorted(edges), n)
     g, _, _ = load_dataset(d)
     for u, v in edges:
-        assert v in neighbors_of(g, u)
-        assert u in neighbors_of(g, v)
+        assert v in neighbors(g, u)
+        assert u in neighbors(g, v)
     assert g.offsets[-1] == len(g.neighbors)
-    assert sum(g.degree(u) for u in range(n)) == len(g.neighbors)
+    assert np.diff(g.offsets).sum() == len(g.neighbors)
 
 
 def test_load_is_deterministic(tmp_path):
@@ -79,13 +82,6 @@ def test_load_is_deterministic(tmp_path):
     assert (g1.features == g2.features).all()
     assert (l1.labels == l2.labels).all()
     assert (s1.train == s2.train).all()
-
-
-def test_neighbors_of_out_of_range(tmp_path):
-    d = make_dataset(tmp_path, [(0, 1)], 2)
-    g, _, _ = load_dataset(d)
-    with pytest.raises(IndexOutOfRange):
-        neighbors_of(g, 2)
 
 
 def test_missing_file(tmp_path):

@@ -20,7 +20,7 @@ def make_head(depth=2, hidden=4, classes=3, seed=0, dtype=np.float64):
 # --- per-length pooling ------------------------------------------------
 
 def pool(buckets):
-    """C_1 || ... || C_s from (n_l, d) buckets, pooled as forward_batch does."""
+    """C_1 || ... || C_s from (..., n_l, d) buckets, pooled as forward_batch does."""
     return ag.concat([ag.canonical_bucket_mean(b) for b in buckets], axis=-1)
 
 
@@ -50,7 +50,8 @@ def test_empty_bucket_rejected():
 def test_width_mismatch():
     # buckets of unequal width reach the head with the wrong input width
     with pytest.raises(WidthMismatch):
-        head_forward(make_head(depth=2, hidden=4), pool([np.zeros((1, 3)), np.zeros((1, 4))]))
+        head_forward(make_head(depth=2, hidden=4),
+                     pool([np.zeros((1, 1, 3)), np.zeros((1, 1, 4))]))
 
 
 def test_bucket_shuffle_bit_identical():
@@ -68,8 +69,8 @@ def test_zero_params_give_zero_logits():
     params = make_head()
     for _, p in params.named_params():
         p.data[...] = 0.0
-    logits = head_forward(params, np.ones(8))
-    np.testing.assert_array_equal(logits.data, [0.0, 0.0, 0.0])
+    logits = head_forward(params, np.ones((1, 8)))
+    np.testing.assert_array_equal(logits.data, [[0.0, 0.0, 0.0]])
     sm = ag.softmax(logits).data
     np.testing.assert_allclose(sm, 1 / 3, atol=1e-7)
 
@@ -80,16 +81,14 @@ def test_hand_computed_affine():
     params.b1.data = np.array([0.0, -1.0])
     params.w2.data = np.array([[1.0], [0.0]])  # select first hidden unit
     params.b2.data = np.array([0.5])
-    out = head_forward(params, np.array([-3.0, 7.0]))
-    # relu(-3)=0 -> 0*1 + 0.5
-    np.testing.assert_allclose(out.data, [0.5])
-    out = head_forward(params, np.array([2.0, 7.0]))
-    np.testing.assert_allclose(out.data, [2.5])
+    out = head_forward(params, np.array([[-3.0, 7.0], [2.0, 7.0]]))
+    # relu(-3)=0 -> 0*1 + 0.5; relu(2)=2 -> 2*1 + 0.5
+    np.testing.assert_allclose(out.data, [[0.5], [2.5]])
 
 
 def test_head_matches_naive_matrix_oracle():
     params = make_head(depth=2, hidden=5, classes=4, seed=3)
-    x = RNG.normal(size=10)
+    x = RNG.normal(size=(1, 10))
     expect = np.maximum(x @ params.w1.data + params.b1.data, 0) @ params.w2.data + params.b2.data
     out = head_forward(params, x)
     np.testing.assert_allclose(out.data, expect, atol=1e-5)
@@ -100,13 +99,21 @@ def test_batched_head():
     x = RNG.normal(size=(6, 10))
     out = head_forward(params, x)
     assert out.shape == (6, 4)
+    for i in range(6):
+        row = head_forward(params, x[i:i + 1])
+        np.testing.assert_allclose(row.data[0], out.data[i], atol=1e-12)
+
+
+def test_unbatched_input_rejected():
+    with pytest.raises(WidthMismatch):
+        head_forward(make_head(depth=2, hidden=5), np.zeros(10))
 
 
 # --- loss ---------------------------------------------------------------
 
 def test_uniform_logits_single_label_loss_is_ln_k():
     for k in (2, 3, 7):
-        val = loss(np.zeros(k), 0, "single_label").item()
+        val = loss(np.zeros((1, k)), [0], "single_label").item()
         assert abs(val - math.log(k)) < 1e-6
 
 
@@ -132,55 +139,57 @@ def test_loss_matches_64bit_oracle():
 
 
 def test_loss_stable_at_large_margin():
-    val = loss(np.array([30.0, -30.0]), 0, "single_label").item()
+    val = loss(np.array([[30.0, -30.0]]), [0], "single_label").item()
     assert 0.0 <= val < 1e-10
     val = loss(np.array([[30.0, -30.0]]), np.array([[1.0, 0.0]]), "multi_label").item()
     assert 0.0 <= val < 1e-10
 
 
 def test_loss_positive_and_vanishes_at_margin_20():
-    logits = np.full(4, -20.0)
-    logits[2] = 20.0
-    assert loss(logits, 2, "single_label").item() < 1e-8
+    logits = np.full((1, 4), -20.0)
+    logits[0, 2] = 20.0
+    assert loss(logits, [2], "single_label").item() < 1e-8
     assert loss(RNG.normal(size=(3, 4)), RNG.integers(0, 4, 3), "single_label").item() >= 0
 
 
 def test_invalid_targets():
     with pytest.raises(InvalidTarget):
-        loss(np.zeros(3), 5, "single_label")
+        loss(np.zeros((1, 3)), [5], "single_label")
+    with pytest.raises(InvalidTarget):
+        loss(np.zeros((2, 3)), [0], "single_label")
     with pytest.raises(InvalidTarget):
         loss(np.zeros((1, 3)), np.array([[0.0, 2.0, 0.0]]), "multi_label")
     with pytest.raises(InvalidTarget):
-        loss(np.zeros(3), 0, "other_task")
+        loss(np.zeros((1, 3)), [0], "other_task")
 
 
 # --- predict ------------------------------------------------------------
 
 def test_predict_argmax():
-    assert predict(np.array([0.0, 1.0, 0.0]), "single_label") == 1
+    assert predict(ag.Tensor([[0.0, 1.0, 0.0]]), "single_label") == 1
 
 
 def test_predict_threshold():
     np.testing.assert_array_equal(
-        predict(np.array([-2.0, 0.0, 3.0]), "multi_label"), [0, 1, 1])
+        predict(ag.Tensor([[-2.0, 0.0, 3.0]]), "multi_label"), [[0, 1, 1]])
 
 
 def test_predict_tie_breaks_low():
-    assert predict(np.array([5.0, 5.0]), "single_label") == 0
+    assert predict(ag.Tensor([[5.0, 5.0]]), "single_label") == 0
 
 
 def test_argmax_invariant_to_constant_shift():
     z = RNG.normal(size=(10, 5))
-    base = predict(z, "single_label")
-    np.testing.assert_array_equal(base, predict(z + 123.0, "single_label"))
+    base = predict(ag.Tensor(z), "single_label")
+    np.testing.assert_array_equal(base, predict(ag.Tensor(z + 123.0), "single_label"))
 
 
 # --- end-to-end gradient ------------------------------------------------
 
 def test_aggregate_plus_head_gradient():
     params = make_head(depth=2, hidden=4, classes=3, seed=11)
-    b1 = RNG.normal(size=(3, 4))
-    b2 = RNG.normal(size=(2, 4))
+    b1 = RNG.normal(size=(1, 3, 4))  # one central node's buckets
+    b2 = RNG.normal(size=(1, 2, 4))
     target = np.array([1])
 
     def build(ts):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathsage.autograd import Tensor
 from pathsage.errors import EmptySplit, LengthMismatch
 from pathsage.graph import load_dataset
 from pathsage.metrics import (
@@ -12,7 +13,6 @@ from pathsage.metrics import (
     dump_attention,
     eval_runs,
     eval_split,
-    format_score,
     micro_f1,
 )
 from pathsage.model import ModelConfig, PathSageModel
@@ -102,11 +102,6 @@ def test_micro_f1_property_matches_tally(pairs):
     assert 0.0 <= got <= 1.0
 
 
-def test_format_score():
-    assert format_score(0.969, 0.002) == "0.969±0.002"
-    assert format_score(0.5118, 0.0034) == "0.512±0.003"
-
-
 # --- eval ---------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -166,12 +161,12 @@ def test_eval_loss_matches_training_loss_definition(small_setup):
 
     logits = RNG.normal(size=(9, 3)) * 4
     targets = RNG.integers(0, 3, size=9)
-    a = float(sample_losses(logits, targets, "single_label").mean())
+    a = float(sample_losses(Tensor(logits), targets, "single_label").mean())
     b = train_loss(logits, targets, "single_label").item()
     assert a == pytest.approx(b, rel=1e-6)
 
     y = (RNG.random((9, 3)) < 0.5).astype(np.float64)
-    a = float(sample_losses(logits, y, "multi_label").mean())
+    a = float(sample_losses(Tensor(logits), y, "multi_label").mean())
     b = train_loss(logits, y, "multi_label").item()
     assert a == pytest.approx(b, rel=1e-6)
 

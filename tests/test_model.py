@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -91,5 +94,5 @@ def test_training_mode_dropout_differs_but_is_seeded(setup):
 
 def test_config_json_roundtrip(setup):
     _, model = setup
-    d = model.config.to_json_dict()
+    d = json.loads(json.dumps(asdict(model.config)))
     assert ModelConfig(**d) == model.config

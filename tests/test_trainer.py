@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from pathsage import autograd as ag
-from pathsage.checkpoint import save_checkpoint
-from pathsage.errors import ChecksumMismatch, NonFiniteGradient, VersionMismatch
+from pathsage import checkpoint
+from pathsage.checkpoint import load_checkpoint, save_checkpoint
+from pathsage.errors import (ChecksumMismatch, IncompleteCheckpoint, NonFiniteGradient,
+                             VersionMismatch)
 from pathsage.graph import load_dataset
 from pathsage.model import ModelConfig, PathSageModel
 from pathsage.sampler import rng_for
@@ -244,6 +246,70 @@ def test_corrupted_payload_fails_crc(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ChecksumMismatch):
         load_model_checkpoint(path)
+
+
+def test_fit_stops_after_patience_epochs_without_improvement(tiny_dataset):
+    graph, labels, splits = tiny_dataset
+    cfg = tiny_cfg(epochs=6, patience=2)
+    result = fit(make_model(graph, labels, cfg), graph, labels, splits, cfg,
+                 eval_fn=lambda m, epoch: (0.5, 1.0))
+    # epoch 0 sets the best; epochs 1 and 2 do not improve on it
+    assert result.epochs_run == 3 and result.best_val == 0.5
+
+
+def test_failed_save_keeps_previous_checkpoint(tiny_dataset, tmp_path, monkeypatch):
+    graph, labels, splits = tiny_dataset
+    cfg = tiny_cfg()
+    model = make_model(graph, labels, cfg)
+    state = OptimizerState()
+    path = tmp_path / "m.psck"
+    save_model_checkpoint(path, model, state, cfg, next_epoch=0)
+    before = path.read_bytes()
+    train_epoch(model, graph, labels, splits.train, cfg, 0, state, 10)
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        save_model_checkpoint(path, model, state, cfg, next_epoch=1)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.psck"]
+    monkeypatch.undo()
+    save_model_checkpoint(path, model, state, cfg, next_epoch=1)
+    assert load_model_checkpoint(path)[3]["next_epoch"] == 1
+
+
+def _resave_altered(src, dst, block=None, meta_key=None, model_key=None):
+    """Rewrite a checkpoint with one part removed or added; the result
+    carries a valid CRC."""
+    meta, blocks = load_checkpoint(src)
+    blocks.pop(block, None)
+    meta.pop(meta_key, None)
+    if model_key:
+        meta["model"][model_key] = 1
+    save_checkpoint(dst, meta, blocks)
+    return dst
+
+
+@pytest.mark.parametrize("part,needle", [
+    ({"block": "param:encoder.w_in"}, "param:encoder.w_in"),
+    ({"block": "adam.v:head.b2"}, "adam.v:head.b2"),
+    ({"meta_key": "adam"}, "adam"),
+    ({"meta_key": "next_epoch"}, "next_epoch"),
+    ({"model_key": "width"}, "width"),
+])
+def test_incomplete_checkpoint_names_the_key(tiny_dataset, tmp_path, part, needle):
+    graph, labels, splits = tiny_dataset
+    cfg = tiny_cfg()
+    model = make_model(graph, labels, cfg)
+    state = OptimizerState()
+    train_epoch(model, graph, labels, splits.train, cfg, 0, state, 10)
+    full = tmp_path / "full.psck"
+    save_model_checkpoint(full, model, state, cfg, next_epoch=1)
+    bad = _resave_altered(full, tmp_path / "bad.psck", **part)
+    with pytest.raises(IncompleteCheckpoint, match=needle):
+        load_model_checkpoint(bad)
 
 
 def test_resume_matches_uninterrupted_run(tiny_dataset, tmp_path):
