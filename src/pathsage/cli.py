@@ -24,7 +24,7 @@ from .errors import DataError, NumericalError, PathSageError
 from .graph import load_dataset, write_features_bin
 from .metrics import attention_stats, dump_attention, eval_runs, eval_split
 from .model import ModelConfig, PathSageModel
-from .sampler import SamplePlan, derive_sample_seed, rng_for, sample_paths
+from .sampler import SamplePlan, sample_paths, stream_rng
 from .synth import synth_planted_khop
 from .trainer import TrainConfig, fit, load_model_checkpoint
 
@@ -170,8 +170,7 @@ def cmd_sample(args):
     graph, _, _ = load_dataset(_require(cfg, "dataset", "--dataset"))
     node = _require(cfg, "node", "--node")
     plan = SamplePlan(cfg["depth"], tuple(cfg["counts"]))
-    batch = sample_paths(graph, node, plan,
-                         rng_for(derive_sample_seed(cfg["seed"], 0, node)))
+    batch = sample_paths(graph, node, plan, stream_rng(cfg["seed"], "walk", 0, node))
     for l, walks in enumerate(batch.paths_by_length, start=1):
         for row in walks:
             print(json.dumps({"length": l, "path": [int(v) for v in row]}))
@@ -187,7 +186,7 @@ def cmd_train(args):
                      layers=tc.layers, depth_s=tc.depth_s,
                      dropout_encoder=tc.dropout_encoder,
                      dropout_output=tc.dropout_output)
-    model = PathSageModel.init(mc, rng_for(derive_sample_seed(tc.seed, 0, 0xC0DE)))
+    model = PathSageModel.init(mc, stream_rng(tc.seed, "init"))
     ckpt = cfg["checkpoint"]
     if ckpt is None:
         out = Path(cfg["out"] or ".")

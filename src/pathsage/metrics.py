@@ -9,9 +9,7 @@ import numpy as np
 from .errors import EmptySplit, LengthMismatch
 from .graph import SINGLE_LABEL
 from .head import predict, sample_losses
-from .sampler import derive_sample_seed, rng_for, sample_paths
-
-_EVAL_TAG = 0xE7A1
+from .sampler import sample_paths, stream_rng
 
 
 def micro_f1(predictions, targets, task):
@@ -51,8 +49,7 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
     preds, losses = [], []
     for b0 in range(0, len(nodes), batch_size):
         chunk = nodes[b0:b0 + batch_size]
-        batches = [sample_paths(graph, int(c), plan,
-                                rng_for(derive_sample_seed(seed ^ _EVAL_TAG, run, int(c))))
+        batches = [sample_paths(graph, int(c), plan, stream_rng(seed, "eval", run, int(c)))
                    for c in chunk]
         logits, _ = model.forward_batch(graph, batches, train=False)
         target = labels.labels[chunk]
@@ -100,8 +97,7 @@ def dump_attention(model, graph, labels, node, counts_per_length, seed, out_path
     """One inference forward for `node`; write a JSON line per
     (path, layer, head) with the full attention weight matrix."""
     plan = model.plan(counts_per_length)
-    batch = sample_paths(graph, int(node), plan,
-                         rng_for(derive_sample_seed(seed ^ _EVAL_TAG, 0, int(node))))
+    batch = sample_paths(graph, int(node), plan, stream_rng(seed, "eval", 0, int(node)))
     _, attention = model.forward_batch(graph, [batch], collect_attention=True)
     count = 0
     with open(out_path, "w") as fh:

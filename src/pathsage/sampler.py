@@ -12,10 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidPlan
+from .errors import IndexOutOfRange, InvalidPlan, InvalidSetting
 from .graph import Graph
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# Stream kind -> (tag XOR-ed into the run seed, base added to key b). Shuffles
+# use the walk stream of pseudo-node 0x5F5CAA1D: node ids must stay below it.
+STREAMS = {"walk": (0, 0), "eval": (0xE7A1, 0), "shuffle": (0, 0x5F5CAA1D),
+           "dropout": (0xD20F0C37, 0), "init": (0x1A17, 0)}
 
 
 @dataclass(frozen=True)
@@ -41,23 +45,17 @@ class PathBatch:
 
 
 def _splitmix64(x):
-    x = (x + _GOLDEN) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    x = x + _GOLDEN  # uint64 arithmetic wraps modulo 2**64
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x &= np.uint64(0xFFFFFFFFFFFFFFFF)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x &= np.uint64(0xFFFFFFFFFFFFFFFF)
     return x ^ (x >> np.uint64(31))
 
 
 def derive_sample_seed(global_seed, epoch, node):
-    """64-bit mix of (global_seed, epoch, node); stable and decorrelated.
-
-    Re-running an epoch reproduces identical batches; distinct triples give
-    independent walk streams.
-    """
+    """Stable 64-bit mix of (global_seed, epoch, node); distinct triples give
+    decorrelated seeds. The run's streams are keyed through `stream_rng`."""
     with np.errstate(over="ignore"):
-        x = np.uint64(global_seed) & np.uint64(0xFFFFFFFFFFFFFFFF)
-        x = _splitmix64(x ^ (np.uint64(epoch) * _GOLDEN))
+        x = _splitmix64(np.uint64(global_seed) ^ (np.uint64(epoch) * _GOLDEN))
         x = _splitmix64(x ^ (np.uint64(node) * _GOLDEN))
     return int(x)
 
@@ -90,3 +88,13 @@ def sample_paths(g: Graph, central, plan: SamplePlan, rng) -> PathBatch:
 def rng_for(seed):
     """Deterministic generator for a derived seed."""
     return np.random.Generator(np.random.PCG64(np.uint64(seed)))
+
+
+def stream_rng(seed, kind, a=0, b=0):
+    """Generator of run `seed`'s stream `kind` at keys (a, b): walk (epoch,
+    node), eval (run, node), shuffle (epoch), dropout (epoch, first batch
+    row) or init; it is derive_sample_seed(seed ^ tag, a, base + b)."""
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidSetting(f"seed {seed} outside [0, 2**64)")
+    tag, base = STREAMS[kind]
+    return rng_for(derive_sample_seed(seed ^ tag, a, base + b))

@@ -1,9 +1,9 @@
 """Mini-batch training: Adam with linear warmup/decay, deterministic replay.
 
 All stochastic choices (epoch shuffles, per-node path sampling, dropout)
-are derived from (seed, epoch, ...) with a 64-bit mixing function, so a
-run can be replayed or resumed from an epoch-boundary checkpoint and
-produce the identical loss sequence.
+come from the keyed streams of `sampler.stream_rng`, so a run can be
+replayed or resumed from an epoch-boundary checkpoint and produce the
+identical loss sequence.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ from .errors import (IncompleteCheckpoint, InvalidSetting, NonFiniteGradient, No
                      ShapeMismatch)
 from .metrics import micro_f1
 from .model import ModelConfig, PathSageModel
-from .sampler import derive_sample_seed, rng_for, sample_paths
-
-_SHUFFLE_TAG = 0x5F5CAA1D
-_DROPOUT_TAG = 0xD20F0C37
+from .sampler import rng_for, sample_paths, stream_rng
 
 
 @dataclass
@@ -109,9 +106,9 @@ def _clip_grads(grads, max_norm):
     return total
 
 
-def sample_many(graph, nodes, plan, seed_for_node):
-    """Sample one PathBatch per central node, each from its own seed."""
-    return [sample_paths(graph, int(c), plan, rng_for(seed_for_node(int(c))))
+def sample_many(graph, nodes, plan, seed, epoch):
+    """Sample one PathBatch per central node from its epoch's walk stream."""
+    return [sample_paths(graph, int(c), plan, stream_rng(seed, "walk", epoch, int(c)))
             for c in nodes]
 
 
@@ -122,14 +119,13 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
     Returns (mean loss, micro-F1 of the in-epoch predictions).
     """
     plan = model.plan(cfg.counts_per_length)
-    order = rng_for(derive_sample_seed(cfg.seed, epoch, _SHUFFLE_TAG)).permutation(train_nodes)
+    order = stream_rng(cfg.seed, "shuffle", epoch).permutation(train_nodes)
     losses = []
     preds, targets = [], []
     for b0 in range(0, len(order), cfg.batch_size):
         nodes = order[b0:b0 + cfg.batch_size]
-        batches = sample_many(graph, nodes, plan,
-                              lambda c: derive_sample_seed(cfg.seed, epoch, c))
-        drop_rng = rng_for(derive_sample_seed(cfg.seed ^ _DROPOUT_TAG, epoch, b0))
+        batches = sample_many(graph, nodes, plan, cfg.seed, epoch)
+        drop_rng = stream_rng(cfg.seed, "dropout", epoch, b0)
         model.zero_grad()
         logits, _ = model.forward_batch(graph, batches, train=True, rng=drop_rng)
         target = labels.labels[nodes]

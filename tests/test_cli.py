@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import pathsage
-from pathsage import trainer
+from pathsage import cli, trainer
 from pathsage.checkpoint import load_checkpoint, save_checkpoint
 from pathsage.cli import COMMAND_FLAGS, CONFIG_DEFAULTS, build_parser, main, resolve_config
 from pathsage.graph import load_dataset, read_features_bin
+from pathsage.sampler import derive_sample_seed, rng_for, stream_rng
 
 
 def run(capsys, *argv):
@@ -83,7 +84,11 @@ def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(pathsage.__file__).parents[1]))
     for argv in (["train", "--dataset", str(dataset), "--depth", "3",
                   "--checkpoint", str(tmp_path / "m.psck")],
-                 ["synth", "--nodes", "5", "--k", "1", "--out", str(tmp_path / "s")]):
+                 ["synth", "--nodes", "5", "--k", "1", "--out", str(tmp_path / "s")],
+                 ["train", "--dataset", str(dataset), "--seed", "-1",
+                  "--checkpoint", str(tmp_path / "m.psck")],
+                 ["sample", "--dataset", str(dataset), "--node", "0",
+                  "--seed", str(2 ** 64)]):
         proc = subprocess.run([sys.executable, "-m", "pathsage.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2, proc.stderr
@@ -103,6 +108,25 @@ def test_non_finite_gradient_exits_3(dataset, tmp_path, capsys, monkeypatch):
                  "--checkpoint", str(tmp_path / "m.psck"), *TRAIN_FLAGS])
     assert code == 3
     assert "non-finite gradient norm nan at epoch 0 step 0" in capsys.readouterr().err
+
+
+def test_train_init_stream_is_not_a_walk_stream(dataset, tmp_path, monkeypatch):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def record_init(config, rng, **kwargs):
+        seen.append(rng.bit_generator.state)
+        raise Stop
+
+    monkeypatch.setattr(cli.PathSageModel, "init", record_init)
+    with pytest.raises(Stop):
+        main(["train", "--dataset", str(dataset), "--checkpoint",
+              str(tmp_path / "m.psck"), *TRAIN_FLAGS])
+    walk = rng_for(derive_sample_seed(1, 0, 0xC0DE)).bit_generator.state
+    assert seen == [stream_rng(1, "init").bit_generator.state]
+    assert seen[0] != walk
 
 
 def test_bad_checkpoint_exits_2(dataset, capsys):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from pathsage.errors import IndexOutOfRange, InvalidPlan
+from pathsage.errors import IndexOutOfRange, InvalidPlan, InvalidSetting
 from pathsage.graph import Graph, build_csr
 from pathsage.sampler import (
+    STREAMS,
     PathBatch,
     SamplePlan,
     derive_sample_seed,
     rng_for,
     sample_paths,
+    stream_rng,
 )
 
 
@@ -110,3 +112,40 @@ def test_derive_seed_deterministic_and_distinct():
 def test_derive_seed_collision_scan():
     seeds = {derive_sample_seed(7, e, n) for e in range(100) for n in range(10000)}
     assert len(seeds) == 100 * 10000  # zero 64-bit collisions expected at 1e6 draws
+
+
+def _state(rng):
+    return rng.bit_generator.state["state"]["state"]
+
+
+@pytest.mark.parametrize("seed,a,b", [(0, 0, 0), (7, 3, 41), (2 ** 64 - 1, 9, 5)])
+def test_stream_keys_match_the_documented_derivations(seed, a, b):
+    expected = {
+        "walk": derive_sample_seed(seed, a, b),
+        "eval": derive_sample_seed(seed ^ 0xE7A1, a, b),
+        "shuffle": derive_sample_seed(seed, a, 0x5F5CAA1D + b),
+        "dropout": derive_sample_seed(seed ^ 0xD20F0C37, a, b),
+    }
+    for kind, derived in expected.items():
+        assert _state(stream_rng(seed, kind, a, b)) == _state(rng_for(derived)), kind
+
+
+@pytest.mark.parametrize("seed,a,b", [(0, 0, 0), (1, 2, 3), (5, 0, 0xC0DE)])
+def test_stream_kinds_give_distinct_seeds(seed, a, b):
+    states = {_state(stream_rng(seed, kind, a, b)) for kind in STREAMS}
+    assert len(states) == len(STREAMS)
+
+
+def test_init_stream_is_not_a_walk_stream():
+    # model init once borrowed the epoch-0 walk stream of node 0xC0DE (49374)
+    for seed in range(20):
+        init = _state(stream_rng(seed, "init"))
+        assert init != _state(stream_rng(seed, "walk", 0, 0xC0DE))
+        assert init != _state(rng_for(derive_sample_seed(seed, 0, 0xC0DE)))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_rejected(seed):
+    for kind in STREAMS:
+        with pytest.raises(InvalidSetting, match="seed"):
+            stream_rng(seed, kind)

@@ -4,9 +4,10 @@ import pytest
 from pathsage import autograd as ag
 from pathsage import checkpoint
 from pathsage.checkpoint import load_checkpoint, save_checkpoint
-from pathsage.errors import (ChecksumMismatch, IncompleteCheckpoint, NonFiniteGradient,
-                             VersionMismatch)
+from pathsage.errors import (ChecksumMismatch, IncompleteCheckpoint, InvalidSetting,
+                             NonFiniteGradient, VersionMismatch)
 from pathsage.graph import load_dataset
+from pathsage.metrics import eval_split
 from pathsage.model import ModelConfig, PathSageModel
 from pathsage.sampler import rng_for
 from pathsage.synth import synth_planted_khop
@@ -188,6 +189,17 @@ def test_non_finite_gradient_stops_training(tiny_dataset, monkeypatch, bad):
     assert state.step == 0
     for name, p in model.named_params():
         assert (p.data == before[name]).all(), name
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_rejected(tiny_dataset, seed):
+    graph, labels, splits = tiny_dataset
+    cfg = tiny_cfg(seed=seed)
+    model = make_model(graph, labels, cfg)
+    with pytest.raises(InvalidSetting, match="seed"):
+        train_epoch(model, graph, labels, splits.train, cfg, 0, OptimizerState(), 10)
+    with pytest.raises(InvalidSetting, match="seed"):
+        eval_split(model, graph, labels, splits.train, cfg.counts_per_length, seed)
 
 
 # --- fit + checkpointing ------------------------------------------------
