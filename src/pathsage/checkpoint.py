@@ -5,9 +5,10 @@ Layout: magic "PSCK", u32 version, u64 json_len, JSON state blob
 bytes, u8 ndim, ndim x u64 dims, raw little-endian f32 payload; finally
 a u64 CRC64 (ECMA, reflected) of everything before it.
 
-Saving writes a temporary file next to the target, fsyncs it and renames it
-over the target, so a failed or interrupted save leaves the previous
-checkpoint intact.
+Saving writes a temporary file next to the target, fsyncs it, renames it
+over the target and fsyncs the directory, so a failed or interrupted save
+leaves the previous checkpoint intact and a finished one survives a power
+loss.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ChecksumMismatch, MissingFile, VersionMismatch
 
 MAGIC = b"PSCK"
-VERSION = 1
+VERSION = 2  # bumped when the layout or the trainer's state blob changes
 
 _POLY = 0xC96C5795D7870F42
 _TABLE = []
@@ -71,6 +72,11 @@ def save_checkpoint(path, state_json, blocks):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)  # make the rename itself durable
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_checkpoint(path):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericalError, PathSageError
+from .errors import DataError, InvalidSetting, NumericalError, PathSageError
 from .graph import load_dataset, write_features_bin
 from .metrics import attention_stats, dump_attention, eval_runs, eval_split
 from .model import ModelConfig, PathSageModel
@@ -108,17 +108,46 @@ def resolve_config(args):
             raise DataError(f"config file not found: {config_path}") from None
         except json.JSONDecodeError as exc:
             raise DataError(f"config file {config_path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise DataError(f"config file {config_path} does not hold a JSON object")
         unknown = set(raw) - set(cfg)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(raw)
+        cfg.update({key: _config_value(key, value) for key, value in raw.items()})
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if isinstance(cfg["counts"], str):
-        cfg["counts"] = _parse_counts(cfg["counts"])
     return cfg
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_value(key, value):
+    """Check a config-file value against the type of its flag and return it,
+    with a counts string parsed as the flag parses it. null only stands for
+    a setting whose default is null."""
+    kind = FLAG_TYPES.get(key, str)
+    given = value
+    if value is None:
+        ok = CONFIG_DEFAULTS[key] is None
+    elif kind is _parse_counts:
+        try:
+            value = _parse_counts(value) if isinstance(value, str) else value
+        except ValueError:
+            value = None
+        ok = isinstance(value, list) and all(map(_is_int, value))
+    elif kind is float:
+        ok = _is_int(value) or isinstance(value, float)
+    else:
+        ok = _is_int(value) if kind is int else isinstance(value, str)
+    if not ok:
+        expected = {int: "an integer", float: "a number", str: "a string"}.get(
+            kind, "a list of integers or a comma-separated string")
+        raise InvalidSetting(f"config key {key!r} must be {expected}, got {given!r}")
+    return value
 
 
 def _train_config(cfg):

@@ -173,12 +173,27 @@ def _read_labels(path: Path, num_nodes, num_classes, task):
     return labels
 
 
-def _read_splits(path: Path, num_nodes):
+def _read_json_object(path: Path):
     with open(_require(path)) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(path, exc.lineno, exc.msg) from None
+    if not isinstance(raw, dict):
+        raise MalformedRecord(path, 0, "expected a JSON object")
+    return raw
+
+
+def _read_splits(path: Path, num_nodes):
+    raw = _read_json_object(path)
     out = {}
     for name in ("train", "val", "test"):
-        idx = np.asarray(raw.get(name, []), dtype=np.int64)
+        try:
+            idx = np.asarray(raw.get(name, []), dtype=np.int64)
+        except (TypeError, ValueError):
+            idx = None
+        if idx is None or idx.ndim != 1:
+            raise MalformedRecord(path, 0, f"{name} split is not a list of node ids")
         if idx.size and (idx.min() < 0 or idx.max() >= num_nodes):
             raise IndexOutOfRange(f"{name} split index outside [0,{num_nodes})")
         if len(np.unique(idx)) != len(idx):
@@ -195,12 +210,16 @@ def _read_splits(path: Path, num_nodes):
 def load_dataset(dir_path):
     """Load and validate a dataset directory -> (Graph, LabelSet, SplitMasks)."""
     root = Path(dir_path)
-    with open(_require(root / "meta.json")) as fh:
-        meta = json.load(fh)
-    num_nodes = int(meta["num_nodes"])
-    feature_dim = int(meta["feature_dim"])
-    num_classes = int(meta["num_classes"])
-    task = meta["task"]
+    meta = _read_json_object(root / "meta.json")
+    try:
+        num_nodes = int(meta["num_nodes"])
+        feature_dim = int(meta["feature_dim"])
+        num_classes = int(meta["num_classes"])
+        task = meta["task"]
+    except KeyError as exc:
+        raise MalformedRecord(root / "meta.json", 0, f"missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedRecord(root / "meta.json", 0, str(exc)) from None
     if task not in (SINGLE_LABEL, MULTI_LABEL):
         raise MalformedRecord(root / "meta.json", 0, f"unknown task {task!r}")
     directed = bool(meta.get("directed", False))

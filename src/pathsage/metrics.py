@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .errors import EmptySplit, LengthMismatch
+from .errors import EmptySplit, InvalidSetting, LengthMismatch
 from .graph import SINGLE_LABEL
 from .head import predict, sample_losses
 from .sampler import sample_paths, stream_rng
@@ -63,6 +63,8 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
 def eval_runs(model, graph, labels, nodes, counts_per_length, seed, runs=5,
               batch_size=64, split_name="test"):
     """Repeat eval_split over `runs` evaluation seeds -> mean +/- sample std."""
+    if runs < 1:
+        raise InvalidSetting(f"runs {runs} < 1")
     f1s, losses = [], []
     for run in range(runs):
         f1, loss = eval_split(model, graph, labels, nodes, counts_per_length,

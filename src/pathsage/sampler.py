@@ -90,11 +90,18 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(np.uint64(seed)))
 
 
+def check_seed(seed):
+    """Reject a seed outside the unsigned 64-bit range with InvalidSetting."""
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidSetting(f"seed {seed} outside [0, 2**64)")
+
+
 def stream_rng(seed, kind, a=0, b=0):
     """Generator of run `seed`'s stream `kind` at keys (a, b): walk (epoch,
     node), eval (run, node), shuffle (epoch), dropout (epoch, first batch
     row) or init; it is derive_sample_seed(seed ^ tag, a, base + b)."""
-    if not 0 <= seed < 2 ** 64:
-        raise InvalidSetting(f"seed {seed} outside [0, 2**64)")
+    check_seed(seed)
+    if not (0 <= a < 2 ** 64 and 0 <= b < 2 ** 64):
+        raise IndexOutOfRange(f"{kind} stream key ({a}, {b}) outside [0, 2**64)")
     tag, base = STREAMS[kind]
     return rng_for(derive_sample_seed(seed ^ tag, a, base + b))

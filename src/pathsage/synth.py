@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateGraph, InvalidSetting
 from .graph import SINGLE_LABEL, build_csr, write_dataset
+from .sampler import check_seed
 
 
 def exact_khop(offsets, neighbors, source, k):
@@ -91,6 +92,7 @@ def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
         raise InvalidSetting("k must be >= 0")
     if topology not in ("er", "ring"):
         raise InvalidSetting(f"unknown topology {topology!r}")
+    check_seed(seed)
     directed = topology == "ring"
     for attempt in range(10):
         rng = np.random.Generator(np.random.PCG64(np.uint64(seed) + np.uint64(attempt)))

@@ -22,6 +22,10 @@ from .metrics import micro_f1
 from .model import ModelConfig, PathSageModel
 from .sampler import rng_for, sample_paths, stream_rng
 
+GRAD_CLIP = 5.0  # global L2 norm the gradients of a step are clipped to
+PATIENCE = 10  # epochs without a better validation micro-F1 before fit stops
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -37,8 +41,6 @@ class TrainConfig:
     warmup_ratio: float = 0.1
     dropout_encoder: float = ModelConfig.dropout_encoder
     dropout_output: float = ModelConfig.dropout_output
-    grad_clip: float = 5.0
-    patience: int = 10
 
     def __post_init__(self):
         self.counts_per_length = tuple(int(c) for c in self.counts_per_length)
@@ -61,9 +63,6 @@ def lr_at(step, total_steps, cfg: TrainConfig):
 
 @dataclass
 class OptimizerState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -73,7 +72,7 @@ def adam_step(named_params, grads, state: OptimizerState, lr):
     """Standard bias-corrected Adam update, in the parameter dtype."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, param in named_params:
         g = grads.get(name)
         if g is None:
@@ -92,14 +91,14 @@ def adam_step(named_params, grads, state: OptimizerState, lr):
         v += (1 - b2) * g * g
         mhat = m / (1 - b1 ** t)
         vhat = v / (1 - b2 ** t)
-        param.data -= (lr * mhat / (np.sqrt(vhat) + state.eps)).astype(param.dtype)
+        param.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(param.dtype)
 
 
 def _clip_grads(grads, max_norm):
     """Scale the gradients in place to a global L2 norm of at most max_norm
     and return the norm before scaling; a non-finite norm scales nothing."""
     total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
-    if max_norm and max_norm < total < math.inf:
+    if max_norm < total < math.inf:
         factor = max_norm / total
         for g in grads.values():
             g *= factor
@@ -137,7 +136,7 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
                 f"(lr={lr_at(state.step + 1, total_steps, cfg):.3e})")
         ag.backward(loss)
         grads = {name: p.grad for name, p in model.named_params() if p.grad is not None}
-        norm = _clip_grads(grads, cfg.grad_clip)
+        norm = _clip_grads(grads, GRAD_CLIP)
         if not math.isfinite(norm):
             raise NonFiniteGradient(
                 f"non-finite gradient norm {norm} at epoch {epoch} step {state.step}")
@@ -161,8 +160,9 @@ class FitResult:
 def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
         start_epoch=0, checkpoint_path=None, eval_fn=None, log_fn=None,
         best_val=-1.0, bad_epochs=0):
-    """Train for cfg.epochs epochs with patience-based early stopping on
-    validation micro-F1 (when a val split and eval_fn are provided)."""
+    """Train for cfg.epochs epochs, stopping early after PATIENCE epochs
+    without a better validation micro-F1 (when a val split and eval_fn are
+    provided)."""
     state = state or OptimizerState()
     steps_per_epoch = math.ceil(len(splits.train) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
@@ -186,7 +186,7 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
             save_model_checkpoint(checkpoint_path, model, state, cfg,
                                   next_epoch=epoch + 1, best_val=best_val,
                                   bad_epochs=bad_epochs)
-        if eval_fn is not None and bad_epochs >= cfg.patience:
+        if eval_fn is not None and bad_epochs >= PATIENCE:
             break
     return FitResult(history=history, best_val=best_val, epochs_run=len(history))
 
@@ -206,8 +206,7 @@ def save_model_checkpoint(path, model, state, cfg, next_epoch, best_val=-1.0,
     meta = {
         "model": asdict(model.config),
         "train": dict(asdict(cfg), counts_per_length=list(cfg.counts_per_length)),
-        "adam": {"beta1": state.beta1, "beta2": state.beta2, "eps": state.eps,
-                 "step": state.step},
+        "adam": {"step": state.step},
         "next_epoch": next_epoch,
         "best_val": best_val,
         "bad_epochs": bad_epochs,
@@ -238,9 +237,7 @@ def _restore(meta, blocks):
         if stored.shape != p.data.shape:
             raise ShapeMismatch(f"checkpoint block {name}", stored.shape, p.data.shape)
         p.data = stored.copy()
-    adam_meta = meta["adam"]
-    state = OptimizerState(beta1=adam_meta["beta1"], beta2=adam_meta["beta2"],
-                           eps=adam_meta["eps"], step=adam_meta["step"])
+    state = OptimizerState(step=meta["adam"]["step"])
     for key, arr in blocks.items():
         if key.startswith("adam.m:"):
             name = key[len("adam.m:"):]

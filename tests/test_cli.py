@@ -57,6 +57,33 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw,needle", [
+    ({"epochs": "2"}, "'epochs' must be an integer"),
+    ({"lr": "0.1"}, "'lr' must be a number"),
+    ({"counts": 5}, "'counts' must be a list of integers"),
+    ({"counts": "2,x"}, "'counts' must be a list of integers"),
+    ({"dataset": 3}, "'dataset' must be a string"),
+    ({"hidden": None}, "'hidden' must be an integer"),
+    ([1, 2], "does not hold a JSON object"),
+])
+def test_bad_config_value_exits_2(dataset, tmp_path, capsys, raw, needle):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    code = main(["train", "--config", str(cfg_file), "--dataset", str(dataset),
+                 "--checkpoint", str(tmp_path / "m.psck")])
+    err = capsys.readouterr().err
+    assert code == 2 and needle in err, err
+    assert "Traceback" not in err
+
+
+def test_config_counts_string_is_parsed_like_the_flag(tmp_path):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"counts": "3,4", "dataset": None}))
+    args = build_parser().parse_args(["train", "--config", str(cfg_file)])
+    cfg = resolve_config(args)
+    assert cfg["counts"] == [3, 4] and cfg["dataset"] is None
+
+
 def test_counts_string_parsing():
     parser = build_parser()
     args = parser.parse_args(["train", "--counts", "1,2,3"])
@@ -73,6 +100,11 @@ def test_usage_error_exits_1(capsys):
 def test_missing_dataset_exits_2(capsys):
     code, _ = run(capsys, "sample", "--dataset", "/nonexistent", "--node", "0")
     assert code == 2
+
+
+def test_negative_node_exits_2(dataset, capsys):
+    assert main(["sample", "--dataset", str(dataset), "--node", "-1"]) == 2
+    assert "walk stream key (0, -1)" in capsys.readouterr().err
 
 
 def test_missing_required_setting_exits_2(dataset, capsys):
@@ -127,6 +159,17 @@ def test_train_init_stream_is_not_a_walk_stream(dataset, tmp_path, monkeypatch):
     walk = rng_for(derive_sample_seed(1, 0, 0xC0DE)).bit_generator.state
     assert seen == [stream_rng(1, "init").bit_generator.state]
     assert seen[0] != walk
+
+
+def test_eval_runs_below_one_exits_2(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "model.psck"
+    assert main(["train", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                 *TRAIN_FLAGS]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt), "--runs", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "runs 0 < 1" in captured.err
 
 
 def test_bad_checkpoint_exits_2(dataset, capsys):

@@ -99,6 +99,31 @@ def test_malformed_edge_reports_line(tmp_path):
     assert ":2:" in str(exc.value)
 
 
+def _meta_without(key):
+    meta = {"num_nodes": 2, "feature_dim": 3, "num_classes": 2, "task": "single_label"}
+    del meta[key]
+    return json.dumps(meta)
+
+
+@pytest.mark.parametrize("name,text,needle", [
+    ("meta.json", _meta_without("num_classes"), "missing key 'num_classes'"),
+    ("meta.json", '{"num_nodes": 2,', ":1:"),
+    ("meta.json", json.dumps({"num_nodes": "x", "feature_dim": 3, "num_classes": 2,
+                              "task": "single_label"}), "'x'"),
+    ("meta.json", "[2, 3]", "expected a JSON object"),
+    ("splits.json", '{"train": [0, 1]', ":1:"),
+    ("splits.json", json.dumps({"train": ["x"]}), "train split is not a list"),
+    ("splits.json", json.dumps({"train": [0], "val": [[1]]}), "val split is not a list"),
+    ("splits.json", json.dumps({"train": 0}), "train split is not a list"),
+])
+def test_malformed_json_file_raises_malformed_record(tmp_path, name, text, needle):
+    d = make_dataset(tmp_path, [(0, 1)], 2)
+    (d / name).write_text(text)
+    with pytest.raises(MalformedRecord, match=name) as exc:
+        load_dataset(d)
+    assert needle in str(exc.value)
+
+
 def test_edge_index_out_of_range(tmp_path):
     d = make_dataset(tmp_path, [(0, 1)], 2)
     (d / "edges.csv").write_text("0,5\n")

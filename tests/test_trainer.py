@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from pathsage.model import ModelConfig, PathSageModel
 from pathsage.sampler import rng_for
 from pathsage.synth import synth_planted_khop
 from pathsage.trainer import (
+    PATIENCE,
     OptimizerState,
     TrainConfig,
     adam_step,
@@ -250,6 +254,34 @@ def test_truncated_checkpoint_rejected(tiny_dataset, tmp_path):
         load_model_checkpoint(path)
 
 
+def test_version_1_checkpoint_rejected(tmp_path):
+    path = tmp_path / "v1.psck"
+    save_checkpoint(path, {"x": 1}, {"w": np.ones(4, np.float32)})
+    data = bytearray(path.read_bytes())
+    data[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(VersionMismatch, match="version 1, expected 2"):
+        load_model_checkpoint(path)
+
+
+def test_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    def record_replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", record_fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", record_replace)
+    save_checkpoint(tmp_path / "e.psck", {"x": 1}, {"w": np.ones(4, np.float32)})
+    assert events == ["file", "replace", "dir"]
+
+
 def test_corrupted_payload_fails_crc(tmp_path):
     path = tmp_path / "d.psck"
     save_checkpoint(path, {"x": 1}, {"w": np.ones(4, np.float32)})
@@ -262,11 +294,11 @@ def test_corrupted_payload_fails_crc(tmp_path):
 
 def test_fit_stops_after_patience_epochs_without_improvement(tiny_dataset):
     graph, labels, splits = tiny_dataset
-    cfg = tiny_cfg(epochs=6, patience=2)
+    cfg = tiny_cfg(epochs=PATIENCE + 4)
     result = fit(make_model(graph, labels, cfg), graph, labels, splits, cfg,
                  eval_fn=lambda m, epoch: (0.5, 1.0))
-    # epoch 0 sets the best; epochs 1 and 2 do not improve on it
-    assert result.epochs_run == 3 and result.best_val == 0.5
+    # epoch 0 sets the best; epochs 1..PATIENCE do not improve on it
+    assert result.epochs_run == PATIENCE + 1 and result.best_val == 0.5
 
 
 def test_failed_save_keeps_previous_checkpoint(tiny_dataset, tmp_path, monkeypatch):
