@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidSetting, NumericalError, PathSageError
-from .graph import load_dataset, write_features_bin
+from .graph import is_int, load_dataset, write_features_bin
 from .metrics import attention_stats, dump_attention, eval_runs, eval_split
 from .model import ModelConfig, PathSageModel
 from .sampler import SamplePlan, sample_paths, stream_rng
@@ -121,33 +121,21 @@ def resolve_config(args):
     return cfg
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _config_value(key, value):
-    """Check a config-file value against the type of its flag and return it,
+    """Check a config-file value against its setting's type and return it,
     with a counts string parsed as the flag parses it. null only stands for
     a setting whose default is null."""
-    kind = FLAG_TYPES.get(key, str)
-    given = value
-    if value is None:
-        ok = CONFIG_DEFAULTS[key] is None
-    elif kind is _parse_counts:
+    kind = SETTING_TYPES[key]
+    if value is None and CONFIG_DEFAULTS[key] is None:
+        return None
+    if kind is _parse_counts and isinstance(value, str):
         try:
-            value = _parse_counts(value) if isinstance(value, str) else value
+            return _parse_counts(value)
         except ValueError:
-            value = None
-        ok = isinstance(value, list) and all(map(_is_int, value))
-    elif kind is float:
-        ok = _is_int(value) or isinstance(value, float)
-    else:
-        ok = _is_int(value) if kind is int else isinstance(value, str)
-    if not ok:
-        expected = {int: "an integer", float: "a number", str: "a string"}.get(
-            kind, "a list of integers or a comma-separated string")
-        raise InvalidSetting(f"config key {key!r} must be {expected}, got {given!r}")
-    return value
+            pass
+    elif JSON_CHECKS[kind][0](value):
+        return value
+    raise InvalidSetting(f"config key {key!r} must be {JSON_CHECKS[kind][1]}, got {value!r}")
 
 
 def _train_config(cfg):
@@ -286,11 +274,23 @@ def cmd_attn_stats(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-# argparse type of each flag that does not take a plain string
-FLAG_TYPES = {
-    "seed": int, "epochs": int, "depth": int, "counts": _parse_counts,
-    "hidden": int, "heads": int, "layers": int, "batch_size": int, "lr": float,
-    "warmup_ratio": float, "runs": int, "node": int, "log_interval": int,
+# Type of every setting: the argparse type of its flag and, through
+# JSON_CHECKS, the JSON value a config file may give it.
+SETTING_TYPES = {
+    "dataset": str, "out": str, "checkpoint": str, "seed": int, "epochs": int,
+    "depth": int, "counts": _parse_counts, "hidden": int, "heads": int,
+    "layers": int, "batch_size": int, "lr": float, "warmup_ratio": float,
+    "dropout_encoder": float, "dropout_output": float, "runs": int, "node": int,
+    "split": str, "log_interval": int,
+}
+
+# setting type -> (accepts a JSON value, what it expects)
+JSON_CHECKS = {
+    int: (is_int, "an integer"),
+    float: (lambda v: is_int(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    _parse_counts: (lambda v: isinstance(v, list) and all(map(is_int, v)),
+                    "a list of integers or a comma-separated string"),
 }
 
 
@@ -298,7 +298,7 @@ def _command(sub, name, fn, help_text):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config")
     for key in COMMAND_FLAGS[name]:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=FLAG_TYPES.get(key, str))
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=SETTING_TYPES[key])
     p.set_defaults(fn=fn)
     return p
 

@@ -173,6 +173,11 @@ def _read_labels(path: Path, num_nodes, num_classes, task):
     return labels
 
 
+def is_int(value):
+    """True for a JSON integer; a bool or a float is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_json_object(path: Path):
     with open(_require(path)) as fh:
         try:
@@ -188,14 +193,12 @@ def _read_splits(path: Path, num_nodes):
     raw = _read_json_object(path)
     out = {}
     for name in ("train", "val", "test"):
-        try:
-            idx = np.asarray(raw.get(name, []), dtype=np.int64)
-        except (TypeError, ValueError):
-            idx = None
-        if idx is None or idx.ndim != 1:
+        ids = raw.get(name, [])
+        if not (isinstance(ids, list) and all(map(is_int, ids))):
             raise MalformedRecord(path, 0, f"{name} split is not a list of node ids")
-        if idx.size and (idx.min() < 0 or idx.max() >= num_nodes):
+        if not all(0 <= i < num_nodes for i in ids):
             raise IndexOutOfRange(f"{name} split index outside [0,{num_nodes})")
+        idx = np.asarray(ids, dtype=np.int64)
         if len(np.unique(idx)) != len(idx):
             raise SplitOverlap(f"duplicate indices inside {name} split")
         out[name] = np.sort(idx)
@@ -211,18 +214,21 @@ def load_dataset(dir_path):
     """Load and validate a dataset directory -> (Graph, LabelSet, SplitMasks)."""
     root = Path(dir_path)
     meta = _read_json_object(root / "meta.json")
-    try:
-        num_nodes = int(meta["num_nodes"])
-        feature_dim = int(meta["feature_dim"])
-        num_classes = int(meta["num_classes"])
-        task = meta["task"]
-    except KeyError as exc:
-        raise MalformedRecord(root / "meta.json", 0, f"missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise MalformedRecord(root / "meta.json", 0, str(exc)) from None
+    for key in ("num_nodes", "feature_dim", "num_classes", "task"):
+        if key not in meta:
+            raise MalformedRecord(root / "meta.json", 0, f"missing key {key!r}")
+    for key in ("num_nodes", "feature_dim", "num_classes"):
+        if not is_int(meta[key]):
+            raise MalformedRecord(root / "meta.json", 0,
+                                  f"{key} must be an integer, got {meta[key]!r}")
+    num_nodes, feature_dim, num_classes, task = (
+        meta["num_nodes"], meta["feature_dim"], meta["num_classes"], meta["task"])
     if task not in (SINGLE_LABEL, MULTI_LABEL):
         raise MalformedRecord(root / "meta.json", 0, f"unknown task {task!r}")
-    directed = bool(meta.get("directed", False))
+    directed = meta.get("directed", False)
+    if not isinstance(directed, bool):
+        raise MalformedRecord(root / "meta.json", 0,
+                              f"directed must be true or false, got {directed!r}")
 
     features = read_features_bin(root / "features.bin")
     if features.shape[0] != num_nodes:

@@ -20,7 +20,7 @@ from .errors import (IncompleteCheckpoint, InvalidSetting, NonFiniteGradient, No
                      ShapeMismatch)
 from .metrics import micro_f1
 from .model import ModelConfig, PathSageModel
-from .sampler import rng_for, sample_paths, stream_rng
+from .sampler import sample_paths, stream_rng
 
 GRAD_CLIP = 5.0  # global L2 norm the gradients of a step are clipped to
 PATIENCE = 10  # epochs without a better validation micro-F1 before fit stops
@@ -72,7 +72,6 @@ def adam_step(named_params, grads, state: OptimizerState, lr):
     """Standard bias-corrected Adam update, in the parameter dtype."""
     state.step += 1
     t = state.step
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, param in named_params:
         g = grads.get(name)
         if g is None:
@@ -85,21 +84,21 @@ def adam_step(named_params, grads, state: OptimizerState, lr):
             state.m[name] = m
             state.v[name] = np.zeros_like(param.data)
         v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1 ** t)
+        vhat = v / (1 - ADAM_BETA2 ** t)
         param.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(param.dtype)
 
 
-def _clip_grads(grads, max_norm):
-    """Scale the gradients in place to a global L2 norm of at most max_norm
+def _clip_grads(grads):
+    """Scale the gradients in place to a global L2 norm of at most GRAD_CLIP
     and return the norm before scaling; a non-finite norm scales nothing."""
     total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
-    if max_norm < total < math.inf:
-        factor = max_norm / total
+    if GRAD_CLIP < total < math.inf:
+        factor = GRAD_CLIP / total
         for g in grads.values():
             g *= factor
     return total
@@ -136,7 +135,7 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
                 f"(lr={lr_at(state.step + 1, total_steps, cfg):.3e})")
         ag.backward(loss)
         grads = {name: p.grad for name, p in model.named_params() if p.grad is not None}
-        norm = _clip_grads(grads, GRAD_CLIP)
+        norm = _clip_grads(grads)
         if not math.isfinite(norm):
             raise NonFiniteGradient(
                 f"non-finite gradient norm {norm} at epoch {epoch} step {state.step}")
@@ -231,7 +230,7 @@ def load_model_checkpoint(path):
 
 def _restore(meta, blocks):
     mc = ModelConfig(**meta["model"])
-    model = PathSageModel.init(mc, rng_for(0))
+    model = PathSageModel.init(mc, stream_rng(0, "init"))
     for name, p in model.named_params():
         stored = blocks[f"param:{name}"]
         if stored.shape != p.data.shape:

@@ -64,6 +64,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"counts": "2,x"}, "'counts' must be a list of integers"),
     ({"dataset": 3}, "'dataset' must be a string"),
     ({"hidden": None}, "'hidden' must be an integer"),
+    ({"dropout_encoder": "0.1"}, "'dropout_encoder' must be a number"),
     ([1, 2], "does not hold a JSON object"),
 ])
 def test_bad_config_value_exits_2(dataset, tmp_path, capsys, raw, needle):
@@ -74,6 +75,22 @@ def test_bad_config_value_exits_2(dataset, tmp_path, capsys, raw, needle):
     err = capsys.readouterr().err
     assert code == 2 and needle in err, err
     assert "Traceback" not in err
+
+
+def test_every_setting_has_a_type():
+    assert set(cli.SETTING_TYPES) == set(CONFIG_DEFAULTS)
+    assert set(cli.JSON_CHECKS) == set(cli.SETTING_TYPES.values())
+
+
+def test_dropout_rates_train_from_config(dataset, tmp_path):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"dropout_encoder": 0.2, "dropout_output": 0.4}))
+    ckpt = tmp_path / "m.psck"
+    assert main(["train", "--config", str(cfg_file), "--dataset", str(dataset),
+                 "--checkpoint", str(ckpt), *TRAIN_FLAGS]) == 0
+    model, _, tc, _ = trainer.load_model_checkpoint(ckpt)
+    assert (tc.dropout_encoder, tc.dropout_output) == (0.2, 0.4)
+    assert (model.config.dropout_encoder, model.config.dropout_output) == (0.2, 0.4)
 
 
 def test_config_counts_string_is_parsed_like_the_flag(tmp_path):
@@ -131,9 +148,9 @@ def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
 def test_non_finite_gradient_exits_3(dataset, tmp_path, capsys, monkeypatch):
     real_clip = trainer._clip_grads
 
-    def poisoned_clip(grads, max_norm):
+    def poisoned_clip(grads):
         next(iter(grads.values()))[...] = np.nan
-        return real_clip(grads, max_norm)
+        return real_clip(grads)
 
     monkeypatch.setattr(trainer, "_clip_grads", poisoned_clip)
     code = main(["train", "--dataset", str(dataset),

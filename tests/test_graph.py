@@ -105,16 +105,27 @@ def _meta_without(key):
     return json.dumps(meta)
 
 
+def _meta_with(**fields):
+    meta = {"num_nodes": 2, "feature_dim": 3, "num_classes": 2, "task": "single_label"}
+    return json.dumps({**meta, **fields})
+
+
 @pytest.mark.parametrize("name,text,needle", [
     ("meta.json", _meta_without("num_classes"), "missing key 'num_classes'"),
     ("meta.json", '{"num_nodes": 2,', ":1:"),
     ("meta.json", json.dumps({"num_nodes": "x", "feature_dim": 3, "num_classes": 2,
                               "task": "single_label"}), "'x'"),
     ("meta.json", "[2, 3]", "expected a JSON object"),
+    ("meta.json", _meta_with(num_nodes=2.5), "num_nodes must be an integer, got 2.5"),
+    ("meta.json", _meta_with(feature_dim=True), "feature_dim must be an integer, got True"),
+    ("meta.json", _meta_with(num_classes="2"), "num_classes must be an integer, got '2'"),
+    ("meta.json", _meta_with(directed="false"), "directed must be true or false"),
     ("splits.json", '{"train": [0, 1]', ":1:"),
     ("splits.json", json.dumps({"train": ["x"]}), "train split is not a list"),
     ("splits.json", json.dumps({"train": [0], "val": [[1]]}), "val split is not a list"),
     ("splits.json", json.dumps({"train": 0}), "train split is not a list"),
+    ("splits.json", json.dumps({"train": [0, 1.5]}), "train split is not a list"),
+    ("splits.json", json.dumps({"train": [0], "test": [True]}), "test split is not a list"),
 ])
 def test_malformed_json_file_raises_malformed_record(tmp_path, name, text, needle):
     d = make_dataset(tmp_path, [(0, 1)], 2)
@@ -128,6 +139,14 @@ def test_edge_index_out_of_range(tmp_path):
     d = make_dataset(tmp_path, [(0, 1)], 2)
     (d / "edges.csv").write_text("0,5\n")
     with pytest.raises(IndexOutOfRange):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("node", [2, -1, 2 ** 70])
+def test_split_index_out_of_range(tmp_path, node):
+    d = make_dataset(tmp_path, [(0, 1)], 2)
+    (d / "splits.json").write_text(json.dumps({"train": [0], "test": [node]}))
+    with pytest.raises(IndexOutOfRange, match="test split index outside"):
         load_dataset(d)
 
 
