@@ -14,6 +14,7 @@ import numpy as np
 from .errors import InvalidSetting, NonScalarLoss, ShapeMismatch
 
 DEFAULT_DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 
 class Tensor:
@@ -95,19 +96,17 @@ def scale(a, s):
 
 
 def matmul(a, b):
-    """Matrix product. Supports batched leading dims; a 2-D operand is shared
-    across the other operand's batch."""
+    """Matrix product. Supports batched leading dims; a lower-rank b (such as
+    a 2-D weight) is shared across a's batch."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeMismatch("matmul needs >=2-D operands", a.shape, b.shape)
+    if b.data.ndim < 2 or a.data.ndim < b.data.ndim:
+        raise ShapeMismatch("matmul needs >=2-D operands, a of rank >= b's", a.shape, b.shape)
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch("matmul inner dims differ", a.shape, b.shape)
     data = np.matmul(a.data, b.data)
 
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if ga.ndim > a.data.ndim:
-            ga = ga.reshape(-1, *a.shape[-2:]).sum(axis=0)
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         if gb.ndim > b.data.ndim:
             gb = gb.reshape(-1, *b.shape[-2:]).sum(axis=0)
@@ -140,7 +139,7 @@ def softmax(a):
     return _make(s, (a,), vjp)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize over the last axis, then apply learnable gain and bias.
 
     Statistics are accumulated in 64-bit and cast back to the input dtype.
@@ -152,7 +151,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     x64 = x.data.astype(np.float64)
     mu = x64.mean(axis=-1, keepdims=True)
     var = ((x64 - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = ((x64 - mu) * inv).astype(x.dtype)
     data = xhat * gain.data + bias.data
 
@@ -169,16 +168,16 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _make(data, (x, gain, bias), vjp)
 
 
-def dropout(x, rate, train, rng):
+def dropout(x, rate, rng):
     """Inverted dropout: kept activations are scaled by 1/(1-rate).
 
-    Returns `x` itself when train is false or rate is 0. The mask is drawn
-    from `rng`.
+    The mask is drawn from the dropout stream `rng`. Returns `x` itself when
+    there is no stream (inference) or rate is 0.
     """
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise InvalidSetting(f"dropout rate {rate} outside [0, 1)")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
 
@@ -238,23 +237,20 @@ def transpose(x, axes):
 
 
 def canonical_bucket_mean(x):
-    """Mean over axis -2 with rows summed in lexicographically sorted order.
+    """Mean over axis -2 with each column summed in ascending value order.
 
-    Input (..., n, d) -> output (..., d). Sorting the rows before the
-    in-order summation makes the result bit-identical under any permutation
-    of the rows; the gradient of a mean is permutation-free, so the vjp is
+    Input (..., n, d) -> output (..., d). Each column is sorted in 64-bit
+    before the summation; a column's sorted values do not depend on the
+    order of the rows, so the result is bit-identical under any permutation
+    of the rows. The gradient of a mean is permutation-free, so the vjp is
     a plain uniform spread.
     """
     x = _as_tensor(x)
     if x.data.ndim < 2 or x.shape[-2] == 0:
         raise ShapeMismatch("canonical_bucket_mean needs >=2-D input with rows", x.shape)
     n = x.shape[-2]
-    flat = x.data.reshape(-1, n, x.shape[-1])
-    out = np.empty((flat.shape[0], x.shape[-1]), dtype=np.float64)
-    for b in range(flat.shape[0]):
-        order = np.lexsort(flat[b].T[::-1])
-        out[b] = np.add.reduce(flat[b][order].astype(np.float64), axis=0)
-    data = (out / n).astype(x.dtype).reshape(*x.shape[:-2], x.shape[-1])
+    total = np.sort(x.data.astype(np.float64), axis=-2).sum(axis=-2)
+    data = (total / n).astype(x.dtype)
 
     def vjp(g):
         return (np.repeat(np.expand_dims(g / n, -2), n, axis=-2),)

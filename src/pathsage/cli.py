@@ -31,11 +31,10 @@ from .trainer import TrainConfig, fit, load_model_checkpoint
 log = logging.getLogger("pathsage")
 
 # CLI setting -> TrainConfig field; the defaults of these settings are the
-# TrainConfig defaults.
+# TrainConfig defaults. The depth is not a setting: it is the number of counts.
 TRAIN_SETTINGS = {
     "seed": "seed",
     "epochs": "epochs",
-    "depth": "depth_s",
     "counts": "counts_per_length",
     "hidden": "hidden",
     "heads": "heads",
@@ -63,9 +62,9 @@ CONFIG_DEFAULTS = {
 COMMAND_FLAGS = {
     "ingest": ("out",),
     "synth": ("out", "seed"),
-    "sample": ("dataset", "node", "seed", "depth", "counts"),
+    "sample": ("dataset", "node", "seed", "counts"),
     "train": ("dataset", "checkpoint", "out", "log_interval", "seed", "epochs",
-              "depth", "counts", "hidden", "heads", "layers", "batch_size", "lr",
+              "counts", "hidden", "heads", "layers", "batch_size", "lr",
               "warmup_ratio"),
     "eval": ("dataset", "checkpoint", "out", "seed", "split", "runs"),
     "attn-dump": ("dataset", "checkpoint", "out", "seed", "node"),
@@ -139,7 +138,8 @@ def _config_value(key, value):
 
 
 def _train_config(cfg):
-    return TrainConfig(**{name: cfg[key] for key, name in TRAIN_SETTINGS.items()})
+    return TrainConfig(depth_s=len(cfg["counts"]),
+                       **{name: cfg[key] for key, name in TRAIN_SETTINGS.items()})
 
 
 def _require(cfg, key, flag):
@@ -186,7 +186,7 @@ def cmd_sample(args):
     cfg = resolve_config(args)
     graph, _, _ = load_dataset(_require(cfg, "dataset", "--dataset"))
     node = _require(cfg, "node", "--node")
-    plan = SamplePlan(cfg["depth"], tuple(cfg["counts"]))
+    plan = SamplePlan(len(cfg["counts"]), tuple(cfg["counts"]))
     batch = sample_paths(graph, node, plan, stream_rng(cfg["seed"], "walk", 0, node))
     for l, walks in enumerate(batch.paths_by_length, start=1):
         for row in walks:
@@ -278,7 +278,7 @@ def cmd_attn_stats(args):
 # JSON_CHECKS, the JSON value a config file may give it.
 SETTING_TYPES = {
     "dataset": str, "out": str, "checkpoint": str, "seed": int, "epochs": int,
-    "depth": int, "counts": _parse_counts, "hidden": int, "heads": int,
+    "counts": _parse_counts, "hidden": int, "heads": int,
     "layers": int, "batch_size": int, "lr": float, "warmup_ratio": float,
     "dropout_encoder": float, "dropout_output": float, "runs": int, "node": int,
     "split": str, "log_interval": int,

@@ -18,14 +18,8 @@ from .autograd import Tensor
 from .errors import OddDimension, PathTooLong, ShapeMismatch
 
 
-@dataclass(frozen=True)
-class PositionTable:
-    max_len: int
-    table: np.ndarray  # [max_len, d]
-
-
-def build_position_table(max_len, d, dtype=np.float32) -> PositionTable:
-    """Sinusoid table: entry (p, 2i) = sin(p / 10000^(2i/d)),
+def build_position_table(max_len, d, dtype=np.float32):
+    """Sinusoid table (max_len, d): entry (p, 2i) = sin(p / 10000^(2i/d)),
     entry (p, 2i+1) = cos(p / 10000^(2i/d)). Row 0 is [0,1,0,1,...]."""
     if d % 2 != 0:
         raise OddDimension(f"position dimension {d} must be even")
@@ -35,7 +29,7 @@ def build_position_table(max_len, d, dtype=np.float32) -> PositionTable:
     table = np.empty((max_len, d), dtype=np.float64)
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
-    return PositionTable(max_len=max_len, table=table.astype(dtype))
+    return table.astype(dtype)
 
 
 def affine_init(rng, fan_in, fan_out, dtype):
@@ -70,7 +64,6 @@ class EncoderLayerParams:
 
 @dataclass
 class EncoderParams:
-    hidden: int
     heads: int
     w_in: Tensor
     b_in: Tensor
@@ -81,7 +74,7 @@ class EncoderParams:
         if hidden % heads != 0:
             raise ShapeMismatch(f"hidden {hidden} not divisible by heads {heads}")
         w_in, b_in = affine_init(rng, feature_dim, hidden, dtype)
-        params = EncoderParams(hidden=hidden, heads=heads, w_in=w_in, b_in=b_in)
+        params = EncoderParams(heads=heads, w_in=w_in, b_in=b_in)
         for _ in range(num_layers):
             wq, bq = affine_init(rng, hidden, hidden, dtype)
             wk, bk = affine_init(rng, hidden, hidden, dtype)
@@ -110,7 +103,7 @@ def _split_heads(x, heads):
     return ag.transpose(x, (0, 2, 1, 3))  # (N, h, T, dh)
 
 
-def _encoder_layer(layer, x, heads, dropout_rate, train, rng):
+def _encoder_layer(layer, x, heads, dropout_rate, rng):
     n, t, d = x.shape
     dh = d // heads
     q = _split_heads(ag.add(ag.matmul(x, layer.wq), layer.bq), heads)
@@ -121,36 +114,36 @@ def _encoder_layer(layer, x, heads, dropout_rate, train, rng):
     ctx = ag.matmul(attn, v)                        # (N, h, T, dh)
     ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (n, t, d))
     out = ag.add(ag.matmul(ctx, layer.wo), layer.bo)
-    out = ag.dropout(out, dropout_rate, train, rng)
+    out = ag.dropout(out, dropout_rate, rng)
     x = ag.layer_norm(ag.add(x, out), layer.ln1_g, layer.ln1_b)
     ff = ag.matmul(ag.relu(ag.add(ag.matmul(x, layer.w1), layer.b1)), layer.w2)
-    ff = ag.dropout(ag.add(ff, layer.b2), dropout_rate, train, rng)
+    ff = ag.dropout(ag.add(ff, layer.b2), dropout_rate, rng)
     x = ag.layer_norm(ag.add(x, ff), layer.ln2_g, layer.ln2_b)
     return x, attn.data
 
 
-def encode_paths(params: EncoderParams, pos: PositionTable, path_features,
-                 train=False, rng=None, dropout_rate=0.0):
+def encode_paths(params: EncoderParams, pos, path_features, rng=None,
+                 dropout_rate=0.0):
     """Encode a batch of equal-length paths.
 
-    path_features: Tensor or array (N, T, F) of per-token node features in
-    path order. Returns (reprs (N, d) Tensor, attn list per layer of
+    pos: position table (max_len, d); path_features: Tensor (N, T, F) of
+    per-token node features in path order; rng: the dropout stream, None
+    for inference. Returns (reprs (N, d) Tensor, attn list per layer of
     (N, heads, T, T) arrays).
     """
-    feats = path_features if isinstance(path_features, Tensor) else Tensor(path_features)
-    if feats.data.ndim != 3:
-        raise ShapeMismatch("expected (N, T, F) features", feats.shape)
-    t = feats.shape[1]
-    if t > pos.max_len:
-        raise PathTooLong(f"{t} tokens exceeds position table length {pos.max_len}")
-    if feats.shape[2] != params.w_in.shape[0]:
+    if path_features.data.ndim != 3:
+        raise ShapeMismatch("expected (N, T, F) features", path_features.shape)
+    t = path_features.shape[1]
+    if t > pos.shape[0]:
+        raise PathTooLong(f"{t} tokens exceeds position table length {pos.shape[0]}")
+    if path_features.shape[2] != params.w_in.shape[0]:
         raise ShapeMismatch("feature width vs input projection",
-                            feats.shape, params.w_in.shape)
-    x = ag.add(ag.matmul(feats, params.w_in), params.b_in)
-    x = ag.add(x, Tensor(pos.table[:t].astype(x.dtype)))
+                            path_features.shape, params.w_in.shape)
+    x = ag.add(ag.matmul(path_features, params.w_in), params.b_in)
+    x = ag.add(x, Tensor(pos[:t].astype(x.dtype)))
     attn_all = []
     for layer in params.layers:
-        x, attn = _encoder_layer(layer, x, params.heads, dropout_rate, train, rng)
+        x, attn = _encoder_layer(layer, x, params.heads, dropout_rate, rng)
         attn_all.append(attn)
     reprs = ag.select(x, axis=1, index=0)  # position-0 readout
     return reprs, attn_all

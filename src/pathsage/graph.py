@@ -61,25 +61,23 @@ class SplitMasks:
 
 def build_csr(num_nodes, edges, directed):
     """Build sorted CSR from an edge list; symmetrize when undirected and
-    give isolated nodes a self-loop so random walks never stall."""
-    src = np.asarray([e[0] for e in edges], dtype=np.int64)
-    dst = np.asarray([e[1] for e in edges], dtype=np.int64)
-    if len(src) and (src.min() < 0 or dst.min() < 0 or src.max() >= num_nodes or dst.max() >= num_nodes):
+    give isolated nodes a self-loop so random walks never stall.
+
+    Edges are deduplicated and sorted as the keys src * num_nodes + dst,
+    which fit in int64 while node ids stay below the shuffle pseudo-node
+    (sampler.STREAMS).
+    """
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= num_nodes):
         raise IndexOutOfRange("edge endpoint outside [0, num_nodes)")
+    src, dst = pairs[:, 0], pairs[:, 1]
     if not directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0) if len(src) else np.empty((0, 2), np.int64)
-    degrees = np.bincount(pairs[:, 0], minlength=num_nodes)
-    isolated = np.flatnonzero(degrees == 0)
-    if len(isolated):
-        loops = np.stack([isolated, isolated], axis=1)
-        pairs = np.concatenate([pairs, loops], axis=0)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
-        degrees = np.bincount(pairs[:, 0], minlength=num_nodes)
+    isolated = np.flatnonzero(np.bincount(src, minlength=num_nodes) == 0)
+    keys = np.unique(np.concatenate([src * num_nodes + dst, isolated * num_nodes + isolated]))
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    return offsets, pairs[:, 1].copy()
+    np.cumsum(np.bincount(keys // num_nodes, minlength=num_nodes), out=offsets[1:])
+    return offsets, keys % num_nodes
 
 
 def _require(path: Path):

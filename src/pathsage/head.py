@@ -36,41 +36,38 @@ class HeadParams:
             yield f"head.{f.name}", getattr(self, f.name)
 
 
-def head_forward(params: HeadParams, concat, train=False, rng=None,
-                 dropout_rate=0.0):
-    """logits = relu(C W1 + b1) W2 + b2 for a (B, s*d) batch C, with dropout
-    on the hidden relu activations during training."""
-    c = concat if isinstance(concat, Tensor) else Tensor(concat)
-    if c.data.ndim != 2 or c.shape[1] != params.w1.shape[0]:
-        raise WidthMismatch("head input width", c.shape, params.w1.shape)
-    h = ag.relu(ag.add(ag.matmul(c, params.w1), params.b1))
-    h = ag.dropout(h, dropout_rate, train, rng)
+def head_forward(params: HeadParams, concat, rng=None, dropout_rate=0.0):
+    """logits = relu(C W1 + b1) W2 + b2 for a (B, s*d) Tensor C, with dropout
+    on the hidden relu activations when a dropout stream `rng` is given."""
+    if concat.data.ndim != 2 or concat.shape[1] != params.w1.shape[0]:
+        raise WidthMismatch("head input width", concat.shape, params.w1.shape)
+    h = ag.relu(ag.add(ag.matmul(concat, params.w1), params.b1))
+    h = ag.dropout(h, dropout_rate, rng)
     return ag.add(ag.matmul(h, params.w2), params.b2)
 
 
 def loss(logits, target, task):
-    """Scalar training loss for a (B, K) batch of logits.
+    """Scalar training loss for a (B, K) Tensor of logits.
 
     single_label: mean cross-entropy via log-sum-exp against (B,) class ids;
     multi_label: mean binary cross-entropy with logits against (B, K) 0/1
     targets. Stable for |logit| up to ~30.
     """
-    t = logits if isinstance(logits, Tensor) else Tensor(logits)
     if task == SINGLE_LABEL:
         targets = np.asarray(target, dtype=np.int64)
-        if t.data.ndim != 2 or targets.shape != t.shape[:1]:
-            raise InvalidTarget(f"targets of shape {targets.shape} for logits {t.shape}")
-        k = t.shape[-1]
+        if logits.data.ndim != 2 or targets.shape != logits.shape[:1]:
+            raise InvalidTarget(f"targets of shape {targets.shape} for logits {logits.shape}")
+        k = logits.shape[-1]
         if targets.min() < 0 or targets.max() >= k:
             raise InvalidTarget(f"class id outside [0,{k})")
-        return ag.softmax_cross_entropy(t, targets)
+        return ag.softmax_cross_entropy(logits, targets)
     if task == MULTI_LABEL:
         y = np.asarray(target, dtype=np.float64)
-        if y.shape != t.shape:
-            raise InvalidTarget(f"target shape {y.shape} != logits shape {t.shape}")
+        if y.shape != logits.shape:
+            raise InvalidTarget(f"target shape {y.shape} != logits shape {logits.shape}")
         if ((y != 0) & (y != 1)).any():
             raise InvalidTarget("multi_label targets must be 0/1")
-        return ag.bce_with_logits(t, y)
+        return ag.bce_with_logits(logits, y)
     raise InvalidTarget(f"unknown task {task!r}")
 
 

@@ -51,7 +51,7 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
         chunk = nodes[b0:b0 + batch_size]
         batches = [sample_paths(graph, int(c), plan, stream_rng(seed, "eval", run, int(c)))
                    for c in chunk]
-        logits, _ = model.forward_batch(graph, batches, train=False)
+        logits = model.forward_batch(graph, batches)[0]
         target = labels.labels[chunk]
         preds.append(predict(logits, labels.task))
         losses.append(sample_losses(logits, target, labels.task))
@@ -61,14 +61,14 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
 
 
 def eval_runs(model, graph, labels, nodes, counts_per_length, seed, runs=5,
-              batch_size=64, split_name="test"):
+              split_name="test"):
     """Repeat eval_split over `runs` evaluation seeds -> mean +/- sample std."""
     if runs < 1:
         raise InvalidSetting(f"runs {runs} < 1")
     f1s, losses = [], []
     for run in range(runs):
         f1, loss = eval_split(model, graph, labels, nodes, counts_per_length,
-                              seed, batch_size=batch_size, run=run)
+                              seed, run=run)
         f1s.append(f1)
         losses.append(loss)
     std = float(np.std(f1s, ddof=1)) if runs > 1 else 0.0
@@ -100,7 +100,7 @@ def dump_attention(model, graph, labels, node, counts_per_length, seed, out_path
     (path, layer, head) with the full attention weight matrix."""
     plan = model.plan(counts_per_length)
     batch = sample_paths(graph, int(node), plan, stream_rng(seed, "eval", 0, int(node)))
-    _, attention = model.forward_batch(graph, [batch], collect_attention=True)
+    _, attention = model.forward_batch(graph, [batch])
     count = 0
     with open(out_path, "w") as fh:
         for l in range(1, model.config.depth_s + 1):

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .encoder import EncoderParams, build_position_table, encode_paths
-from .errors import ShapeMismatch
+from .errors import InvalidSetting, ShapeMismatch
 from .graph import Graph
 from .head import HeadParams, head_forward
 from .sampler import SamplePlan
@@ -27,13 +27,18 @@ class ModelConfig:
     dropout_encoder: float = 0.1
     dropout_output: float = 0.3
 
+    def __post_init__(self):
+        for name in ("hidden", "heads", "depth_s"):
+            if getattr(self, name) < 1:
+                raise InvalidSetting(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class PathSageModel:
     config: ModelConfig
     encoder: EncoderParams
     head: HeadParams
-    pos_table: object = field(default=None)
+    pos_table: np.ndarray  # (depth_s + 1, hidden)
 
     @staticmethod
     def init(config: ModelConfig, rng, dtype=np.float32):
@@ -41,10 +46,8 @@ class PathSageModel:
                                  config.heads, config.layers, dtype=dtype)
         head = HeadParams.init(rng, config.depth_s, config.hidden,
                                config.num_classes, dtype=dtype)
-        model = PathSageModel(config=config, encoder=enc, head=head)
-        model.pos_table = build_position_table(config.depth_s + 1, config.hidden,
-                                               dtype=dtype)
-        return model
+        pos = build_position_table(config.depth_s + 1, config.hidden, dtype=dtype)
+        return PathSageModel(config=config, encoder=enc, head=head, pos_table=pos)
 
     def named_params(self):
         yield from self.encoder.named_params()
@@ -54,14 +57,14 @@ class PathSageModel:
         for _, p in self.named_params():
             p.zero_grad()
 
-    def forward_batch(self, graph: Graph, batches, train=False, rng=None,
-                      collect_attention=False):
-        """Forward a list of PathBatches (one per central node).
+    def forward_batch(self, graph: Graph, batches, rng=None):
+        """Forward a list of PathBatches (one per central node); dropout runs
+        only when a dropout stream `rng` is given.
 
         All central nodes must share the same sample plan shape. Returns
-        (logits Tensor (B, num_classes), attention) where attention, when
-        requested, maps length l -> list over layers of (B*n_l, heads, T, T)
-        arrays in central-node-major path order.
+        (logits Tensor (B, num_classes), attention) where attention maps
+        length l -> list over layers of (B*n_l, heads, T, T) arrays in
+        central-node-major path order.
         """
         if not batches:
             raise ShapeMismatch("empty batch")
@@ -69,21 +72,18 @@ class PathSageModel:
         if s != self.config.depth_s:
             raise ShapeMismatch(f"batch depth {s} != model depth {self.config.depth_s}")
         pooled = []
-        attention = {} if collect_attention else None
+        attention = {}
         b = len(batches)
         for l in range(1, s + 1):
             walks = np.concatenate([pb.paths_by_length[l - 1] for pb in batches], axis=0)
             n_l = batches[0].paths_by_length[l - 1].shape[0]
             feats = Tensor(graph.features[walks])  # (B*n_l, l+1, F)
-            reprs, attn = encode_paths(self.encoder, self.pos_table, feats,
-                                       train=train, rng=rng,
-                                       dropout_rate=self.config.dropout_encoder)
-            if collect_attention:
-                attention[l] = attn
+            reprs, attention[l] = encode_paths(self.encoder, self.pos_table, feats, rng=rng,
+                                               dropout_rate=self.config.dropout_encoder)
             reprs = ag.reshape(reprs, (b, n_l, self.config.hidden))
             pooled.append(ag.canonical_bucket_mean(reprs))  # (B, d)
         concat = ag.concat(pooled, axis=-1)                 # (B, s*d)
-        logits = head_forward(self.head, concat, train=train, rng=rng,
+        logits = head_forward(self.head, concat, rng=rng,
                               dropout_rate=self.config.dropout_output)
         return logits, attention
 

@@ -18,6 +18,9 @@ from .errors import DegenerateGraph, InvalidSetting
 from .graph import SINGLE_LABEL, build_csr, write_dataset
 from .sampler import check_seed
 
+NOISE_DIM = 8  # gaussian feature columns after the one-hot attribute
+NOISE_SCALE = 0.5  # their standard deviation
+
 
 def exact_khop(offsets, neighbors, source, k):
     """Node indices at shortest-path distance exactly k from source (BFS)."""
@@ -76,7 +79,7 @@ def _ring_edges(num_nodes, rng):
 
 
 def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
-                       noise_dim=8, noise_scale=0.5, topology="er"):
+                       topology="er"):
     """Generate and write a planted-k-hop dataset; returns the directory.
 
     topology "er": undirected uniform-random graph (spanning chain plus
@@ -105,10 +108,9 @@ def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
         labels = planted_labels(offsets, neighbors, hidden, k)
         if labels is None:
             continue
-        features = np.zeros((num_nodes, num_classes + noise_dim), dtype=np.float32)
+        features = np.zeros((num_nodes, num_classes + NOISE_DIM), dtype=np.float32)
         features[np.arange(num_nodes), hidden] = 1.0
-        if noise_dim:
-            features[:, num_classes:] = rng.normal(0.0, noise_scale, size=(num_nodes, noise_dim))
+        features[:, num_classes:] = rng.normal(0.0, NOISE_SCALE, size=(num_nodes, NOISE_DIM))
         perm = rng.permutation(num_nodes)
         n_train = int(num_nodes * 0.6)
         n_val = int(num_nodes * 0.2)

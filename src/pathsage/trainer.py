@@ -48,6 +48,10 @@ class TrainConfig:
             raise InvalidSetting(f"warmup_ratio {self.warmup_ratio} outside [0,1]")
         if self.batch_size < 1:
             raise InvalidSetting("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise InvalidSetting("epochs must be >= 1")
+        if not 0.0 <= self.lr < math.inf:
+            raise InvalidSetting(f"lr {self.lr} is not a finite number >= 0")
         if len(self.counts_per_length) != self.depth_s:
             raise InvalidSetting(f"{len(self.counts_per_length)} counts for depth {self.depth_s}")
 
@@ -125,7 +129,8 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
         batches = sample_many(graph, nodes, plan, cfg.seed, epoch)
         drop_rng = stream_rng(cfg.seed, "dropout", epoch, b0)
         model.zero_grad()
-        logits, _ = model.forward_batch(graph, batches, train=True, rng=drop_rng)
+        # keep no reference to the attention arrays: backward frees them
+        logits = model.forward_batch(graph, batches, rng=drop_rng)[0]
         target = labels.labels[nodes]
         loss = head_ops.loss(logits, target, labels.task)
         value = loss.item()

@@ -62,11 +62,11 @@ def test_gradient_integrity(capsys):
     targets = np.array([1, 2])
 
     def loss_value():
-        logits, _ = model.forward_batch(graph, batches, train=False)
+        logits, _ = model.forward_batch(graph, batches)
         return head_loss(logits, targets, "single_label").item()
 
     model.zero_grad()
-    logits, _ = model.forward_batch(graph, batches, train=False)
+    logits, _ = model.forward_batch(graph, batches)
     ag.backward(head_loss(logits, targets, "single_label"))
 
     h = 1e-3
@@ -146,7 +146,7 @@ def test_sampler_validity_and_uniformity(capsys):
 
 def test_position_table_correctness(capsys):
     d, max_len = 16, 9
-    table = build_position_table(max_len, d).table
+    table = build_position_table(max_len, d)
     worst = 0.0
     for p in range(max_len):
         for i in range(d // 2):
@@ -174,7 +174,7 @@ def test_attention_rows_normalized(capsys):
     batches = [sample_paths(graph, int(c), plan,
                             rng_for(derive_sample_seed(4, 0, int(c))))
                for c in nodes]
-    _, attn = model.forward_batch(graph, batches, collect_attention=True)
+    _, attn = model.forward_batch(graph, batches)
     worst = 0.0
     rows = 0
     for per_layer in attn.values():

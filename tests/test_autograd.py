@@ -93,7 +93,7 @@ def test_primitive_gradients(prim, shapes):
             y = ag.softmax(ts[0])
         elif prim == "dropout":
             # a fresh generator per call draws the same mask every time
-            y = ag.dropout(ts[0], 0.4, True, np.random.Generator(np.random.PCG64(8)))
+            y = ag.dropout(ts[0], 0.4, np.random.Generator(np.random.PCG64(8)))
         elif prim == "select":
             y = ag.select(ts[0], axis=1, index=1)
         elif prim == "concat":
@@ -148,9 +148,8 @@ def test_bce_gradient_and_value():
 def test_dropout_identity_in_eval_and_scales_in_train():
     x = ag.Tensor(np.ones((1000,)))
     rng = np.random.Generator(np.random.PCG64(0))
-    out = ag.dropout(x, 0.5, False, rng)
-    np.testing.assert_array_equal(out.data, x.data)
-    out = ag.dropout(x, 0.5, True, rng).data
+    assert ag.dropout(x, 0.5, None) is x  # no dropout stream: inference
+    out = ag.dropout(x, 0.5, rng).data
     kept = out[out != 0]
     np.testing.assert_allclose(kept, 2.0)
     assert abs(out.mean() - 1.0) < 0.15  # inverted scaling keeps expectation
@@ -180,6 +179,10 @@ def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ShapeMismatch) as exc:
         ag.matmul(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((4, 2))))
     assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
+    # a batched b under a 2-D a has no vjp that sums ga back to a's shape
+    with pytest.raises(ShapeMismatch) as exc:
+        ag.matmul(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((5, 3, 4))))
+    assert "(2, 3)" in str(exc.value) and "(5, 3, 4)" in str(exc.value)
 
 
 def test_canonical_bucket_mean_bit_identical_under_permutation():

@@ -9,7 +9,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import bench  # noqa: E402
 import tracer  # noqa: E402
 
-from pathsage import head, metrics, trainer  # noqa: E402
+from pathsage import graph, head, metrics, trainer  # noqa: E402
+from pathsage.model import ModelConfig, PathSageModel  # noqa: E402
+from pathsage.sampler import rng_for  # noqa: E402
+from pathsage.synth import synth_planted_khop  # noqa: E402
+from pathsage.trainer import OptimizerState, TrainConfig  # noqa: E402
 
 
 def test_tracer_installs_and_restores_every_binding():
@@ -28,3 +32,36 @@ def test_recorder_targets_exist():
     rec = bench.Recorder()
     rec.install()
     rec.uninstall()
+
+
+def test_traced_train_epoch_and_eval_split(tmp_path):
+    # the tracer's hooks read arguments by position; a signature they no
+    # longer match fails here rather than in a benchmark run
+    g, labels, splits = graph.load_dataset(synth_planted_khop(
+        tmp_path / "ds", num_nodes=30, avg_degree=3.0, k=1, num_classes=3, seed=1))
+    cfg = TrainConfig(epochs=1, seed=1, depth_s=2, counts_per_length=(2, 2), hidden=8,
+                      heads=2, layers=2, batch_size=8)
+    model = PathSageModel.init(ModelConfig(
+        feature_dim=g.feature_dim, num_classes=labels.num_classes, task=labels.task,
+        hidden=8, heads=2, layers=2, depth_s=2), rng_for(1))
+    rec, t = bench.Recorder(), tracer.Tracer()
+    rec.install()
+    t.install()
+    try:
+        t.phase = "train"
+        trainer.train_epoch(model, g, labels, splits.train, cfg, 0, OptimizerState(),
+                            total_steps=3)
+        t.phase = "eval"
+        metrics.eval_split(model, g, labels, splits.test, cfg.counts_per_length, cfg.seed,
+                           batch_size=8, run=0)
+    finally:
+        t.uninstall()
+        rec.uninstall()
+    spans, _, hygiene = t.analyse()
+    for name in ("sampler.sample_paths", "encoder.encode_paths", "encoder.layer",
+                 "autograd.dropout.fwd", "head.head_forward"):
+        assert spans.get(name, (0,))[0] > 0, name
+    assert t.counts["sampler.walk_steps"] > 0 and t.counts["encoder.tokens"] > 0
+    assert (hygiene["child_outside_parent"], hygiene["negative_self_time"],
+            hygiene["open_spans"]) == (0, 0, 0)
+    assert len(rec.losses) == 3 and rec.preds

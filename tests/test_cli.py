@@ -30,7 +30,7 @@ def dataset(tmp_path_factory):
     return out
 
 
-TRAIN_FLAGS = ["--depth", "2", "--counts", "2,2", "--hidden", "8",
+TRAIN_FLAGS = ["--counts", "2,2", "--hidden", "8",
                "--heads", "2", "--layers", "1", "--epochs", "2",
                "--batch-size", "16", "--seed", "1"]
 
@@ -51,10 +51,11 @@ def test_flag_beats_config_beats_default(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps({"hiden": 64}))
-    code, _ = run(capsys, "train", "--config", str(cfg_file),
-                  "--dataset", "whatever")
-    assert code == 2
+    for key in ("hiden", "depth"):  # the depth is len(counts), not a setting
+        cfg_file.write_text(json.dumps({key: 2}))
+        code, _ = run(capsys, "train", "--config", str(cfg_file),
+                      "--dataset", "whatever")
+        assert code == 2
 
 
 @pytest.mark.parametrize("raw,needle", [
@@ -112,6 +113,7 @@ def test_counts_string_parsing():
 def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["synth"]) == 1  # missing required --nodes
+    assert main(["train", "--depth", "2"]) == 1  # the depth is len(counts)
 
 
 def test_missing_dataset_exits_2(capsys):
@@ -131,18 +133,24 @@ def test_missing_required_setting_exits_2(dataset, capsys):
 
 def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(pathsage.__file__).parents[1]))
-    for argv in (["train", "--dataset", str(dataset), "--depth", "3",
-                  "--checkpoint", str(tmp_path / "m.psck")],
+    ckpt = tmp_path / "m.psck"
+    train = ["train", "--dataset", str(dataset), "--checkpoint", str(ckpt)]
+    for argv in ([*train, "--counts", ""],  # depth 0
                  ["synth", "--nodes", "5", "--k", "1", "--out", str(tmp_path / "s")],
-                 ["train", "--dataset", str(dataset), "--seed", "-1",
-                  "--checkpoint", str(tmp_path / "m.psck")],
+                 [*train, "--seed", "-1"],
                  ["sample", "--dataset", str(dataset), "--node", "0",
-                  "--seed", str(2 ** 64)]):
+                  "--seed", str(2 ** 64)],
+                 [*train, "--hidden", "0"],
+                 [*train, "--heads", "0"],
+                 [*train, "--lr", "nan"],
+                 [*train, "--lr", "-0.1"],
+                 [*train, "--epochs", "0"]):
         proc = subprocess.run([sys.executable, "-m", "pathsage.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == 2, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert "pathsage: error:" in proc.stderr
+    assert not ckpt.exists()
 
 
 def test_non_finite_gradient_exits_3(dataset, tmp_path, capsys, monkeypatch):
@@ -220,7 +228,7 @@ def test_subcommand_flags_follow_the_table():
         flags = {a.dest for a in p._actions if a.dest in CONFIG_DEFAULTS or a.dest == "config"}
         assert flags == {"config", *COMMAND_FLAGS[name]}, name
         slots += len(flags)
-    assert slots == 41
+    assert slots == 39
 
 
 def test_incomplete_checkpoint_exits_2(dataset, tmp_path, capsys):
@@ -249,7 +257,7 @@ def test_synth_topology_flag(tmp_path, capsys):
 
 def test_sample_emits_plan_shaped_jsonl(dataset, capsys):
     code, out = run(capsys, "sample", "--dataset", str(dataset), "--node", "5",
-                    "--depth", "2", "--counts", "3,4", "--seed", "2")
+                    "--counts", "3,4", "--seed", "2")
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert len(lines) == 7
@@ -283,6 +291,8 @@ def test_train_eval_dump_stats_pipeline(dataset, tmp_path, capsys):
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["event"] == "train_done" and ckpt.is_file()
+    model, _, tc, _ = trainer.load_model_checkpoint(ckpt)
+    assert model.config.depth_s == tc.depth_s == 2  # len of --counts 2,2
 
     code, out = run(capsys, "eval", "--dataset", str(dataset),
                     "--checkpoint", str(ckpt), "--split", "test", "--runs", "3")

@@ -69,7 +69,7 @@ def test_zero_params_give_zero_logits():
     params = make_head()
     for _, p in params.named_params():
         p.data[...] = 0.0
-    logits = head_forward(params, np.ones((1, 8)))
+    logits = head_forward(params, ag.Tensor(np.ones((1, 8))))
     np.testing.assert_array_equal(logits.data, [[0.0, 0.0, 0.0]])
     sm = ag.softmax(logits).data
     np.testing.assert_allclose(sm, 1 / 3, atol=1e-7)
@@ -81,7 +81,7 @@ def test_hand_computed_affine():
     params.b1.data = np.array([0.0, -1.0])
     params.w2.data = np.array([[1.0], [0.0]])  # select first hidden unit
     params.b2.data = np.array([0.5])
-    out = head_forward(params, np.array([[-3.0, 7.0], [2.0, 7.0]]))
+    out = head_forward(params, ag.Tensor(np.array([[-3.0, 7.0], [2.0, 7.0]])))
     # relu(-3)=0 -> 0*1 + 0.5; relu(2)=2 -> 2*1 + 0.5
     np.testing.assert_allclose(out.data, [[0.5], [2.5]])
 
@@ -90,77 +90,77 @@ def test_head_matches_naive_matrix_oracle():
     params = make_head(depth=2, hidden=5, classes=4, seed=3)
     x = RNG.normal(size=(1, 10))
     expect = np.maximum(x @ params.w1.data + params.b1.data, 0) @ params.w2.data + params.b2.data
-    out = head_forward(params, x)
+    out = head_forward(params, ag.Tensor(x))
     np.testing.assert_allclose(out.data, expect, atol=1e-5)
 
 
 def test_batched_head():
     params = make_head(depth=2, hidden=5, classes=4, seed=3)
     x = RNG.normal(size=(6, 10))
-    out = head_forward(params, x)
+    out = head_forward(params, ag.Tensor(x))
     assert out.shape == (6, 4)
     for i in range(6):
-        row = head_forward(params, x[i:i + 1])
+        row = head_forward(params, ag.Tensor(x[i:i + 1]))
         np.testing.assert_allclose(row.data[0], out.data[i], atol=1e-12)
 
 
 def test_unbatched_input_rejected():
     with pytest.raises(WidthMismatch):
-        head_forward(make_head(depth=2, hidden=5), np.zeros(10))
+        head_forward(make_head(depth=2, hidden=5), ag.Tensor(np.zeros(10)))
 
 
 # --- loss ---------------------------------------------------------------
 
 def test_uniform_logits_single_label_loss_is_ln_k():
     for k in (2, 3, 7):
-        val = loss(np.zeros((1, k)), [0], "single_label").item()
+        val = loss(ag.Tensor(np.zeros((1, k))), [0], "single_label").item()
         assert abs(val - math.log(k)) < 1e-6
 
 
 def test_zero_logits_multi_label_loss_is_ln_2():
-    val = loss(np.zeros((1, 5)), np.zeros((1, 5)), "multi_label").item()
+    val = loss(ag.Tensor(np.zeros((1, 5))), np.zeros((1, 5)), "multi_label").item()
     assert abs(val - math.log(2)) < 1e-6
 
 
 def test_loss_matches_64bit_oracle():
     logits = RNG.normal(size=(7, 4)) * 8
     targets = RNG.integers(0, 4, size=7)
-    got = loss(logits, targets, "single_label").item()
+    got = loss(ag.Tensor(logits), targets, "single_label").item()
     z = logits.astype(np.float64)
     lse = np.log(np.exp(z - z.max(1, keepdims=True)).sum(1)) + z.max(1)
     expect = float(np.mean(lse - z[np.arange(7), targets]))
     assert abs(got - expect) < 1e-6
 
     y = (RNG.random((7, 4)) < 0.5).astype(np.float64)
-    got = loss(logits, y, "multi_label").item()
+    got = loss(ag.Tensor(logits), y, "multi_label").item()
     sig = 1 / (1 + np.exp(-z))
     expect = float(np.mean(-(y * np.log(sig) + (1 - y) * np.log(1 - sig))))
     assert abs(got - expect) < 1e-6
 
 
 def test_loss_stable_at_large_margin():
-    val = loss(np.array([[30.0, -30.0]]), [0], "single_label").item()
+    val = loss(ag.Tensor(np.array([[30.0, -30.0]])), [0], "single_label").item()
     assert 0.0 <= val < 1e-10
-    val = loss(np.array([[30.0, -30.0]]), np.array([[1.0, 0.0]]), "multi_label").item()
+    val = loss(ag.Tensor(np.array([[30.0, -30.0]])), np.array([[1.0, 0.0]]), "multi_label").item()
     assert 0.0 <= val < 1e-10
 
 
 def test_loss_positive_and_vanishes_at_margin_20():
     logits = np.full((1, 4), -20.0)
     logits[0, 2] = 20.0
-    assert loss(logits, [2], "single_label").item() < 1e-8
-    assert loss(RNG.normal(size=(3, 4)), RNG.integers(0, 4, 3), "single_label").item() >= 0
+    assert loss(ag.Tensor(logits), [2], "single_label").item() < 1e-8
+    assert loss(ag.Tensor(RNG.normal(size=(3, 4))), RNG.integers(0, 4, 3), "single_label").item() >= 0
 
 
 def test_invalid_targets():
     with pytest.raises(InvalidTarget):
-        loss(np.zeros((1, 3)), [5], "single_label")
+        loss(ag.Tensor(np.zeros((1, 3))), [5], "single_label")
     with pytest.raises(InvalidTarget):
-        loss(np.zeros((2, 3)), [0], "single_label")
+        loss(ag.Tensor(np.zeros((2, 3))), [0], "single_label")
     with pytest.raises(InvalidTarget):
-        loss(np.zeros((1, 3)), np.array([[0.0, 2.0, 0.0]]), "multi_label")
+        loss(ag.Tensor(np.zeros((1, 3))), np.array([[0.0, 2.0, 0.0]]), "multi_label")
     with pytest.raises(InvalidTarget):
-        loss(np.zeros((1, 3)), [0], "other_task")
+        loss(ag.Tensor(np.zeros((1, 3))), [0], "other_task")
 
 
 # --- predict ------------------------------------------------------------

@@ -162,12 +162,12 @@ def test_eval_loss_matches_training_loss_definition(small_setup):
     logits = RNG.normal(size=(9, 3)) * 4
     targets = RNG.integers(0, 3, size=9)
     a = float(sample_losses(Tensor(logits), targets, "single_label").mean())
-    b = train_loss(logits, targets, "single_label").item()
+    b = train_loss(Tensor(logits), targets, "single_label").item()
     assert a == pytest.approx(b, rel=1e-6)
 
     y = (RNG.random((9, 3)) < 0.5).astype(np.float64)
     a = float(sample_losses(Tensor(logits), y, "multi_label").mean())
-    b = train_loss(logits, y, "multi_label").item()
+    b = train_loss(Tensor(logits), y, "multi_label").item()
     assert a == pytest.approx(b, rel=1e-6)
 
 

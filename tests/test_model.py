@@ -35,7 +35,7 @@ def test_logit_shapes(setup):
     graph, model = setup
     logits, attn = model.forward_batch(graph, batches_for(graph, model, range(5)))
     assert logits.shape == (5, 3)
-    assert attn is None
+    assert set(attn) == {1, 2, 3}
 
 
 def test_single_node_matches_batch_row(setup):
@@ -63,7 +63,7 @@ def test_bucket_shuffle_leaves_logits_bit_identical(setup):
 def test_attention_collection_shapes(setup):
     graph, model = setup
     batches = batches_for(graph, model, [0, 1])
-    _, attn = model.forward_batch(graph, batches, collect_attention=True)
+    _, attn = model.forward_batch(graph, batches)
     assert set(attn) == {1, 2, 3}
     for l, per_layer in attn.items():
         assert len(per_layer) == 2  # encoder layers
@@ -85,9 +85,9 @@ def test_depth_mismatch_rejected(setup):
 def test_training_mode_dropout_differs_but_is_seeded(setup):
     graph, model = setup
     batches = batches_for(graph, model, [3])
-    a, _ = model.forward_batch(graph, batches, train=True, rng=rng_for(9))
-    b, _ = model.forward_batch(graph, batches, train=True, rng=rng_for(9))
-    c, _ = model.forward_batch(graph, batches, train=True, rng=rng_for(10))
+    a, _ = model.forward_batch(graph, batches, rng=rng_for(9))
+    b, _ = model.forward_batch(graph, batches, rng=rng_for(9))
+    c, _ = model.forward_batch(graph, batches, rng=rng_for(10))
     assert (a.data == b.data).all()
     assert not (a.data == c.data).all()
 
