@@ -186,10 +186,10 @@ def cmd_sample(args):
     cfg = resolve_config(args)
     graph, _, _ = load_dataset(_require(cfg, "dataset", "--dataset"))
     node = _require(cfg, "node", "--node")
-    plan = SamplePlan(len(cfg["counts"]), tuple(cfg["counts"]))
-    batch = sample_paths(graph, node, plan, stream_rng(cfg["seed"], "walk", 0, node))
-    for l, walks in enumerate(batch.paths_by_length, start=1):
-        for row in walks:
+    walks = sample_paths(graph, node, SamplePlan(cfg["counts"]),
+                         stream_rng(cfg["seed"], "walk", 0, node))
+    for l, bucket in enumerate(walks, start=1):
+        for row in bucket:
             print(json.dumps({"length": l, "path": [int(v) for v in row]}))
     return 0
 

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import EmptySplit, InvalidSetting, LengthMismatch
 from .graph import SINGLE_LABEL
 from .head import predict, sample_losses
-from .sampler import sample_paths, stream_rng
+from .sampler import SamplePlan, sample_paths, stream_rng
 
 
 def micro_f1(predictions, targets, task):
@@ -45,13 +45,13 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
         raise EmptySplit("evaluation split is empty")
-    plan = model.plan(counts_per_length)
+    plan = SamplePlan(counts_per_length)
     preds, losses = [], []
     for b0 in range(0, len(nodes), batch_size):
         chunk = nodes[b0:b0 + batch_size]
-        batches = [sample_paths(graph, int(c), plan, stream_rng(seed, "eval", run, int(c)))
-                   for c in chunk]
-        logits = model.forward_batch(graph, batches)[0]
+        walks = [sample_paths(graph, int(c), plan, stream_rng(seed, "eval", run, int(c)))
+                 for c in chunk]
+        logits = model.forward_batch(graph, walks)[0]
         target = labels.labels[chunk]
         preds.append(predict(logits, labels.task))
         losses.append(sample_losses(logits, target, labels.task))
@@ -98,16 +98,15 @@ def _token_labels(labels, path):
 def dump_attention(model, graph, labels, node, counts_per_length, seed, out_path):
     """One inference forward for `node`; write a JSON line per
     (path, layer, head) with the full attention weight matrix."""
-    plan = model.plan(counts_per_length)
-    batch = sample_paths(graph, int(node), plan, stream_rng(seed, "eval", 0, int(node)))
-    _, attention = model.forward_batch(graph, [batch])
+    walks = sample_paths(graph, int(node), SamplePlan(counts_per_length),
+                         stream_rng(seed, "eval", 0, int(node)))
+    _, attention = model.forward_batch(graph, [walks])
     count = 0
     with open(out_path, "w") as fh:
-        for l in range(1, model.config.depth_s + 1):
-            walks = batch.paths_by_length[l - 1]
+        for l, bucket in enumerate(walks, start=1):
             per_layer = attention[l]  # list over layers of (n_l, heads, T, T)
-            for j in range(walks.shape[0]):
-                path = [int(v) for v in walks[j]]
+            for j, row in enumerate(bucket):
+                path = [int(v) for v in row]
                 toks = _token_labels(labels, path)
                 for layer_idx, weights in enumerate(per_layer):
                     for h in range(weights.shape[1]):

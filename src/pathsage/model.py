@@ -12,7 +12,6 @@ from .encoder import EncoderParams, build_position_table, encode_paths
 from .errors import InvalidSetting, ShapeMismatch
 from .graph import Graph
 from .head import HeadParams, head_forward
-from .sampler import SamplePlan
 
 
 @dataclass
@@ -57,27 +56,27 @@ class PathSageModel:
         for _, p in self.named_params():
             p.zero_grad()
 
-    def forward_batch(self, graph: Graph, batches, rng=None):
-        """Forward a list of PathBatches (one per central node); dropout runs
-        only when a dropout stream `rng` is given.
+    def forward_batch(self, graph: Graph, walks, rng=None):
+        """Forward one `sample_paths` walk tuple per central node; dropout
+        runs only when a dropout stream `rng` is given.
 
         All central nodes must share the same sample plan shape. Returns
         (logits Tensor (B, num_classes), attention) where attention maps
         length l -> list over layers of (B*n_l, heads, T, T) arrays in
         central-node-major path order.
         """
-        if not batches:
+        if not walks:
             raise ShapeMismatch("empty batch")
-        s = len(batches[0].paths_by_length)
+        s = len(walks[0])
         if s != self.config.depth_s:
             raise ShapeMismatch(f"batch depth {s} != model depth {self.config.depth_s}")
         pooled = []
         attention = {}
-        b = len(batches)
+        b = len(walks)
         for l in range(1, s + 1):
-            walks = np.concatenate([pb.paths_by_length[l - 1] for pb in batches], axis=0)
-            n_l = batches[0].paths_by_length[l - 1].shape[0]
-            feats = Tensor(graph.features[walks])  # (B*n_l, l+1, F)
+            paths = np.concatenate([w[l - 1] for w in walks], axis=0)
+            n_l = walks[0][l - 1].shape[0]
+            feats = Tensor(graph.features[paths])  # (B*n_l, l+1, F)
             reprs, attention[l] = encode_paths(self.encoder, self.pos_table, feats, rng=rng,
                                                dropout_rate=self.config.dropout_encoder)
             reprs = ag.reshape(reprs, (b, n_l, self.config.hidden))
@@ -86,7 +85,3 @@ class PathSageModel:
         logits = head_forward(self.head, concat, rng=rng,
                               dropout_rate=self.config.dropout_output)
         return logits, attention
-
-    def plan(self, counts_per_length):
-        return SamplePlan(depth_s=self.config.depth_s,
-                          counts_per_length=tuple(counts_per_length))

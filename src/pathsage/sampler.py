@@ -1,6 +1,6 @@
 """Random path sampling: fixed-count uniform random walks per length.
 
-For a central node c and a plan (depth s, counts [n_1..n_s]) the sampler
+For a central node c and a plan of counts [n_1..n_s] (depth s) the sampler
 draws, for each length l, exactly n_l independent walks of l steps. Every
 step picks uniformly among the current node's CSR neighbors; revisits and
 backtracking are allowed. Each stored sequence is [c, v_1, ..., v_l].
@@ -24,24 +24,13 @@ STREAMS = {"walk": (0, 0), "eval": (0xE7A1, 0), "shuffle": (0, 0x5F5CAA1D),
 
 @dataclass(frozen=True)
 class SamplePlan:
-    depth_s: int
-    counts_per_length: tuple
+    counts_per_length: tuple  # index l-1 -> walks of length l; depth = len
 
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts_per_length)
         object.__setattr__(self, "counts_per_length", counts)
-        if self.depth_s < 1:
-            raise InvalidPlan(f"depth {self.depth_s} < 1")
-        if len(counts) != self.depth_s:
-            raise InvalidPlan(f"{len(counts)} counts for depth {self.depth_s}")
-        if any(c < 1 for c in counts):
-            raise InvalidPlan(f"counts must be >= 1, got {counts}")
-
-
-@dataclass(frozen=True)
-class PathBatch:
-    central: int
-    paths_by_length: tuple  # index l-1 -> int64 array [n_l, l+1]
+        if not counts or any(c < 1 for c in counts):
+            raise InvalidPlan(f"need >= 1 count, each >= 1, got {counts}")
 
 
 def _splitmix64(x):
@@ -60,8 +49,9 @@ def derive_sample_seed(global_seed, epoch, node):
     return int(x)
 
 
-def sample_paths(g: Graph, central, plan: SamplePlan, rng) -> PathBatch:
-    """Run Algorithm-style random walks for one central node.
+def sample_paths(g: Graph, central, plan: SamplePlan, rng) -> tuple:
+    """Run Algorithm-style random walks for one central node -> a tuple
+    whose entry l-1 is the int64 (n_l, l+1) array of its length-l walks.
 
     Deterministic given (graph, central, plan, rng seed). Walks within a
     length bucket advance in lockstep off vectorized uniform draws.
@@ -70,8 +60,7 @@ def sample_paths(g: Graph, central, plan: SamplePlan, rng) -> PathBatch:
         raise IndexOutOfRange(f"central node {central} not in [0, {g.num_nodes})")
     offsets, neighbors = g.offsets, g.neighbors
     buckets = []
-    for l in range(1, plan.depth_s + 1):
-        n_l = plan.counts_per_length[l - 1]
+    for l, n_l in enumerate(plan.counts_per_length, start=1):
         walks = np.empty((n_l, l + 1), dtype=np.int64)
         walks[:, 0] = central
         current = np.full(n_l, central, dtype=np.int64)
@@ -82,7 +71,7 @@ def sample_paths(g: Graph, central, plan: SamplePlan, rng) -> PathBatch:
             current = neighbors[start + pick]
             walks[:, step] = current
         buckets.append(walks)
-    return PathBatch(central=int(central), paths_by_length=tuple(buckets))
+    return tuple(buckets)
 
 
 def rng_for(seed):

@@ -20,7 +20,7 @@ from .errors import (IncompleteCheckpoint, InvalidSetting, NonFiniteGradient, No
                      ShapeMismatch)
 from .metrics import micro_f1
 from .model import ModelConfig, PathSageModel
-from .sampler import sample_paths, stream_rng
+from .sampler import SamplePlan, sample_paths, stream_rng
 
 GRAD_CLIP = 5.0  # global L2 norm the gradients of a step are clipped to
 PATIENCE = 10  # epochs without a better validation micro-F1 before fit stops
@@ -109,7 +109,8 @@ def _clip_grads(grads):
 
 
 def sample_many(graph, nodes, plan, seed, epoch):
-    """Sample one PathBatch per central node from its epoch's walk stream."""
+    """Sample each central node's walk tuple from its epoch's walk stream ->
+    the list `forward_batch` takes."""
     return [sample_paths(graph, int(c), plan, stream_rng(seed, "walk", epoch, int(c)))
             for c in nodes]
 
@@ -120,17 +121,17 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
 
     Returns (mean loss, micro-F1 of the in-epoch predictions).
     """
-    plan = model.plan(cfg.counts_per_length)
+    plan = SamplePlan(cfg.counts_per_length)
     order = stream_rng(cfg.seed, "shuffle", epoch).permutation(train_nodes)
     losses = []
     preds, targets = [], []
     for b0 in range(0, len(order), cfg.batch_size):
         nodes = order[b0:b0 + cfg.batch_size]
-        batches = sample_many(graph, nodes, plan, cfg.seed, epoch)
+        walks = sample_many(graph, nodes, plan, cfg.seed, epoch)
         drop_rng = stream_rng(cfg.seed, "dropout", epoch, b0)
         model.zero_grad()
         # keep no reference to the attention arrays: backward frees them
-        logits = model.forward_batch(graph, batches, rng=drop_rng)[0]
+        logits = model.forward_batch(graph, walks, rng=drop_rng)[0]
         target = labels.labels[nodes]
         loss = head_ops.loss(logits, target, labels.task)
         value = loss.item()

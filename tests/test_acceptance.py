@@ -19,7 +19,6 @@ from pathsage.head import loss as head_loss
 from pathsage.metrics import attention_stats, dump_attention, eval_split, micro_f1
 from pathsage.model import ModelConfig, PathSageModel
 from pathsage.sampler import (
-    PathBatch,
     SamplePlan,
     derive_sample_seed,
     rng_for,
@@ -56,7 +55,7 @@ def test_gradient_integrity(capsys):
     mc = ModelConfig(feature_dim=4, num_classes=3, task="single_label",
                      hidden=8, heads=2, layers=1, depth_s=2)
     model = PathSageModel.init(mc, rng_for(5), dtype=np.float64)
-    plan = SamplePlan(2, (2, 2))
+    plan = SamplePlan((2, 2))
     batches = [sample_paths(graph, c, plan, rng_for(derive_sample_seed(0, 0, c)))
                for c in (0, 3)]
     targets = np.array([1, 2])
@@ -104,13 +103,13 @@ def test_sampler_validity_and_uniformity(capsys):
     graph = random_undirected_graph(1000, 3000, seed=2)
     edge_set = {(u, int(v)) for u in range(1000)
                 for v in graph.neighbors[graph.offsets[u]:graph.offsets[u + 1]]}
-    plan = SamplePlan(4, (25, 25, 25, 25))
+    plan = SamplePlan((25, 25, 25, 25))
     total = bad_steps = 0
     bad_shapes = 0
     for central in range(1000):
         batch = sample_paths(graph, central, plan,
                              rng_for(derive_sample_seed(9, 0, central)))
-        for l, walks in enumerate(batch.paths_by_length, start=1):
+        for l, walks in enumerate(batch, start=1):
             if walks.shape != (25, l + 1) or (walks[:, 0] != central).any():
                 bad_shapes += 1
             total += walks.shape[0]
@@ -122,8 +121,8 @@ def test_sampler_validity_and_uniformity(capsys):
     degrees = np.diff(graph.offsets)
     node4 = int(np.flatnonzero(degrees == 4)[0])
     draws = 20000
-    walks = sample_paths(graph, node4, SamplePlan(1, (draws,)),
-                         rng_for(77)).paths_by_length[0]
+    walks = sample_paths(graph, node4, SamplePlan((draws,)),
+                         rng_for(77))[0]
     counts = np.bincount(walks[:, 1], minlength=1000)
     nbrs = graph.neighbors[graph.offsets[node4]:graph.offsets[node4 + 1]]
     p = 1 / 4
@@ -169,7 +168,7 @@ def test_attention_rows_normalized(capsys):
     mc = ModelConfig(feature_dim=4, num_classes=3, task="single_label",
                      hidden=16, heads=4, layers=2, depth_s=3)
     model = PathSageModel.init(mc, rng_for(3))
-    plan = model.plan((3, 3, 3))
+    plan = SamplePlan((3, 3, 3))
     nodes = rng_for(1).choice(300, size=100, replace=False)
     batches = [sample_paths(graph, int(c), plan,
                             rng_for(derive_sample_seed(4, 0, int(c))))
@@ -197,7 +196,7 @@ def test_pooling_order_invariance(capsys):
     mc = ModelConfig(feature_dim=4, num_classes=3, task="single_label",
                      hidden=16, heads=2, layers=2, depth_s=3)
     model = PathSageModel.init(mc, rng_for(6))
-    plan = model.plan((5, 5, 5))
+    plan = SamplePlan((5, 5, 5))
     rng = np.random.Generator(np.random.PCG64(0))
     identical = True
     for central in (0, 17, 42):
@@ -205,10 +204,7 @@ def test_pooling_order_invariance(capsys):
                              rng_for(derive_sample_seed(2, 0, central)))
         base, _ = model.forward_batch(graph, [batch])
         for _ in range(5):
-            shuffled = PathBatch(
-                central=central,
-                paths_by_length=[w[rng.permutation(len(w))]
-                                 for w in batch.paths_by_length])
+            shuffled = tuple(w[rng.permutation(len(w))] for w in batch)
             again, _ = model.forward_batch(graph, [shuffled])
             identical &= base.data.tobytes() == again.data.tobytes()
     report(capsys, 5, identical,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsage.autograd import Tensor
-from pathsage.errors import EmptySplit, LengthMismatch
+from pathsage.errors import EmptySplit, LengthMismatch, ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.metrics import (
     attention_stats,
@@ -126,6 +126,14 @@ def test_eval_empty_split(small_setup):
     graph, labels, _, model = small_setup
     with pytest.raises(EmptySplit):
         eval_split(model, graph, labels, [], (2, 2), seed=0)
+
+
+@pytest.mark.parametrize("counts", [(2,), (2, 2, 2)])
+def test_eval_counts_of_wrong_depth_rejected(small_setup, counts):
+    # the model has depth 2; the depth is the number of counts
+    graph, labels, splits, model = small_setup
+    with pytest.raises(ShapeMismatch, match="batch depth"):
+        eval_split(model, graph, labels, splits.test, counts, seed=0)
 
 
 def test_zero_model_predicts_class_zero_frequency(small_setup):

@@ -7,7 +7,7 @@ import pytest
 from pathsage.errors import ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.model import ModelConfig, PathSageModel
-from pathsage.sampler import PathBatch, SamplePlan, derive_sample_seed, rng_for, sample_paths
+from pathsage.sampler import SamplePlan, derive_sample_seed, rng_for, sample_paths
 from pathsage.synth import synth_planted_khop
 
 RNG = np.random.Generator(np.random.PCG64(17))
@@ -24,8 +24,8 @@ def setup(tmp_path_factory):
     return graph, model
 
 
-def batches_for(graph, model, nodes, counts=(3, 3, 3), seed=0):
-    plan = model.plan(counts)
+def walks_for(graph, nodes, counts=(3, 3, 3), seed=0):
+    plan = SamplePlan(counts)
     return [sample_paths(graph, int(c), plan,
                          rng_for(derive_sample_seed(seed, 0, int(c))))
             for c in nodes]
@@ -33,14 +33,14 @@ def batches_for(graph, model, nodes, counts=(3, 3, 3), seed=0):
 
 def test_logit_shapes(setup):
     graph, model = setup
-    logits, attn = model.forward_batch(graph, batches_for(graph, model, range(5)))
+    logits, attn = model.forward_batch(graph, walks_for(graph, range(5)))
     assert logits.shape == (5, 3)
     assert set(attn) == {1, 2, 3}
 
 
 def test_single_node_matches_batch_row(setup):
     graph, model = setup
-    batches = batches_for(graph, model, [4, 9])
+    batches = walks_for(graph, [4, 9])
     full, _ = model.forward_batch(graph, batches)
     single, _ = model.forward_batch(graph, batches[:1])
     np.testing.assert_allclose(single.data[0], full.data[0], atol=1e-6)
@@ -48,21 +48,18 @@ def test_single_node_matches_batch_row(setup):
 
 def test_bucket_shuffle_leaves_logits_bit_identical(setup):
     graph, model = setup
-    batches = batches_for(graph, model, [7])
+    batches = walks_for(graph, [7])
     base, _ = model.forward_batch(graph, batches)
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(4):
-        shuffled = PathBatch(
-            central=batches[0].central,
-            paths_by_length=[w[rng.permutation(len(w))]
-                             for w in batches[0].paths_by_length])
+        shuffled = tuple(w[rng.permutation(len(w))] for w in batches[0])
         again, _ = model.forward_batch(graph, [shuffled])
         assert base.data.tobytes() == again.data.tobytes()
 
 
 def test_attention_collection_shapes(setup):
     graph, model = setup
-    batches = batches_for(graph, model, [0, 1])
+    batches = walks_for(graph, [0, 1])
     _, attn = model.forward_batch(graph, batches)
     assert set(attn) == {1, 2, 3}
     for l, per_layer in attn.items():
@@ -74,7 +71,7 @@ def test_attention_collection_shapes(setup):
 
 def test_depth_mismatch_rejected(setup):
     graph, model = setup
-    plan = SamplePlan(2, (2, 2))
+    plan = SamplePlan((2, 2))
     bad = [sample_paths(graph, 0, plan, rng_for(0))]
     with pytest.raises(ShapeMismatch):
         model.forward_batch(graph, bad)
@@ -84,7 +81,7 @@ def test_depth_mismatch_rejected(setup):
 
 def test_training_mode_dropout_differs_but_is_seeded(setup):
     graph, model = setup
-    batches = batches_for(graph, model, [3])
+    batches = walks_for(graph, [3])
     a, _ = model.forward_batch(graph, batches, rng=rng_for(9))
     b, _ = model.forward_batch(graph, batches, rng=rng_for(9))
     c, _ = model.forward_batch(graph, batches, rng=rng_for(10))

@@ -5,7 +5,6 @@ from pathsage.errors import IndexOutOfRange, InvalidPlan, InvalidSetting
 from pathsage.graph import Graph, build_csr
 from pathsage.sampler import (
     STREAMS,
-    PathBatch,
     SamplePlan,
     derive_sample_seed,
     rng_for,
@@ -27,35 +26,32 @@ K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
 
 def test_plan_validation():
     with pytest.raises(InvalidPlan):
-        SamplePlan(0, ())
+        SamplePlan(())
     with pytest.raises(InvalidPlan):
-        SamplePlan(2, (1,))
-    with pytest.raises(InvalidPlan):
-        SamplePlan(2, (1, 0))
+        SamplePlan((1, 0))
 
 
 def test_star_center_length1_hits_a_leaf():
-    batch = sample_paths(STAR, 0, SamplePlan(1, (10,)), rng_for(3))
-    walks = batch.paths_by_length[0]
+    walks = sample_paths(STAR, 0, SamplePlan((10,)), rng_for(3))[0]
     assert walks.shape == (10, 2)
     assert (walks[:, 0] == 0).all()
     assert set(walks[:, 1]) <= {1, 2, 3, 4}
 
 
 def test_star_length2_forced_back_to_center():
-    batch = sample_paths(STAR, 0, SamplePlan(2, (1, 10)), rng_for(3))
-    walks = batch.paths_by_length[1]
+    walks = sample_paths(STAR, 0, SamplePlan((1, 10)), rng_for(3))[1]
     assert walks.shape == (10, 3)
     assert (walks[:, 0] == 0).all()
     assert (walks[:, 2] == 0).all()  # each leaf's only neighbor is the center
 
 
 def test_bucket_shapes_and_counts():
-    plan = SamplePlan(2, (2, 2))
-    batch = sample_paths(K3, 0, plan, rng_for(42))
-    assert batch.central == 0
-    assert batch.paths_by_length[0].shape == (2, 2)
-    assert batch.paths_by_length[1].shape == (2, 3)
+    plan = SamplePlan((2, 2))
+    walks = sample_paths(K3, 0, plan, rng_for(42))
+    assert len(walks) == 2
+    assert walks[0].shape == (2, 2) and walks[0].dtype == np.int64
+    assert walks[1].shape == (2, 3) and walks[1].dtype == np.int64
+    assert all((w[:, 0] == 0).all() for w in walks)
 
 
 def test_all_steps_are_edges():
@@ -66,30 +62,29 @@ def test_all_steps_are_edges():
     g = make_graph(n, edges)
     edge_set = {(int(u), int(v)) for u in range(n)
                 for v in g.neighbors[g.offsets[u]:g.offsets[u + 1]]}
-    plan = SamplePlan(4, (3, 3, 3, 3))
+    plan = SamplePlan((3, 3, 3, 3))
     for central in range(0, n, 5):
-        batch = sample_paths(g, central, plan, rng_for(central))
-        for walks in batch.paths_by_length:
+        for walks in sample_paths(g, central, plan, rng_for(central)):
             for row in walks:
                 for a, b in zip(row[:-1], row[1:]):
                     assert (int(a), int(b)) in edge_set
 
 
 def test_determinism_bit_identical():
-    plan = SamplePlan(3, (4, 4, 4))
+    plan = SamplePlan((4, 4, 4))
     b1 = sample_paths(K3, 0, plan, rng_for(99))
     b2 = sample_paths(K3, 0, plan, rng_for(99))
-    for w1, w2 in zip(b1.paths_by_length, b2.paths_by_length):
+    for w1, w2 in zip(b1, b2):
         assert (w1 == w2).all()
 
 
 def test_first_step_uniformity_three_sigma():
     trials = 30000
-    plan = SamplePlan(1, (1,))
+    plan = SamplePlan((1,))
     counts = np.zeros(3, dtype=np.int64)
     for i in range(trials):
-        batch = sample_paths(K3, 0, plan, rng_for(derive_sample_seed(5, 0, i)))
-        counts[batch.paths_by_length[0][0, 1]] += 1
+        walks = sample_paths(K3, 0, plan, rng_for(derive_sample_seed(5, 0, i)))
+        counts[walks[0][0, 1]] += 1
     assert counts[0] == 0
     p = 0.5
     sigma = np.sqrt(trials * p * (1 - p))
@@ -99,7 +94,7 @@ def test_first_step_uniformity_three_sigma():
 
 def test_central_out_of_range():
     with pytest.raises(IndexOutOfRange):
-        sample_paths(K3, 7, SamplePlan(1, (1,)), rng_for(0))
+        sample_paths(K3, 7, SamplePlan((1,)), rng_for(0))
 
 
 def test_derive_seed_deterministic_and_distinct():
