@@ -96,11 +96,11 @@ def scale(a, s):
 
 
 def matmul(a, b):
-    """Matrix product. Supports batched leading dims; a lower-rank b (such as
-    a 2-D weight) is shared across a's batch."""
+    """Matrix product over a's leading batch dims. b is a 2-D matrix (such as
+    a weight) shared across the batch, or carries exactly a's batch dims."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if b.data.ndim < 2 or a.data.ndim < b.data.ndim:
-        raise ShapeMismatch("matmul needs >=2-D operands, a of rank >= b's", a.shape, b.shape)
+    if min(a.data.ndim, b.data.ndim) < 2 or b.shape[:-2] not in ((), a.shape[:-2]):
+        raise ShapeMismatch("matmul needs a 2-D b or one with a's batch dims", a.shape, b.shape)
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch("matmul inner dims differ", a.shape, b.shape)
     data = np.matmul(a.data, b.data)
@@ -109,7 +109,7 @@ def matmul(a, b):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         if gb.ndim > b.data.ndim:
-            gb = gb.reshape(-1, *b.shape[-2:]).sum(axis=0)
+            gb = gb.reshape(-1, *b.shape).sum(axis=0)
         return ga, gb
 
     return _make(data, (a, b), vjp)

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InvalidSetting, NumericalError, PathSageError
-from .graph import is_int, load_dataset, write_features_bin
+from .errors import DataError, InvalidSetting, MalformedRecord, NumericalError, PathSageError
+from .graph import SPLIT_NAMES, is_int, load_dataset, write_features_bin
 from .metrics import attention_stats, dump_attention, eval_runs, eval_split
 from .model import ModelConfig, PathSageModel
 from .sampler import SamplePlan, sample_paths, stream_rng
@@ -164,7 +164,10 @@ def cmd_ingest(args):
     feats_csv = src / "features.csv"
     if not feats_csv.is_file():
         raise DataError(f"missing input file {feats_csv}")
-    features = np.loadtxt(feats_csv, delimiter=",", dtype=np.float32, ndmin=2)
+    try:
+        features = np.loadtxt(feats_csv, delimiter=",", dtype=np.float32, ndmin=2)
+    except ValueError as exc:
+        raise MalformedRecord(feats_csv, 0, str(exc)) from None
     write_features_bin(out / "features.bin", features)
     load_dataset(out)  # validation pass
     _log_json(event="ingest", out=str(out), nodes=int(features.shape[0]))
@@ -236,10 +239,9 @@ def cmd_eval(args):
     model, _, tc, _ = load_model_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
     graph, labels, splits = load_dataset(_require(cfg, "dataset", "--dataset"))
     split = cfg["split"]
-    nodes = getattr(splits, split, None)
-    if nodes is None:
+    if split not in SPLIT_NAMES:
         raise DataError(f"unknown split {split!r}")
-    report = eval_runs(model, graph, labels, nodes, tc.counts_per_length,
+    report = eval_runs(model, graph, labels, getattr(splits, split), tc.counts_per_length,
                        cfg["seed"], runs=cfg["runs"], split_name=split)
     text = json.dumps(report, sort_keys=True)
     if cfg["out"]:

@@ -30,6 +30,7 @@ FEATURES_VERSION = 1
 
 SINGLE_LABEL = "single_label"
 MULTI_LABEL = "multi_label"
+SPLIT_NAMES = ("train", "val", "test")  # the fields of SplitMasks
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def _read_json_object(path: Path):
 def _read_splits(path: Path, num_nodes):
     raw = _read_json_object(path)
     out = {}
-    for name in ("train", "val", "test"):
+    for name in SPLIT_NAMES:
         ids = raw.get(name, [])
         if not (isinstance(ids, list) and all(map(is_int, ids))):
             raise MalformedRecord(path, 0, f"{name} split is not a list of node ids")

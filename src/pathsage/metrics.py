@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySplit, InvalidSetting, LengthMismatch
+from .errors import EmptySplit, InvalidSetting, LengthMismatch, MalformedRecord, MissingFile
 from .graph import SINGLE_LABEL
 from .head import predict, sample_losses
 from .sampler import SamplePlan, sample_paths, stream_rng
@@ -130,16 +131,22 @@ def attention_stats(dump_path):
     same = {}
     diff = {}
     records = 0
+    if not Path(dump_path).is_file():
+        raise MissingFile(f"attention dump not found: {dump_path}")
     with open(dump_path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+                key = (rec["layer"], rec["head"])
+                weights = np.asarray(rec["weights"], dtype=np.float64)
+                labs = np.asarray(rec["labels"], dtype=np.int64)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MalformedRecord(dump_path, line_no,
+                                      f"not an attention record: {exc}") from None
             records += 1
-            key = (rec["layer"], rec["head"])
-            weights = np.asarray(rec["weights"], dtype=np.float64)
-            labs = np.asarray(rec["labels"], dtype=np.int64)
             valid = labs >= 0
             for i in range(len(labs)):
                 if not valid[i]:

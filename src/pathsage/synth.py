@@ -11,6 +11,7 @@ depth-sensitivity experiment needs.
 from __future__ import annotations
 
 import collections
+import math
 
 import numpy as np
 
@@ -95,6 +96,13 @@ def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
         raise InvalidSetting("k must be >= 0")
     if topology not in ("er", "ring"):
         raise InvalidSetting(f"unknown topology {topology!r}")
+    if num_classes < 1:
+        raise InvalidSetting(f"num_classes must be >= 1, got {num_classes}")
+    if not math.isfinite(avg_degree):
+        raise InvalidSetting(f"avg_degree {avg_degree} is not finite")
+    if topology == "er" and avg_degree > num_nodes - 1:
+        raise InvalidSetting(f"avg_degree {avg_degree} > {num_nodes - 1}, the degree "
+                             f"of a complete graph on {num_nodes} nodes")
     check_seed(seed)
     directed = topology == "ring"
     for attempt in range(10):

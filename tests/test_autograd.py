@@ -183,6 +183,12 @@ def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ShapeMismatch) as exc:
         ag.matmul(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((5, 3, 4))))
     assert "(2, 3)" in str(exc.value) and "(5, 3, 4)" in str(exc.value)
+    # nor may b drop batch dims of a: its vjp would not reduce gb to b's shape
+    with pytest.raises(ShapeMismatch) as exc:
+        ag.matmul(ag.Tensor(np.ones((2, 3, 4, 5))), ag.Tensor(np.ones((3, 5, 6))))
+    assert "(2, 3, 4, 5)" in str(exc.value) and "(3, 5, 6)" in str(exc.value)
+    with pytest.raises(ShapeMismatch):  # nor may b broadcast a batch dim of a
+        ag.matmul(ag.Tensor(np.ones((2, 3, 4, 5))), ag.Tensor(np.ones((1, 3, 5, 6))))
 
 
 def test_canonical_bucket_mean_bit_identical_under_permutation():

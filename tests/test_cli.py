@@ -144,13 +144,62 @@ def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
                  [*train, "--heads", "0"],
                  [*train, "--lr", "nan"],
                  [*train, "--lr", "-0.1"],
-                 [*train, "--epochs", "0"]):
+                 [*train, "--epochs", "0"],
+                 # more edges than a complete graph has: a hang if unchecked
+                 ["synth", "--nodes", "10", "--k", "1", "--avg-degree", "100",
+                  "--out", str(tmp_path / "s")],
+                 ["synth", "--nodes", "30", "--k", "1", "--avg-degree", "nan",
+                  "--out", str(tmp_path / "s")],
+                 ["synth", "--nodes", "30", "--k", "1", "--classes", "0",
+                  "--out", str(tmp_path / "s")]):
         proc = subprocess.run([sys.executable, "-m", "pathsage.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert "pathsage: error:" in proc.stderr
     assert not ckpt.exists()
+
+
+@pytest.fixture(scope="module")
+def checkpoint(dataset, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("ckpt") / "model.psck"
+    assert main(["train", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                 *TRAIN_FLAGS]) == 0
+    return ckpt
+
+
+def _bad_input(case, dataset, checkpoint, tmp_path):
+    """-> argv feeding one bad input to a subcommand, and a fragment of its
+    one-line error."""
+    if case == "split":  # not a split, though an attribute of the split masks
+        return ["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                "--split", "__doc__"], "unknown split '__doc__'"
+    if case == "missing dump":
+        return ["attn-stats", "--dump", str(tmp_path / "missing.jsonl")], "missing.jsonl"
+    if case == "non-JSON dump line":
+        dump = tmp_path / "attn.jsonl"
+        record = {"layer": 0, "head": 0, "weights": [[1.0]], "labels": [0]}
+        dump.write_text(json.dumps(record) + "\n{oops\n")
+        return ["attn-stats", "--dump", str(dump)], "attn.jsonl:2:"
+    raw = tmp_path / "raw"  # non-numeric features.csv cell
+    raw.mkdir()
+    for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
+        (raw / name).write_bytes((dataset / name).read_bytes())
+    (raw / "features.csv").write_text("0.5,1\n0.5,abc\n")
+    return ["ingest", "--input", str(raw), "--out", str(tmp_path / "out")], "features.csv"
+
+
+@pytest.mark.parametrize("case", ["split", "missing dump", "non-JSON dump line",
+                                  "non-numeric feature"])
+def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
+    argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pathsage: data error:"), lines
+    assert needle in lines[0]
 
 
 def test_non_finite_gradient_exits_3(dataset, tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from pathsage.errors import InvalidSetting
 from pathsage.graph import build_csr, load_dataset
 from pathsage.synth import exact_khop, planted_labels, synth_planted_khop
 
@@ -125,3 +126,15 @@ def test_rejects_tiny_graphs(tmp_path):
     with pytest.raises(ValueError):
         synth_planted_khop(tmp_path / "x", num_nodes=5, avg_degree=2.0, k=1,
                            num_classes=2, seed=0)
+
+
+# An er avg_degree above num_nodes - 1 would hang the suite if unchecked, so
+# test_cli runs that case in a subprocess with a timeout.
+@pytest.mark.parametrize("setting", [
+    dict(num_classes=0), dict(avg_degree=float("nan")), dict(avg_degree=float("inf")),
+    dict(avg_degree=float("nan"), topology="ring")])
+def test_rejects_settings_that_crash(tmp_path, setting):
+    args = {**dict(num_nodes=20, avg_degree=2.0, k=1, num_classes=2, seed=0), **setting}
+    with pytest.raises(InvalidSetting):
+        synth_planted_khop(tmp_path / "x", **args)
+    assert not (tmp_path / "x").exists()
