@@ -140,12 +140,15 @@ def attention_stats(dump_path):
                 continue
             try:
                 rec = json.loads(line)
-                key = (rec["layer"], rec["head"])
+                key = (int(rec["layer"]), int(rec["head"]))
                 weights = np.asarray(rec["weights"], dtype=np.float64)
                 labs = np.asarray(rec["labels"], dtype=np.int64)
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedRecord(dump_path, line_no,
                                       f"not an attention record: {exc}") from None
+            if labs.ndim != 1 or weights.shape != (len(labs), len(labs)):
+                raise MalformedRecord(dump_path, line_no, f"weights of shape {weights.shape} "
+                                      f"for {labs.size} token labels")
             records += 1
             valid = labs >= 0
             for i in range(len(labs)):

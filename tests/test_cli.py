@@ -181,6 +181,10 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
         record = {"layer": 0, "head": 0, "weights": [[1.0]], "labels": [0]}
         dump.write_text(json.dumps(record) + "\n{oops\n")
         return ["attn-stats", "--dump", str(dump)], "attn.jsonl:2:"
+    if case == "ragged dump record":
+        dump = tmp_path / "attn.jsonl"
+        dump.write_text(json.dumps({"layer": 0, "head": 0, "weights": [[1.0]], "labels": [0, 0]}))
+        return ["attn-stats", "--dump", str(dump)], "attn.jsonl:1: weights of shape (1, 1)"
     raw = tmp_path / "raw"  # non-numeric features.csv cell
     raw.mkdir()
     for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
@@ -190,7 +194,7 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["split", "missing dump", "non-JSON dump line",
-                                  "non-numeric feature"])
+                                  "ragged dump record", "non-numeric feature"])
 def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
     argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
     capsys.readouterr()
