@@ -2,9 +2,10 @@
 
 Subcommands: ingest, synth, sample, train, eval, attn-dump, attn-stats.
 Each subcommand takes only the flags of the settings it reads, plus
---config; a config file may hold any setting. Settings resolve as flag >
-config file > default; logs are line-oriented JSON on stderr, command
-outputs go to stdout or the requested file.
+--config; a config file may hold any setting. Settings resolve once, as
+flag > config file > default, before the subcommand runs. Logs are
+line-oriented JSON on stderr; reports go to stdout, and files only to the
+--out or --checkpoint path a subcommand requires.
 Exit codes: 0 success, 1 usage error, 2 data error or invalid setting,
 3 numerical failure.
 """
@@ -54,7 +55,6 @@ CONFIG_DEFAULTS = {
     "runs": 5,
     "node": None,
     "split": "test",
-    "log_interval": 1,
 }
 
 # Subcommand -> the settings its cmd_* function reads. Each becomes a flag
@@ -63,12 +63,11 @@ COMMAND_FLAGS = {
     "ingest": ("out",),
     "synth": ("out", "seed"),
     "sample": ("dataset", "node", "seed", "counts"),
-    "train": ("dataset", "checkpoint", "out", "log_interval", "seed", "epochs",
-              "counts", "hidden", "heads", "layers", "batch_size", "lr",
-              "warmup_ratio"),
-    "eval": ("dataset", "checkpoint", "out", "seed", "split", "runs"),
+    "train": ("dataset", "checkpoint", "seed", "epochs", "counts", "hidden",
+              "heads", "layers", "batch_size", "lr", "warmup_ratio"),
+    "eval": ("dataset", "checkpoint", "seed", "split", "runs"),
     "attn-dump": ("dataset", "checkpoint", "out", "seed", "node"),
-    "attn-stats": ("out",),
+    "attn-stats": (),
 }
 
 
@@ -152,8 +151,7 @@ def _require(cfg, key, flag):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args):
-    cfg = resolve_config(args)
+def cmd_ingest(cfg, args):
     src = Path(args.input)
     out = Path(_require(cfg, "out", "--out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -174,8 +172,7 @@ def cmd_ingest(args):
     return 0
 
 
-def cmd_synth(args):
-    cfg = resolve_config(args)
+def cmd_synth(cfg, args):
     out = _require(cfg, "out", "--out")
     synth_planted_khop(out, num_nodes=args.nodes, avg_degree=args.avg_degree,
                        k=args.k, num_classes=args.classes, seed=cfg["seed"],
@@ -185,8 +182,7 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_sample(args):
-    cfg = resolve_config(args)
+def cmd_sample(cfg, args):
     graph, _, _ = load_dataset(_require(cfg, "dataset", "--dataset"))
     node = _require(cfg, "node", "--node")
     walks = sample_paths(graph, node, SamplePlan(cfg["counts"]),
@@ -197,9 +193,9 @@ def cmd_sample(args):
     return 0
 
 
-def cmd_train(args):
-    cfg = resolve_config(args)
+def cmd_train(cfg, args):
     graph, labels, splits = load_dataset(_require(cfg, "dataset", "--dataset"))
+    ckpt = Path(_require(cfg, "checkpoint", "--checkpoint"))
     tc = _train_config(cfg)
     mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=labels.num_classes,
                      task=labels.task, hidden=tc.hidden, heads=tc.heads,
@@ -207,26 +203,15 @@ def cmd_train(args):
                      dropout_encoder=tc.dropout_encoder,
                      dropout_output=tc.dropout_output)
     model = PathSageModel.init(mc, stream_rng(tc.seed, "init"))
-    ckpt = cfg["checkpoint"]
-    if ckpt is None:
-        out = Path(cfg["out"] or ".")
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt = out / "checkpoint.psck"
 
     def eval_fn(m, epoch):
         return eval_split(m, graph, labels, splits.val, tc.counts_per_length,
                           tc.seed)
 
-    interval = max(int(cfg["log_interval"]), 1)
-
-    def log_fn(record):
-        if record["epoch"] % interval == 0:
-            _log_json(event="epoch", **record)
-
-    result = fit(model, graph, labels, splits, tc,
-                 checkpoint_path=ckpt,
-                 eval_fn=eval_fn if len(splits.val) else None,
-                 log_fn=log_fn)
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    result = fit(model, graph, labels, splits, tc, checkpoint_path=ckpt,
+                 eval_fn=eval_fn,
+                 log_fn=lambda record: _log_json(event="epoch", **record))
     summary = {"event": "train_done", "epochs_run": result.epochs_run,
                "best_val_micro_f1": result.best_val, "checkpoint": str(ckpt)}
     _log_json(**summary)
@@ -234,41 +219,32 @@ def cmd_train(args):
     return 0
 
 
-def cmd_eval(args):
-    cfg = resolve_config(args)
+def cmd_eval(cfg, args):
     model, _, tc, _ = load_model_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
     graph, labels, splits = load_dataset(_require(cfg, "dataset", "--dataset"))
     split = cfg["split"]
     if split not in SPLIT_NAMES:
         raise DataError(f"unknown split {split!r}")
     report = eval_runs(model, graph, labels, getattr(splits, split), tc.counts_per_length,
-                       cfg["seed"], runs=cfg["runs"], split_name=split)
-    text = json.dumps(report, sort_keys=True)
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(text + "\n")
-    print(text)
+                       cfg["seed"], cfg["runs"])
+    print(json.dumps({"split": split, **report}, sort_keys=True))
     return 0
 
 
-def cmd_attn_dump(args):
-    cfg = resolve_config(args)
+def cmd_attn_dump(cfg, args):
     model, _, tc, _ = load_model_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
     graph, labels, _ = load_dataset(_require(cfg, "dataset", "--dataset"))
     node = _require(cfg, "node", "--node")
-    out = _require(cfg, "out", "--out")
+    out = Path(_require(cfg, "out", "--out"))
+    out.parent.mkdir(parents=True, exist_ok=True)
     count = dump_attention(model, graph, labels, node, tc.counts_per_length,
                            cfg["seed"], out)
     _log_json(event="attn_dump", node=node, records=count, out=str(out))
     return 0
 
 
-def cmd_attn_stats(args):
-    cfg = resolve_config(args)
-    stats = attention_stats(args.dump)
-    text = json.dumps(stats, sort_keys=True)
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(text + "\n")
-    print(text)
+def cmd_attn_stats(cfg, args):
+    print(json.dumps(attention_stats(args.dump), sort_keys=True))
     return 0
 
 
@@ -283,7 +259,7 @@ SETTING_TYPES = {
     "counts": _parse_counts, "hidden": int, "heads": int,
     "layers": int, "batch_size": int, "lr": float, "warmup_ratio": float,
     "dropout_encoder": float, "dropout_output": float, "runs": int, "node": int,
-    "split": str, "log_interval": int,
+    "split": str,
 }
 
 # setting type -> (accepts a JSON value, what it expects)
@@ -336,7 +312,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.fn(args)
+        return args.fn(resolve_config(args), args)
     except NumericalError as exc:
         print(f"pathsage: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -61,8 +61,7 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
     return micro_f1(preds, labels.labels[nodes], labels.task), float(losses.mean())
 
 
-def eval_runs(model, graph, labels, nodes, counts_per_length, seed, runs=5,
-              split_name="test"):
+def eval_runs(model, graph, labels, nodes, counts_per_length, seed, runs):
     """Repeat eval_split over `runs` evaluation seeds -> mean +/- sample std."""
     if runs < 1:
         raise InvalidSetting(f"runs {runs} < 1")
@@ -74,7 +73,6 @@ def eval_runs(model, graph, labels, nodes, counts_per_length, seed, runs=5,
         losses.append(loss)
     std = float(np.std(f1s, ddof=1)) if runs > 1 else 0.0
     return {
-        "split": split_name,
         "runs": runs,
         "micro_f1_mean": float(np.mean(f1s)),
         "micro_f1_std": std,

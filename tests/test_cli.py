@@ -51,7 +51,8 @@ def test_flag_beats_config_beats_default(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_file = tmp_path / "c.json"
-    for key in ("hiden", "depth"):  # the depth is len(counts), not a setting
+    # the depth is len(counts) and every epoch is logged: neither is a setting
+    for key in ("hiden", "depth", "log_interval"):
         cfg_file.write_text(json.dumps({key: 2}))
         code, _ = run(capsys, "train", "--config", str(cfg_file),
                       "--dataset", "whatever")
@@ -114,6 +115,11 @@ def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["synth"]) == 1  # missing required --nodes
     assert main(["train", "--depth", "2"]) == 1  # the depth is len(counts)
+    # the checkpoint goes only to --checkpoint, every epoch is logged, and
+    # reports go only to stdout
+    for argv in (["train", "--out", "x"], ["train", "--log-interval", "2"],
+                 ["eval", "--out", "x.json"], ["attn-stats", "--dump", "d", "--out", "x"]):
+        assert main(argv) == 1, argv
 
 
 def test_missing_dataset_exits_2(capsys):
@@ -126,9 +132,14 @@ def test_negative_node_exits_2(dataset, capsys):
     assert "walk stream key (0, -1)" in capsys.readouterr().err
 
 
-def test_missing_required_setting_exits_2(dataset, capsys):
+def test_missing_required_setting_exits_2(dataset, tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, "sample", "--dataset", str(dataset))  # no --node
     assert code == 2
+    monkeypatch.chdir(tmp_path)  # train once fell back to ./checkpoint.psck
+    code = main(["train", "--dataset", str(dataset), *TRAIN_FLAGS])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and err == ["pathsage: data error: missing required setting --checkpoint"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
@@ -281,7 +292,7 @@ def test_subcommand_flags_follow_the_table():
         flags = {a.dest for a in p._actions if a.dest in CONFIG_DEFAULTS or a.dest == "config"}
         assert flags == {"config", *COMMAND_FLAGS[name]}, name
         slots += len(flags)
-    assert slots == 39
+    assert slots == 35
 
 
 def test_incomplete_checkpoint_exits_2(dataset, tmp_path, capsys):
@@ -351,6 +362,7 @@ def test_train_eval_dump_stats_pipeline(dataset, tmp_path, capsys):
                     "--checkpoint", str(ckpt), "--split", "test", "--runs", "3")
     assert code == 0
     report = json.loads(out.strip())
+    assert report["split"] == "test"
     assert report["runs"] == 3 and 0 <= report["micro_f1_mean"] <= 1
 
     dump = tmp_path / "attn.jsonl"
@@ -364,6 +376,16 @@ def test_train_eval_dump_stats_pipeline(dataset, tmp_path, capsys):
     assert code == 0
     stats = json.loads(out.strip())
     assert stats["records"] == 8
+
+
+def test_train_and_attn_dump_create_output_directories(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "new" / "m.psck"
+    dump = tmp_path / "other" / "a.jsonl"
+    assert main(["train", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                 *TRAIN_FLAGS]) == 0
+    assert main(["attn-dump", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                 "--node", "3", "--out", str(dump)]) == 0
+    assert ckpt.is_file() and dump.is_file()
 
 
 def test_train_twice_identical_checkpoint_bytes(dataset, tmp_path, capsys):

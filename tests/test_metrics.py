@@ -152,11 +152,9 @@ def test_zero_model_predicts_class_zero_frequency(small_setup):
 
 def test_eval_runs_report_shape(small_setup):
     graph, labels, splits, model = small_setup
-    report = eval_runs(model, graph, labels, splits.test, (2, 2), seed=0,
-                       runs=3, split_name="test")
-    assert set(report) == {"split", "runs", "micro_f1_mean", "micro_f1_std",
-                          "loss_mean"}
-    assert report["runs"] == 3 and report["split"] == "test"
+    report = eval_runs(model, graph, labels, splits.test, (2, 2), seed=0, runs=3)
+    assert set(report) == {"runs", "micro_f1_mean", "micro_f1_std", "loss_mean"}
+    assert report["runs"] == 3
     assert 0.0 <= report["micro_f1_mean"] <= 1.0
     assert report["micro_f1_std"] >= 0.0
 
