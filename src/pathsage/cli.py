@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -152,22 +153,30 @@ def _require(cfg, key, flag):
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(cfg, args):
+    """Build and validate the dataset in a temporary directory beside --out,
+    so a bad input leaves --out as it was."""
     src = Path(args.input)
     out = Path(_require(cfg, "out", "--out"))
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
-        if not (src / name).is_file():
-            raise DataError(f"missing input file {src / name}")
-        (out / name).write_bytes((src / name).read_bytes())
-    feats_csv = src / "features.csv"
-    if not feats_csv.is_file():
-        raise DataError(f"missing input file {feats_csv}")
-    try:
-        features = np.loadtxt(feats_csv, delimiter=",", dtype=np.float32, ndmin=2)
-    except ValueError as exc:
-        raise MalformedRecord(feats_csv, 0, str(exc)) from None
-    write_features_bin(out / "features.bin", features)
-    load_dataset(out)  # validation pass
+    out.parent.mkdir(parents=True, exist_ok=True)
+    copied = ("meta.json", "edges.csv", "labels.csv", "splits.json")
+    with tempfile.TemporaryDirectory(dir=out.parent, prefix=f".{out.name}.") as tmp:
+        tmp = Path(tmp)
+        for name in copied:
+            if not (src / name).is_file():
+                raise DataError(f"missing input file {src / name}")
+            (tmp / name).write_bytes((src / name).read_bytes())
+        feats_csv = src / "features.csv"
+        if not feats_csv.is_file():
+            raise DataError(f"missing input file {feats_csv}")
+        try:
+            features = np.loadtxt(feats_csv, delimiter=",", dtype=np.float32, ndmin=2)
+        except ValueError as exc:
+            raise MalformedRecord(feats_csv, 0, str(exc)) from None
+        write_features_bin(tmp / "features.bin", features)
+        load_dataset(tmp)  # validation pass
+        out.mkdir(exist_ok=True)
+        for name in (*copied, "features.bin"):
+            os.replace(tmp / name, out / name)
     _log_json(event="ingest", out=str(out), nodes=int(features.shape[0]))
     return 0
 

@@ -56,6 +56,7 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
         target = labels.labels[chunk]
         preds.append(predict(logits, labels.task))
         losses.append(sample_losses(logits, target, labels.task))
+        del logits  # free this batch's recorded graph before the next forward
     preds = np.concatenate(preds)
     losses = np.concatenate(losses)
     return micro_f1(preds, labels.labels[nodes], labels.task), float(losses.mean())
@@ -126,8 +127,8 @@ def dump_attention(model, graph, labels, node, counts_per_length, seed, out_path
 def attention_stats(dump_path):
     """Aggregate a dump file: mean attention mass between same-label token
     pairs vs different-label pairs, overall and per (layer, head)."""
-    same = {}
-    diff = {}
+    # (layer, head) -> [same-label weight sum, pairs, diff-label sum, pairs]
+    totals = {}
     records = 0
     if not Path(dump_path).is_file():
         raise MissingFile(f"attention dump not found: {dump_path}")
@@ -148,28 +149,22 @@ def attention_stats(dump_path):
                 raise MalformedRecord(dump_path, line_no, f"weights of shape {weights.shape} "
                                       f"for {labs.size} token labels")
             records += 1
-            valid = labs >= 0
-            for i in range(len(labs)):
-                if not valid[i]:
-                    continue
-                for j in range(len(labs)):
-                    if i == j or not valid[j]:
-                        continue
-                    bucket = same if labs[i] == labs[j] else diff
-                    bucket.setdefault(key, []).append(weights[i, j])
-    per_head = []
-    for key in sorted(set(same) | set(diff)):
-        per_head.append({
-            "layer": key[0],
-            "head": key[1],
-            "same_label_mean": float(np.mean(same[key])) if key in same else None,
-            "diff_label_mean": float(np.mean(diff[key])) if key in diff else None,
-        })
-    all_same = [w for v in same.values() for w in v]
-    all_diff = [w for v in diff.values() for w in v]
+            pairs = np.outer(labs >= 0, labs >= 0)  # both tokens labelled
+            np.fill_diagonal(pairs, False)
+            same = pairs & (labs[:, None] == labs)
+            diff = pairs & ~same
+            acc = totals.setdefault(key, np.zeros(4))
+            acc += (weights[same].sum(), same.sum(), weights[diff].sum(), diff.sum())
+
+    def mean(total, count):
+        return float(total / count) if count else None
+
+    overall = sum(totals.values(), np.zeros(4))
     return {
         "records": records,
-        "same_label_mean": float(np.mean(all_same)) if all_same else None,
-        "diff_label_mean": float(np.mean(all_diff)) if all_diff else None,
-        "per_head": per_head,
+        "same_label_mean": mean(*overall[:2]),
+        "diff_label_mean": mean(*overall[2:]),
+        "per_head": [{"layer": key[0], "head": key[1],
+                      "same_label_mean": mean(*t[:2]), "diff_label_mean": mean(*t[2:])}
+                     for key, t in sorted(totals.items()) if t[1] + t[3]],
     }

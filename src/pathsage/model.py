@@ -67,7 +67,12 @@ class PathSageModel:
         """
         if not walks:
             raise ShapeMismatch("empty batch")
-        s = len(walks[0])
+        shapes = [w.shape for w in walks[0]]
+        for walk in walks:
+            if [w.shape for w in walk] != shapes:
+                raise ShapeMismatch(f"walk shapes {[w.shape for w in walk]} != {shapes} "
+                                    "of the batch's first central node")
+        s = len(shapes)
         if s != self.config.depth_s:
             raise ShapeMismatch(f"batch depth {s} != model depth {self.config.depth_s}")
         pooled = []
@@ -75,7 +80,7 @@ class PathSageModel:
         b = len(walks)
         for l in range(1, s + 1):
             paths = np.concatenate([w[l - 1] for w in walks], axis=0)
-            n_l = walks[0][l - 1].shape[0]
+            n_l = shapes[l - 1][0]
             feats = Tensor(graph.features[paths])  # (B*n_l, l+1, F)
             reprs, attention[l] = encode_paths(self.encoder, self.pos_table, feats, rng=rng,
                                                dropout_rate=self.config.dropout_encoder)

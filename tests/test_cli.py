@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,9 +55,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # the depth is len(counts) and every epoch is logged: neither is a setting
     for key in ("hiden", "depth", "log_interval"):
         cfg_file.write_text(json.dumps({key: 2}))
-        code, _ = run(capsys, "train", "--config", str(cfg_file),
-                      "--dataset", "whatever")
-        assert code == 2
+        code = main(["train", "--config", str(cfg_file), "--dataset", "whatever"])
+        assert code == 2 and "unknown config keys" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw,needle", [
@@ -196,16 +196,23 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
         dump = tmp_path / "attn.jsonl"
         dump.write_text(json.dumps({"layer": 0, "head": 0, "weights": [[1.0]], "labels": [0, 0]}))
         return ["attn-stats", "--dump", str(dump)], "attn.jsonl:1: weights of shape (1, 1)"
-    raw = tmp_path / "raw"  # non-numeric features.csv cell
+    raw = tmp_path / "raw"
     raw.mkdir()
     for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
         (raw / name).write_bytes((dataset / name).read_bytes())
-    (raw / "features.csv").write_text("0.5,1\n0.5,abc\n")
-    return ["ingest", "--input", str(raw), "--out", str(tmp_path / "out")], "features.csv"
+    feats = read_features_bin(dataset / "features.bin")
+    np.savetxt(raw / "features.csv", feats, delimiter=",", fmt="%.8g")
+    argv = ["ingest", "--input", str(raw), "--out", str(tmp_path / "out")]
+    if case == "non-numeric feature":
+        (raw / "features.csv").write_text("0.5,1\n0.5,abc\n")
+        return argv, "features.csv"
+    (raw / "edges.csv").write_text("0,1\n1,60\n")  # out-of-range edge: 60 nodes
+    return argv, "edge (1,60) outside [0,60)"
 
 
 @pytest.mark.parametrize("case", ["split", "missing dump", "non-JSON dump line",
-                                  "ragged dump record", "non-numeric feature"])
+                                  "ragged dump record", "non-numeric feature",
+                                  "out-of-range edge"])
 def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
     argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
     capsys.readouterr()
@@ -215,6 +222,8 @@ def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, 
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("pathsage: data error:"), lines
     assert needle in lines[0]
+    # ingest leaves neither --out nor its temporary build directory behind
+    assert not [p for p in tmp_path.iterdir() if "out" in p.name]
 
 
 def test_non_finite_gradient_exits_3(dataset, tmp_path, capsys, monkeypatch):
@@ -293,6 +302,18 @@ def test_subcommand_flags_follow_the_table():
         assert flags == {"config", *COMMAND_FLAGS[name]}, name
         slots += len(flags)
     assert slots == 35
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        name, flags = line.strip("|").split("|")
+        rows[name.strip(" `")] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert rows == {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                    for name, p in sub.choices.items()}
 
 
 def test_incomplete_checkpoint_exits_2(dataset, tmp_path, capsys):

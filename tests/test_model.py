@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -77,6 +77,13 @@ def test_depth_mismatch_rejected(setup):
         model.forward_batch(graph, bad)
     with pytest.raises(ShapeMismatch):
         model.forward_batch(graph, [])
+    # every central node of a batch must share the first one's sample plan
+    shallow = PathSageModel.init(replace(model.config, depth_s=2), rng_for(2))
+    for other in ((3, 2), (2,)):
+        ragged = [sample_paths(graph, 0, plan, rng_for(0)),
+                  sample_paths(graph, 1, SamplePlan(other), rng_for(1))]
+        with pytest.raises(ShapeMismatch):
+            shallow.forward_batch(graph, ragged)
 
 
 def test_training_mode_dropout_differs_but_is_seeded(setup):
