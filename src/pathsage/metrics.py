@@ -56,7 +56,6 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
         target = labels.labels[chunk]
         preds.append(predict(logits, labels.task))
         losses.append(sample_losses(logits, target, labels.task))
-        del logits  # free this batch's recorded graph before the next forward
     preds = np.concatenate(preds)
     losses = np.concatenate(losses)
     return micro_f1(preds, labels.labels[nodes], labels.task), float(losses.mean())

@@ -1,5 +1,4 @@
 import json
-import weakref
 
 import numpy as np
 import pytest
@@ -149,24 +148,6 @@ def test_zero_model_predicts_class_zero_frequency(small_setup):
     f1, _ = eval_split(model, graph, labels, splits.test, (2, 2), seed=0)
     expect = float((labels.labels[splits.test] == 0).mean())
     assert f1 == pytest.approx(expect)
-
-
-def test_eval_frees_each_batch_before_the_next(small_setup, monkeypatch):
-    graph, labels, splits, model = small_setup
-    nodes = np.arange(12)
-    alive = []  # weakref to the last batch's logits array (Tensor has no weakref slot)
-    forward = PathSageModel.forward_batch
-
-    def tracked(self, graph, walks, rng=None):
-        # the previous batch's logits, and with them its recorded graph, are gone
-        assert all(ref() is None for ref in alive)
-        logits, attention = forward(self, graph, walks, rng)
-        alive[:] = [weakref.ref(logits.data)]
-        return logits, attention
-
-    monkeypatch.setattr(PathSageModel, "forward_batch", tracked)
-    eval_split(model, graph, labels, nodes, (2, 2), seed=0, batch_size=4)
-    assert len(alive) == 1
 
 
 def test_eval_runs_report_shape(small_setup):
