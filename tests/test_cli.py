@@ -200,12 +200,12 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
     raw.mkdir()
     for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
         (raw / name).write_bytes((dataset / name).read_bytes())
-    feats = read_features_bin(dataset / "features.bin")
-    np.savetxt(raw / "features.csv", feats, delimiter=",", fmt="%.8g")
     argv = ["ingest", "--input", str(raw), "--out", str(tmp_path / "out")]
     if case == "non-numeric feature":
         (raw / "features.csv").write_text("0.5,1\n0.5,abc\n")
         return argv, "features.csv"
+    feats = read_features_bin(dataset / "features.bin")
+    np.savetxt(raw / "features.csv", feats, delimiter=",", fmt="%.8g")
     (raw / "edges.csv").write_text("0,1\n1,60\n")  # out-of-range edge: 60 nodes
     return argv, "edge (1,60) outside [0,60)"
 
