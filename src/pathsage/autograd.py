@@ -4,10 +4,14 @@ Tensors wrap contiguous numpy arrays (row-major, float32 by default,
 float64 supported for gradient-check oracles). Each primitive records a
 vector-Jacobian product closure on the output tensor whenever an input
 requires gradients; `backward` walks the recorded graph once in reverse
-topological order and accumulates gradients into the leaves.
+topological order and accumulates gradients into the leaves. Inside a
+`no_record()` block (inference) no op records anything, so the graph of
+one forward pass is not kept alive by its outputs.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -15,6 +19,10 @@ from .errors import InvalidSetting, NonScalarLoss, ShapeMismatch
 
 DEFAULT_DTYPE = np.float32
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
+
+# False inside a no_record() block. A module global is enough: the runtime
+# is single-threaded.
+_recording = True
 
 
 class Tensor:
@@ -54,10 +62,24 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextmanager
+def no_record():
+    """Within the block, op outputs record no parents or vjp and require no
+    grad, whatever their inputs. The previous state returns on exit, also
+    when the block raises."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _make(data, parents, vjp):
-    """Build an op output, recording the vjp only if some parent needs grads."""
+    """Build an op output, recording the vjp only if some parent needs grads
+    and recording is on."""
     out = Tensor(data, dtype=data.dtype)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp

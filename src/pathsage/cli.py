@@ -202,9 +202,18 @@ def cmd_sample(cfg, args):
     return 0
 
 
+def _output_file(cfg, key, flag):
+    """The path of a file the subcommand will write; one that names an
+    existing directory is rejected before any work is done."""
+    path = Path(_require(cfg, key, flag))
+    if path.is_dir():
+        raise DataError(f"{flag} {path} is a directory")
+    return path
+
+
 def cmd_train(cfg, args):
+    ckpt = _output_file(cfg, "checkpoint", "--checkpoint")
     graph, labels, splits = load_dataset(_require(cfg, "dataset", "--dataset"))
-    ckpt = Path(_require(cfg, "checkpoint", "--checkpoint"))
     tc = _train_config(cfg)
     mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=labels.num_classes,
                      task=labels.task, hidden=tc.hidden, heads=tc.heads,
@@ -241,10 +250,10 @@ def cmd_eval(cfg, args):
 
 
 def cmd_attn_dump(cfg, args):
+    out = _output_file(cfg, "out", "--out")
     model, _, tc, _ = load_model_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
     graph, labels, _ = load_dataset(_require(cfg, "dataset", "--dataset"))
     node = _require(cfg, "node", "--node")
-    out = Path(_require(cfg, "out", "--out"))
     out.parent.mkdir(parents=True, exist_ok=True)
     count = dump_attention(model, graph, labels, node, tc.counts_per_length,
                            cfg["seed"], out)

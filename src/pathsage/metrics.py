@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .autograd import no_record
 from .errors import EmptySplit, InvalidSetting, LengthMismatch, MalformedRecord, MissingFile
-from .graph import SINGLE_LABEL
+from .graph import SINGLE_LABEL, is_int
 from .head import predict, sample_losses
 from .sampler import SamplePlan, sample_paths, stream_rng
 
@@ -41,7 +42,8 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
     """Inference-mode evaluation over a node set -> (micro-F1, mean loss).
 
     Paths are drawn with per-node evaluation seeds; a fixed (seed, run)
-    pair is exactly reproducible.
+    pair is exactly reproducible. The forward passes record no autograd
+    graph.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
@@ -52,7 +54,8 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
         chunk = nodes[b0:b0 + batch_size]
         walks = [sample_paths(graph, int(c), plan, stream_rng(seed, "eval", run, int(c)))
                  for c in chunk]
-        logits = model.forward_batch(graph, walks)[0]
+        with no_record():
+            logits = model.forward_batch(graph, walks)[0]
         target = labels.labels[chunk]
         preds.append(predict(logits, labels.task))
         losses.append(sample_losses(logits, target, labels.task))
@@ -95,11 +98,13 @@ def _token_labels(labels, path):
 
 
 def dump_attention(model, graph, labels, node, counts_per_length, seed, out_path):
-    """One inference forward for `node`; write a JSON line per
-    (path, layer, head) with the full attention weight matrix."""
+    """One inference forward for `node`, recording no autograd graph; write
+    a JSON line per (path, layer, head) with the full attention weight
+    matrix."""
     walks = sample_paths(graph, int(node), SamplePlan(counts_per_length),
                          stream_rng(seed, "eval", 0, int(node)))
-    _, attention = model.forward_batch(graph, [walks])
+    with no_record():
+        _, attention = model.forward_batch(graph, [walks])
     count = 0
     with open(out_path, "w") as fh:
         for l, bucket in enumerate(walks, start=1):
@@ -138,15 +143,22 @@ def attention_stats(dump_path):
                 continue
             try:
                 rec = json.loads(line)
-                key = (int(rec["layer"]), int(rec["head"]))
+                key = (rec["layer"], rec["head"])
                 weights = np.asarray(rec["weights"], dtype=np.float64)
-                labs = np.asarray(rec["labels"], dtype=np.int64)
+                labs = rec["labels"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedRecord(dump_path, line_no,
                                       f"not an attention record: {exc}") from None
-            if labs.ndim != 1 or weights.shape != (len(labs), len(labs)):
+            if not (isinstance(labs, list) and all(map(is_int, (*key, *labs)))):
+                raise MalformedRecord(dump_path, line_no, "layer, head and labels must be "
+                                      f"integers, got layer {key[0]!r}, head {key[1]!r}")
+            try:
+                labs = np.asarray(labs, dtype=np.int64)
+            except OverflowError:
+                raise MalformedRecord(dump_path, line_no, "a label exceeds 64 bits") from None
+            if weights.shape != (len(labs), len(labs)):
                 raise MalformedRecord(dump_path, line_no, f"weights of shape {weights.shape} "
-                                      f"for {labs.size} token labels")
+                                      f"for {len(labs)} token labels")
             records += 1
             pairs = np.outer(labs >= 0, labs >= 0)  # both tokens labelled
             np.fill_diagonal(pairs, False)

@@ -3,6 +3,12 @@ import pytest
 
 from pathsage import autograd as ag
 from pathsage.errors import NonScalarLoss, ShapeMismatch
+from pathsage.graph import load_dataset
+from pathsage.metrics import eval_split
+from pathsage.model import ModelConfig, PathSageModel
+from pathsage.sampler import SamplePlan, sample_paths, stream_rng
+from pathsage.synth import synth_planted_khop
+from pathsage.trainer import OptimizerState, TrainConfig, train_epoch
 
 from helpers import check_grad, mul, tsum
 
@@ -198,3 +204,82 @@ def test_canonical_bucket_mean_bit_identical_under_permutation():
         perm = RNG.permutation(7)
         again = ag.canonical_bucket_mean(ag.Tensor(x[perm])).data
         assert (base == again).all()
+
+
+# --- no_record ------------------------------------------------------------
+
+def _every_op(x, w, gain, bias):
+    """One output of each primitive, from inputs x (2, 3, 4) and w (4, 4)."""
+    rows = ag.reshape(x, (6, 4))
+    return [ag.add(x, bias), ag.scale(x, 2.0), ag.matmul(x, w), ag.relu(x), ag.softmax(x),
+            ag.layer_norm(x, gain, bias),
+            ag.dropout(x, 0.5, np.random.Generator(np.random.PCG64(3))),
+            ag.concat([x, x]), ag.select(x, 1, 0), rows, ag.transpose(x, (2, 0, 1)),
+            ag.canonical_bucket_mean(x),
+            ag.softmax_cross_entropy(rows, np.zeros(6, dtype=np.int64)),
+            ag.bce_with_logits(rows, np.zeros((6, 4)))]
+
+
+def test_no_record_outputs_carry_no_graph():
+    inputs = [ag.Tensor(RNG.normal(size=shape), requires_grad=True)
+              for shape in ((2, 3, 4), (4, 4), (4,), (4,))]
+    assert all(out._vjp is not None for out in _every_op(*inputs))
+    with ag.no_record():
+        outs = _every_op(*inputs)
+    for out in outs:
+        assert (out._vjp, out._parents, out.requires_grad) == (None, None, False)
+
+
+def test_no_record_restores_the_flag_after_nesting_and_errors():
+    x = ag.Tensor([1.0, -2.0], requires_grad=True)
+    with ag.no_record():
+        with ag.no_record():
+            pass
+        assert not ag.relu(x).requires_grad  # still off after the inner block
+    assert ag.relu(x)._vjp is not None
+    with pytest.raises(ValueError):
+        with ag.no_record():
+            raise ValueError("inside the block")
+    assert ag.relu(x)._vjp is not None
+
+
+@pytest.fixture(scope="module")
+def model_setup(tmp_path_factory):
+    graph, labels, splits = load_dataset(synth_planted_khop(
+        tmp_path_factory.mktemp("ds") / "m", num_nodes=40, avg_degree=3.0, k=1,
+        num_classes=3, seed=5))
+    model = PathSageModel.init(ModelConfig(
+        feature_dim=graph.feature_dim, num_classes=3, task=labels.task, hidden=8, heads=2,
+        layers=2, depth_s=2), stream_rng(1, "init"))
+    return graph, labels, splits, model
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_forward_without_recording_is_bit_identical(model_setup, dropout):
+    graph, _, _, model = model_setup
+    plan = SamplePlan((3, 2))
+    walks = [sample_paths(graph, c, plan, stream_rng(1, "eval", 0, c)) for c in range(6)]
+
+    def forward():
+        rng = stream_rng(1, "dropout", 0, 0) if dropout else None
+        return model.forward_batch(graph, walks, rng=rng)
+
+    recorded, recorded_attn = forward()
+    with ag.no_record():
+        plain, plain_attn = forward()
+    assert recorded._vjp is not None and plain._vjp is None
+    assert plain.data.tobytes() == recorded.data.tobytes()
+    for l, layers in recorded_attn.items():
+        for a, b in zip(layers, plain_attn[l]):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_training_after_eval_gives_every_parameter_a_gradient(model_setup):
+    graph, labels, splits, model = model_setup
+    eval_split(model, graph, labels, splits.test, (2, 2), seed=1)
+    cfg = TrainConfig(epochs=1, seed=1, depth_s=2, counts_per_length=(2, 2), hidden=8,
+                      heads=2, layers=2, batch_size=8)
+    train_epoch(model, graph, labels, splits.train[:8], cfg, 0, OptimizerState(),
+                total_steps=1)
+    missing = [name for name, p in model.named_params() if p.grad is None]
+    assert missing == []

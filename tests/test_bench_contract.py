@@ -62,6 +62,9 @@ def test_traced_train_epoch_and_eval_split(tmp_path):
                  "autograd.dropout.fwd", "head.head_forward"):
         assert spans.get(name, (0,))[0] > 0, name
     assert t.counts["sampler.walk_steps"] > 0 and t.counts["encoder.tokens"] > 0
+    # evaluation records no autograd graph; training does
+    assert t.counts["autograd.recorded_nodes.train"] > 0
+    assert t.counts["autograd.recorded_nodes.eval"] == 0
     assert (hygiene["child_outside_parent"], hygiene["negative_self_time"],
             hygiene["open_spans"]) == (0, 0, 0)
     assert len(rec.losses) == 3 and rec.preds

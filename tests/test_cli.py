@@ -185,6 +185,14 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
     if case == "split":  # not a split, though an attribute of the split masks
         return ["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
                 "--split", "__doc__"], "unknown split '__doc__'"
+    if case == "checkpoint directory":  # one line, so no epoch was trained
+        (tmp_path / "ckpt_dir").mkdir()
+        return ["train", "--dataset", str(dataset), "--checkpoint", str(tmp_path / "ckpt_dir"),
+                *TRAIN_FLAGS], "ckpt_dir is a directory"
+    if case == "dump directory":
+        (tmp_path / "dump_dir").mkdir()
+        return ["attn-dump", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                "--node", "0", "--out", str(tmp_path / "dump_dir")], "dump_dir is a directory"
     if case == "missing dump":
         return ["attn-stats", "--dump", str(tmp_path / "missing.jsonl")], "missing.jsonl"
     if case == "non-JSON dump line":
@@ -196,6 +204,15 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
         dump = tmp_path / "attn.jsonl"
         dump.write_text(json.dumps({"layer": 0, "head": 0, "weights": [[1.0]], "labels": [0, 0]}))
         return ["attn-stats", "--dump", str(dump)], "attn.jsonl:1: weights of shape (1, 1)"
+    if case == "non-integer dump fields":
+        dump = tmp_path / "attn.jsonl"
+        dump.write_text(json.dumps({"layer": 0.9, "head": "1", "weights": [[1.0, 0.0], [0.0, 1.0]],
+                                    "labels": [0.7, 1.2]}))
+        return ["attn-stats", "--dump", str(dump)], "attn.jsonl:1: layer, head and labels"
+    if case == "huge dump label":
+        dump = tmp_path / "attn.jsonl"
+        dump.write_text(json.dumps({"layer": 0, "head": 0, "weights": [[1.0]], "labels": [2 ** 64]}))
+        return ["attn-stats", "--dump", str(dump)], "attn.jsonl:1: a label exceeds 64 bits"
     raw = tmp_path / "raw"
     raw.mkdir()
     for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
@@ -210,9 +227,10 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
     return argv, "edge (1,60) outside [0,60)"
 
 
-@pytest.mark.parametrize("case", ["split", "missing dump", "non-JSON dump line",
-                                  "ragged dump record", "non-numeric feature",
-                                  "out-of-range edge"])
+@pytest.mark.parametrize("case", ["split", "checkpoint directory", "dump directory",
+                                  "missing dump", "non-JSON dump line",
+                                  "ragged dump record", "non-integer dump fields", "huge dump label",
+                                  "non-numeric feature", "out-of-range edge"])
 def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
     argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
     capsys.readouterr()

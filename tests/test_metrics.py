@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,27 @@ def test_eval_runs_report_shape(small_setup):
     assert report["runs"] == 3
     assert 0.0 <= report["micro_f1_mean"] <= 1.0
     assert report["micro_f1_std"] >= 0.0
+
+
+def test_eval_peak_memory_does_not_grow_with_batches(tmp_path):
+    # a batch's forward graph must not stay alive into the next batch
+    graph, labels, _ = load_dataset(synth_planted_khop(
+        tmp_path / "m", num_nodes=200, avg_degree=3.0, k=1, num_classes=3, seed=6))
+    mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=3, task=labels.task,
+                     hidden=32, heads=4, layers=2, depth_s=3)
+    model = PathSageModel.init(mc, rng_for(1))
+
+    def peak(batches):
+        tracemalloc.start()
+        try:
+            eval_split(model, graph, labels, np.arange(16 * batches), (3, 3, 3), seed=0,
+                       batch_size=16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(1), peak(4)
+    assert four <= 1.25 * one, (one, four)
 
 
 def test_eval_loss_matches_training_loss_definition(small_setup):
