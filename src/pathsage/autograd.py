@@ -1,7 +1,11 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap contiguous numpy arrays (row-major, float32 by default,
-float64 supported for gradient-check oracles). Each primitive records a
+float64 supported for gradient-check oracles). Primitives compute in their
+inputs' dtype. The exceptions work in 64-bit and round once: the row
+statistics of `layer_norm`, the column sums of `canonical_bucket_mean`, and
+the losses, which take 64-bit copies of the (B, K) logits. A product with
+a shared 2-D weight is one 2-D GEMM each way. Each primitive records a
 vector-Jacobian product closure on the output tensor whenever an input
 requires gradients; `backward` walks the recorded graph once in reverse
 topological order and accumulates gradients into the leaves. Inside a
@@ -119,20 +123,31 @@ def scale(a, s):
 
 def matmul(a, b):
     """Matrix product over a's leading batch dims. b is a 2-D matrix (such as
-    a weight) shared across the batch, or carries exactly a's batch dims."""
+    a weight) shared across the batch, or carries exactly a's batch dims.
+
+    A 2-D b makes one 2-D GEMM each way: a is viewed as (M, d) rows, the
+    forward is `a2 @ b` and the vjp is `g2 @ b.T` and `a2.T @ g2`, so b's
+    gradient sums over all M rows inside that one GEMM. A batched b makes
+    one matmul per batch entry each way, and its gradient has b's shape.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if min(a.data.ndim, b.data.ndim) < 2 or b.shape[:-2] not in ((), a.shape[:-2]):
         raise ShapeMismatch("matmul needs a 2-D b or one with a's batch dims", a.shape, b.shape)
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch("matmul inner dims differ", a.shape, b.shape)
-    data = np.matmul(a.data, b.data)
+    if b.data.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        data = (a2 @ b.data).reshape(*a.shape[:-1], b.shape[-1])
 
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if gb.ndim > b.data.ndim:
-            gb = gb.reshape(-1, *b.shape).sum(axis=0)
-        return ga, gb
+        def vjp(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+    else:
+        data = np.matmul(a.data, b.data)
+
+        def vjp(g):
+            return (np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                    np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _make(data, (a, b), vjp)
 
@@ -164,28 +179,28 @@ def softmax(a):
 def layer_norm(x, gain, bias):
     """Normalize over the last axis, then apply learnable gain and bias.
 
-    Statistics are accumulated in 64-bit and cast back to the input dtype.
+    The elementwise math runs in the input dtype. Each row mean and variance
+    (and the two row means of the vjp) is summed in a 64-bit accumulator and
+    rounded once to the input dtype; no 64-bit copy of the activation is made.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeMismatch("layer_norm gain/bias width", x.shape, gain.shape)
-    n = x.shape[-1]
-    x64 = x.data.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = ((x64 - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = ((x64 - mu) * inv).astype(x.dtype)
+    dt = x.dtype
+    xc = x.data - x.data.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    var = (xc * xc).mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + LAYER_NORM_EPS)).astype(dt)
+    xhat = xc * inv
     data = xhat * gain.data + bias.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=lead)
         gbias = g.sum(axis=lead)
-        gh = (g * gain.data).astype(np.float64)
-        m1 = gh.mean(axis=-1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-        gx = (inv * (gh - m1 - xhat * m2)).astype(x.dtype)
-        return gx, ggain, gbias
+        gh = g * gain.data
+        m1 = gh.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+        m2 = (gh * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+        return inv * (gh - m1 - xhat * m2), ggain, gbias
 
     return _make(data, (x, gain, bias), vjp)
 

@@ -9,6 +9,7 @@ identical loss sequence.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -167,16 +168,24 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
         best_val=-1.0, bad_epochs=0):
     """Train for cfg.epochs epochs, stopping early after PATIENCE epochs
     without a better validation micro-F1 (when a val split and eval_fn are
-    provided)."""
+    provided).
+
+    Each history record holds the epoch, its mean `loss`, `train_micro_f1`,
+    the wall `seconds` of its `train_epoch` and the training `nodes_per_s`
+    they give, plus `val_micro_f1` and `val_loss` when validated.
+    """
     state = state or OptimizerState()
     steps_per_epoch = math.ceil(len(splits.train) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     history = []
     epoch = start_epoch
     for epoch in range(start_epoch, cfg.epochs):
+        start = time.perf_counter()
         mean_loss, train_f1 = train_epoch(model, graph, labels, splits.train,
                                           cfg, epoch, state, total_steps)
-        record = {"epoch": epoch, "loss": mean_loss, "train_micro_f1": train_f1}
+        seconds = time.perf_counter() - start
+        record = {"epoch": epoch, "loss": mean_loss, "train_micro_f1": train_f1,
+                  "seconds": seconds, "nodes_per_s": len(splits.train) / seconds}
         if eval_fn is not None and len(splits.val):
             val_f1, val_loss = eval_fn(model, epoch)
             record.update({"val_micro_f1": val_f1, "val_loss": val_loss})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pathsage import autograd as ag
+from pathsage import head
 from pathsage.errors import NonScalarLoss, ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.metrics import eval_split
@@ -77,6 +78,33 @@ def test_batched_matmul_with_shared_2d_operand():
     check_grad(lambda ts: tsum(mul(m := ag.matmul(ts[0], ts[1]), m)), [a, w])
 
 
+def _max_rel(got, want):
+    """Largest absolute error, relative to the oracle's largest magnitude."""
+    return float(np.abs(got.astype(np.float64) - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((6, 9, 16), (16, 12)),       # (N, T, d) activation times a weight
+    ((2, 3, 4, 5), (5, 6)),
+    ((2, 3, 4, 5), (2, 3, 5, 6)),  # batched b: attention scores and context
+])
+def test_float32_matmul_matches_float64_oracle(a_shape, b_shape):
+    a32 = RNG.normal(size=a_shape).astype(np.float32)
+    b32 = RNG.normal(size=b_shape).astype(np.float32)
+    g32 = RNG.normal(size=a_shape[:-1] + b_shape[-1:]).astype(np.float32)
+    a, b = ag.Tensor(a32, requires_grad=True), ag.Tensor(b32, requires_grad=True)
+    out = ag.matmul(a, b)
+    ag.backward(tsum(mul(out, ag.Tensor(g32))))
+    a64, b64, g64 = (x.astype(np.float64) for x in (a32, b32, g32))
+    ga = np.matmul(g64, np.swapaxes(b64, -1, -2))
+    gb = np.matmul(np.swapaxes(a64, -1, -2), g64)
+    if b32.ndim == 2:  # a shared b collects the gradient of every row
+        gb = gb.reshape(-1, *b_shape).sum(axis=0)
+    for got, want in ((out.data, np.matmul(a64, b64)), (a.grad, ga), (b.grad, gb)):
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert _max_rel(got, want) <= 1e-5
+
+
 @pytest.mark.parametrize("prim,shapes", [
     ("relu", [(4, 5)]),
     ("softmax", [(4, 5)]),
@@ -129,6 +157,27 @@ def test_layer_norm_stats_and_gradient():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
     check_grad(lambda ts: tsum(mul(y := ag.layer_norm(ts[0], ts[1], ts[2]), y)),
                [x, RNG.normal(size=8), RNG.normal(size=8)])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_float32_layer_norm_matches_float64_oracle(offset):
+    x32 = (RNG.normal(size=(64, 9, 128)) + offset).astype(np.float32)
+    gain32 = (1 + 0.1 * RNG.normal(size=128)).astype(np.float32)
+    bias32 = RNG.normal(size=128).astype(np.float32)
+    g32 = RNG.normal(size=x32.shape).astype(np.float32)
+    x = ag.Tensor(x32, requires_grad=True)
+    out = ag.layer_norm(x, ag.Tensor(gain32), ag.Tensor(bias32))
+    ag.backward(tsum(mul(out, ag.Tensor(g32))))
+    x64, gain, g = x32.astype(np.float64), gain32.astype(np.float64), g32.astype(np.float64)
+    mu = x64.mean(axis=-1, keepdims=True)
+    inv = 1 / np.sqrt(((x64 - mu) ** 2).mean(axis=-1, keepdims=True) + ag.LAYER_NORM_EPS)
+    xhat = (x64 - mu) * inv
+    gh = g * gain
+    want_gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                     - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    assert out.dtype == np.float32 and x.grad.dtype == np.float32
+    assert np.abs(out.data - (xhat * gain + bias32)).max() <= 1e-3
+    assert _max_rel(x.grad, want_gx) <= 1e-4
 
 
 def test_cross_entropy_gradient_and_value():
@@ -283,3 +332,15 @@ def test_training_after_eval_gives_every_parameter_a_gradient(model_setup):
                 total_steps=1)
     missing = [name for name, p in model.named_params() if p.grad is None]
     assert missing == []
+
+
+def test_float32_training_step_stays_float32(model_setup):
+    graph, labels, _, model = model_setup
+    plan = SamplePlan((3, 2))
+    nodes = np.arange(6)
+    walks = [sample_paths(graph, c, plan, stream_rng(1, "walk", 0, c)) for c in nodes]
+    model.zero_grad()
+    logits = model.forward_batch(graph, walks, rng=stream_rng(1, "dropout", 0, 0))[0]
+    ag.backward(head.loss(logits, labels.labels[nodes], labels.task))
+    assert logits.dtype == np.float32
+    assert [name for name, p in model.named_params() if p.grad.dtype != np.float32] == []

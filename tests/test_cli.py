@@ -417,6 +417,16 @@ def test_train_eval_dump_stats_pipeline(dataset, tmp_path, capsys):
     assert stats["records"] == 8
 
 
+def test_train_logs_epoch_seconds_and_throughput(dataset, tmp_path, capsys):
+    assert main(["train", "--dataset", str(dataset), "--checkpoint",
+                 str(tmp_path / "m.psck"), *TRAIN_FLAGS]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    epochs = [r for r in records if r["event"] == "epoch"]
+    assert [r["epoch"] for r in epochs] == [0, 1]
+    for r in epochs:
+        assert r["seconds"] > 0 and r["nodes_per_s"] > 0
+
+
 def test_train_and_attn_dump_create_output_directories(dataset, tmp_path, capsys):
     ckpt = tmp_path / "new" / "m.psck"
     dump = tmp_path / "other" / "a.jsonl"
