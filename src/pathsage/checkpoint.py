@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ChecksumMismatch, MissingFile, VersionMismatch
 
 MAGIC = b"PSCK"
-VERSION = 2  # bumped when the layout or the trainer's state blob changes
+VERSION = 3  # bumped when the layout or the trainer's state blob changes
 
 _POLY = 0xC96C5795D7870F42
 _TABLE = []

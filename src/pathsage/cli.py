@@ -194,10 +194,9 @@ def cmd_synth(cfg, args):
 def cmd_sample(cfg, args):
     graph, _, _ = load_dataset(_require(cfg, "dataset", "--dataset"))
     node = _require(cfg, "node", "--node")
-    walks = sample_paths(graph, node, SamplePlan(cfg["counts"]),
-                         stream_rng(cfg["seed"], "walk", 0, node))
+    walks = sample_paths(graph, [node], SamplePlan(cfg["counts"]), cfg["seed"], "walk", 0)
     for l, bucket in enumerate(walks, start=1):
-        for row in bucket:
+        for row in bucket[0]:
             print(json.dumps({"length": l, "path": [int(v) for v in row]}))
     return 0
 

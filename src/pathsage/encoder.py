@@ -46,8 +46,7 @@ def affine_init(rng, fan_in, fan_out, dtype):
 class EncoderLayerParams:
     wq: Tensor
     bq: Tensor
-    wk: Tensor
-    bk: Tensor
+    wk: Tensor  # no key bias: softmax ignores the q.bk it adds to a score row
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -77,7 +76,7 @@ class EncoderParams:
         params = EncoderParams(heads=heads, w_in=w_in, b_in=b_in)
         for _ in range(num_layers):
             wq, bq = affine_init(rng, hidden, hidden, dtype)
-            wk, bk = affine_init(rng, hidden, hidden, dtype)
+            wk = affine_init(rng, hidden, hidden, dtype)[0]
             wv, bv = affine_init(rng, hidden, hidden, dtype)
             wo, bo = affine_init(rng, hidden, hidden, dtype)
             w1, b1 = affine_init(rng, hidden, 4 * hidden, dtype)
@@ -85,7 +84,7 @@ class EncoderParams:
             ones = lambda: Tensor(np.ones(hidden, dtype=dtype), requires_grad=True)
             zeros = lambda: Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
             params.layers.append(EncoderLayerParams(
-                wq, bq, wk, bk, wv, bv, wo, bo, w1, b1, w2, b2,
+                wq, bq, wk, wv, bv, wo, bo, w1, b1, w2, b2,
                 ones(), zeros(), ones(), zeros()))
         return params
 
@@ -107,7 +106,7 @@ def _encoder_layer(layer, x, heads, dropout_rate, rng):
     n, t, d = x.shape
     dh = d // heads
     q = _split_heads(ag.add(ag.matmul(x, layer.wq), layer.bq), heads)
-    k = _split_heads(ag.add(ag.matmul(x, layer.wk), layer.bk), heads)
+    k = _split_heads(ag.matmul(x, layer.wk), heads)
     v = _split_heads(ag.add(ag.matmul(x, layer.wv), layer.bv), heads)
     scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     attn = ag.softmax(scores)                       # (N, h, T, T)

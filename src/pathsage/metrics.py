@@ -11,7 +11,7 @@ from .autograd import no_record
 from .errors import EmptySplit, InvalidSetting, LengthMismatch, MalformedRecord, MissingFile
 from .graph import SINGLE_LABEL, is_int
 from .head import predict, sample_losses
-from .sampler import SamplePlan, sample_paths, stream_rng
+from .sampler import SamplePlan, sample_paths
 
 
 def micro_f1(predictions, targets, task):
@@ -41,7 +41,7 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
                batch_size=64, run=0):
     """Inference-mode evaluation over a node set -> (micro-F1, mean loss).
 
-    Paths are drawn with per-node evaluation seeds; a fixed (seed, run)
+    Paths are drawn from the nodes' eval streams; a fixed (seed, run)
     pair is exactly reproducible. The forward passes record no autograd
     graph.
     """
@@ -52,8 +52,7 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
     preds, losses = [], []
     for b0 in range(0, len(nodes), batch_size):
         chunk = nodes[b0:b0 + batch_size]
-        walks = [sample_paths(graph, int(c), plan, stream_rng(seed, "eval", run, int(c)))
-                 for c in chunk]
+        walks = sample_paths(graph, chunk, plan, seed, "eval", run)
         with no_record():
             logits = model.forward_batch(graph, walks)[0]
         target = labels.labels[chunk]
@@ -101,15 +100,14 @@ def dump_attention(model, graph, labels, node, counts_per_length, seed, out_path
     """One inference forward for `node`, recording no autograd graph; write
     a JSON line per (path, layer, head) with the full attention weight
     matrix."""
-    walks = sample_paths(graph, int(node), SamplePlan(counts_per_length),
-                         stream_rng(seed, "eval", 0, int(node)))
+    walks = sample_paths(graph, [node], SamplePlan(counts_per_length), seed, "eval", 0)
     with no_record():
-        _, attention = model.forward_batch(graph, [walks])
+        _, attention = model.forward_batch(graph, walks)
     count = 0
     with open(out_path, "w") as fh:
         for l, bucket in enumerate(walks, start=1):
             per_layer = attention[l]  # list over layers of (n_l, heads, T, T)
-            for j, row in enumerate(bucket):
+            for j, row in enumerate(bucket[0]):
                 path = [int(v) for v in row]
                 toks = _token_labels(labels, path)
                 for layer_idx, weights in enumerate(per_layer):

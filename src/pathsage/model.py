@@ -57,34 +57,29 @@ class PathSageModel:
             p.zero_grad()
 
     def forward_batch(self, graph: Graph, walks, rng=None):
-        """Forward one `sample_paths` walk tuple per central node; dropout
-        runs only when a dropout stream `rng` is given.
+        """Forward a batch's `sample_paths` tuple, whose entry l-1 is the
+        int64 (B, n_l, l+1) array of length-l walks; dropout runs only when
+        a dropout stream `rng` is given.
 
-        All central nodes must share the same sample plan shape. Returns
-        (logits Tensor (B, num_classes), attention) where attention maps
-        length l -> list over layers of (B*n_l, heads, T, T) arrays in
+        Returns (logits Tensor (B, num_classes), attention) where attention
+        maps length l -> list over layers of (B*n_l, heads, T, T) arrays in
         central-node-major path order.
         """
-        if not walks:
+        if len(walks) != self.config.depth_s:
+            raise ShapeMismatch(f"batch depth {len(walks)} != model depth {self.config.depth_s}")
+        b = walks[0].shape[0]
+        for l, w in enumerate(walks, start=1):
+            if w.ndim != 3 or w.shape[0] != b or w.shape[2] != l + 1:
+                raise ShapeMismatch(f"length-{l} walks of shape {w.shape} in a batch of {b}")
+        if b == 0:
             raise ShapeMismatch("empty batch")
-        shapes = [w.shape for w in walks[0]]
-        for walk in walks:
-            if [w.shape for w in walk] != shapes:
-                raise ShapeMismatch(f"walk shapes {[w.shape for w in walk]} != {shapes} "
-                                    "of the batch's first central node")
-        s = len(shapes)
-        if s != self.config.depth_s:
-            raise ShapeMismatch(f"batch depth {s} != model depth {self.config.depth_s}")
         pooled = []
         attention = {}
-        b = len(walks)
-        for l in range(1, s + 1):
-            paths = np.concatenate([w[l - 1] for w in walks], axis=0)
-            n_l = shapes[l - 1][0]
-            feats = Tensor(graph.features[paths])  # (B*n_l, l+1, F)
+        for l, w in enumerate(walks, start=1):
+            feats = Tensor(graph.features[w.reshape(-1, l + 1)])  # (B*n_l, l+1, F)
             reprs, attention[l] = encode_paths(self.encoder, self.pos_table, feats, rng=rng,
                                                dropout_rate=self.config.dropout_encoder)
-            reprs = ag.reshape(reprs, (b, n_l, self.config.hidden))
+            reprs = ag.reshape(reprs, w.shape[:2] + (self.config.hidden,))
             pooled.append(ag.canonical_bucket_mean(reprs))  # (B, d)
         concat = ag.concat(pooled, axis=-1)                 # (B, s*d)
         logits = head_forward(self.head, concat, rng=rng,

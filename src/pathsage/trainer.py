@@ -1,7 +1,7 @@
 """Mini-batch training: Adam with linear warmup/decay, deterministic replay.
 
-All stochastic choices (epoch shuffles, per-node path sampling, dropout)
-come from the keyed streams of `sampler.stream_rng`, so a run can be
+All stochastic choices (epoch shuffles, path sampling, dropout) come from
+the keyed streams of `sampler.stream_key`, so a run can be
 replayed or resumed from an epoch-boundary checkpoint and produce the
 identical loss sequence.
 """
@@ -110,10 +110,8 @@ def _clip_grads(grads):
 
 
 def sample_many(graph, nodes, plan, seed, epoch):
-    """Sample each central node's walk tuple from its epoch's walk stream ->
-    the list `forward_batch` takes."""
-    return [sample_paths(graph, int(c), plan, stream_rng(seed, "walk", epoch, int(c)))
-            for c in nodes]
+    """The batch's walks, from its nodes' walk streams of `epoch`."""
+    return sample_paths(graph, nodes, plan, seed, "walk", epoch)
 
 
 def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConfig,

@@ -56,8 +56,7 @@ def test_gradient_integrity(capsys):
                      hidden=8, heads=2, layers=1, depth_s=2)
     model = PathSageModel.init(mc, rng_for(5), dtype=np.float64)
     plan = SamplePlan((2, 2))
-    batches = [sample_paths(graph, c, plan, rng_for(derive_sample_seed(0, 0, c)))
-               for c in (0, 3)]
+    batches = sample_paths(graph, [0, 3], plan, 0, "walk", 0)
     targets = np.array([1, 2])
 
     def loss_value():
@@ -106,23 +105,21 @@ def test_sampler_validity_and_uniformity(capsys):
     plan = SamplePlan((25, 25, 25, 25))
     total = bad_steps = 0
     bad_shapes = 0
-    for central in range(1000):
-        batch = sample_paths(graph, central, plan,
-                             rng_for(derive_sample_seed(9, 0, central)))
-        for l, walks in enumerate(batch, start=1):
-            if walks.shape != (25, l + 1) or (walks[:, 0] != central).any():
-                bad_shapes += 1
-            total += walks.shape[0]
-            steps = np.stack([walks[:, :-1].ravel(), walks[:, 1:].ravel()], axis=1)
-            for a, b in steps:
-                if (int(a), int(b)) not in edge_set:
-                    bad_steps += 1
+    centrals = np.arange(1000)
+    batch = sample_paths(graph, centrals, plan, 9, "walk", 0)
+    for l, walks in enumerate(batch, start=1):
+        if walks.shape != (1000, 25, l + 1) or (walks[:, :, 0] != centrals[:, None]).any():
+            bad_shapes += 1
+        total += walks.shape[0] * walks.shape[1]
+        steps = np.stack([walks[..., :-1].ravel(), walks[..., 1:].ravel()], axis=1)
+        for a, b in steps:
+            if (int(a), int(b)) not in edge_set:
+                bad_steps += 1
 
     degrees = np.diff(graph.offsets)
     node4 = int(np.flatnonzero(degrees == 4)[0])
     draws = 20000
-    walks = sample_paths(graph, node4, SamplePlan((draws,)),
-                         rng_for(77))[0]
+    walks = sample_paths(graph, [node4], SamplePlan((draws,)), 77, "walk", 0)[0][0]
     counts = np.bincount(walks[:, 1], minlength=1000)
     nbrs = graph.neighbors[graph.offsets[node4]:graph.offsets[node4 + 1]]
     p = 1 / 4
@@ -170,9 +167,7 @@ def test_attention_rows_normalized(capsys):
     model = PathSageModel.init(mc, rng_for(3))
     plan = SamplePlan((3, 3, 3))
     nodes = rng_for(1).choice(300, size=100, replace=False)
-    batches = [sample_paths(graph, int(c), plan,
-                            rng_for(derive_sample_seed(4, 0, int(c))))
-               for c in nodes]
+    batches = sample_paths(graph, nodes, plan, 4, "walk", 0)
     _, attn = model.forward_batch(graph, batches)
     worst = 0.0
     rows = 0
@@ -200,12 +195,11 @@ def test_pooling_order_invariance(capsys):
     rng = np.random.Generator(np.random.PCG64(0))
     identical = True
     for central in (0, 17, 42):
-        batch = sample_paths(graph, central, plan,
-                             rng_for(derive_sample_seed(2, 0, central)))
-        base, _ = model.forward_batch(graph, [batch])
+        batch = sample_paths(graph, [central], plan, 2, "walk", 0)
+        base, _ = model.forward_batch(graph, batch)
         for _ in range(5):
-            shuffled = tuple(w[rng.permutation(len(w))] for w in batch)
-            again, _ = model.forward_batch(graph, [shuffled])
+            shuffled = tuple(w[:, rng.permutation(w.shape[1])] for w in batch)
+            again, _ = model.forward_batch(graph, shuffled)
             identical &= base.data.tobytes() == again.data.tobytes()
     report(capsys, 5, identical,
            "logits bit-identical under 15 within-bucket path shuffles "

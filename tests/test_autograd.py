@@ -307,7 +307,7 @@ def model_setup(tmp_path_factory):
 def test_forward_without_recording_is_bit_identical(model_setup, dropout):
     graph, _, _, model = model_setup
     plan = SamplePlan((3, 2))
-    walks = [sample_paths(graph, c, plan, stream_rng(1, "eval", 0, c)) for c in range(6)]
+    walks = sample_paths(graph, range(6), plan, 1, "eval", 0)
 
     def forward():
         rng = stream_rng(1, "dropout", 0, 0) if dropout else None
@@ -338,7 +338,7 @@ def test_float32_training_step_stays_float32(model_setup):
     graph, labels, _, model = model_setup
     plan = SamplePlan((3, 2))
     nodes = np.arange(6)
-    walks = [sample_paths(graph, c, plan, stream_rng(1, "walk", 0, c)) for c in nodes]
+    walks = sample_paths(graph, nodes, plan, 1, "walk", 0)
     model.zero_grad()
     logits = model.forward_batch(graph, walks, rng=stream_rng(1, "dropout", 0, 0))[0]
     ag.backward(head.loss(logits, labels.labels[nodes], labels.task))

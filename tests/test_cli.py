@@ -129,7 +129,14 @@ def test_missing_dataset_exits_2(capsys):
 
 def test_negative_node_exits_2(dataset, capsys):
     assert main(["sample", "--dataset", str(dataset), "--node", "-1"]) == 2
-    assert "walk stream key (0, -1)" in capsys.readouterr().err
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["pathsage: data error: node -1 not in [0, 60)"]
+
+
+def test_node_past_the_last_exits_2(dataset, capsys):
+    assert main(["sample", "--dataset", str(dataset), "--node", "60"]) == 2  # 60 nodes
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["pathsage: data error: node 60 not in [0, 60)"]
 
 
 def test_missing_required_setting_exits_2(dataset, tmp_path, capsys, monkeypatch):

@@ -113,7 +113,7 @@ def test_scaled_dot_product_matches_per_head_loop():
     x = feats[0] @ params.w_in.data + params.b_in.data + pos[:4]
     layer = params.layers[0]
     q = x @ layer.wq.data + layer.bq.data
-    k = x @ layer.wk.data + layer.bk.data
+    k = x @ layer.wk.data
     expect = []
     for h in range(heads):
         qh = q[:, h * dh:(h + 1) * dh]
@@ -142,7 +142,7 @@ def test_forward_matches_straight_line_oracle():
     x = feats @ params.w_in.data + params.b_in.data + pos[:3]
     layer = params.layers[0]
     q = x @ layer.wq.data + layer.bq.data
-    k = x @ layer.wk.data + layer.bk.data
+    k = x @ layer.wk.data
     v = x @ layer.wv.data + layer.bv.data
     dh = d // heads
     ctx = np.zeros_like(x)

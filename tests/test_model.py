@@ -7,7 +7,7 @@ import pytest
 from pathsage.errors import ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.model import ModelConfig, PathSageModel
-from pathsage.sampler import SamplePlan, derive_sample_seed, rng_for, sample_paths
+from pathsage.sampler import SamplePlan, rng_for, sample_paths
 from pathsage.synth import synth_planted_khop
 
 RNG = np.random.Generator(np.random.PCG64(17))
@@ -25,10 +25,7 @@ def setup(tmp_path_factory):
 
 
 def walks_for(graph, nodes, counts=(3, 3, 3), seed=0):
-    plan = SamplePlan(counts)
-    return [sample_paths(graph, int(c), plan,
-                         rng_for(derive_sample_seed(seed, 0, int(c))))
-            for c in nodes]
+    return sample_paths(graph, list(nodes), SamplePlan(counts), seed, "walk", 0)
 
 
 def test_logit_shapes(setup):
@@ -42,7 +39,7 @@ def test_single_node_matches_batch_row(setup):
     graph, model = setup
     batches = walks_for(graph, [4, 9])
     full, _ = model.forward_batch(graph, batches)
-    single, _ = model.forward_batch(graph, batches[:1])
+    single, _ = model.forward_batch(graph, tuple(w[:1] for w in batches))
     np.testing.assert_allclose(single.data[0], full.data[0], atol=1e-6)
 
 
@@ -52,8 +49,8 @@ def test_bucket_shuffle_leaves_logits_bit_identical(setup):
     base, _ = model.forward_batch(graph, batches)
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(4):
-        shuffled = tuple(w[rng.permutation(len(w))] for w in batches[0])
-        again, _ = model.forward_batch(graph, [shuffled])
+        shuffled = tuple(w[:, rng.permutation(w.shape[1])] for w in batches)
+        again, _ = model.forward_batch(graph, shuffled)
         assert base.data.tobytes() == again.data.tobytes()
 
 
@@ -71,19 +68,25 @@ def test_attention_collection_shapes(setup):
 
 def test_depth_mismatch_rejected(setup):
     graph, model = setup
-    plan = SamplePlan((2, 2))
-    bad = [sample_paths(graph, 0, plan, rng_for(0))]
+    with pytest.raises(ShapeMismatch, match="batch depth 2 != model depth 3"):
+        model.forward_batch(graph, walks_for(graph, [0], counts=(2, 2)))
     with pytest.raises(ShapeMismatch):
-        model.forward_batch(graph, bad)
-    with pytest.raises(ShapeMismatch):
-        model.forward_batch(graph, [])
-    # every central node of a batch must share the first one's sample plan
+        model.forward_batch(graph, ())
+    with pytest.raises(ShapeMismatch, match="empty batch"):
+        model.forward_batch(graph, walks_for(graph, []))
+
+
+def test_malformed_batch_arrays_rejected(setup):
+    graph, model = setup
     shallow = PathSageModel.init(replace(model.config, depth_s=2), rng_for(2))
-    for other in ((3, 2), (2,)):
-        ragged = [sample_paths(graph, 0, plan, rng_for(0)),
-                  sample_paths(graph, 1, SamplePlan(other), rng_for(1))]
+    one, two = walks_for(graph, [0, 1], counts=(2, 2))
+    for bad in ((one, two[:1]),              # the lengths disagree on B
+                (one[:1], two),
+                (one, two[:, :, :2]),        # length-2 walks of 2 nodes, not 3
+                (one[..., :1], two),
+                (one[0], two[0])):           # one node's arrays without the batch axis
         with pytest.raises(ShapeMismatch):
-            shallow.forward_batch(graph, ragged)
+            shallow.forward_batch(graph, bad)
 
 
 def test_training_mode_dropout_differs_but_is_seeded(setup):

@@ -31,27 +31,31 @@ def test_plan_validation():
         SamplePlan((1, 0))
 
 
+def walks_of(g, node, counts, seed=3, kind="walk", a=0):
+    """One node's walk arrays, sampled as a batch of one, batch axis dropped."""
+    return tuple(w[0] for w in sample_paths(g, [node], SamplePlan(counts), seed, kind, a))
+
+
 def test_star_center_length1_hits_a_leaf():
-    walks = sample_paths(STAR, 0, SamplePlan((10,)), rng_for(3))[0]
+    walks = walks_of(STAR, 0, (10,))[0]
     assert walks.shape == (10, 2)
     assert (walks[:, 0] == 0).all()
     assert set(walks[:, 1]) <= {1, 2, 3, 4}
 
 
 def test_star_length2_forced_back_to_center():
-    walks = sample_paths(STAR, 0, SamplePlan((1, 10)), rng_for(3))[1]
+    walks = walks_of(STAR, 0, (1, 10))[1]
     assert walks.shape == (10, 3)
     assert (walks[:, 0] == 0).all()
     assert (walks[:, 2] == 0).all()  # each leaf's only neighbor is the center
 
 
 def test_bucket_shapes_and_counts():
-    plan = SamplePlan((2, 2))
-    walks = sample_paths(K3, 0, plan, rng_for(42))
+    walks = sample_paths(K3, [0, 2], SamplePlan((2, 2)), 42, "walk", 0)
     assert len(walks) == 2
-    assert walks[0].shape == (2, 2) and walks[0].dtype == np.int64
-    assert walks[1].shape == (2, 3) and walks[1].dtype == np.int64
-    assert all((w[:, 0] == 0).all() for w in walks)
+    assert walks[0].shape == (2, 2, 2) and walks[0].dtype == np.int64
+    assert walks[1].shape == (2, 2, 3) and walks[1].dtype == np.int64
+    assert all((w[:, :, 0] == [[0], [2]]).all() for w in walks)
 
 
 def test_all_steps_are_edges():
@@ -63,28 +67,22 @@ def test_all_steps_are_edges():
     edge_set = {(int(u), int(v)) for u in range(n)
                 for v in g.neighbors[g.offsets[u]:g.offsets[u + 1]]}
     plan = SamplePlan((3, 3, 3, 3))
-    for central in range(0, n, 5):
-        for walks in sample_paths(g, central, plan, rng_for(central)):
-            for row in walks:
-                for a, b in zip(row[:-1], row[1:]):
-                    assert (int(a), int(b)) in edge_set
+    for walks in sample_paths(g, np.arange(0, n, 5), plan, 8, "walk", 0):
+        for row in walks.reshape(-1, walks.shape[-1]):
+            for a, b in zip(row[:-1], row[1:]):
+                assert (int(a), int(b)) in edge_set
 
 
 def test_determinism_bit_identical():
-    plan = SamplePlan((4, 4, 4))
-    b1 = sample_paths(K3, 0, plan, rng_for(99))
-    b2 = sample_paths(K3, 0, plan, rng_for(99))
+    b1 = walks_of(K3, 0, (4, 4, 4), seed=99)
+    b2 = walks_of(K3, 0, (4, 4, 4), seed=99)
     for w1, w2 in zip(b1, b2):
         assert (w1 == w2).all()
 
 
 def test_first_step_uniformity_three_sigma():
     trials = 30000
-    plan = SamplePlan((1,))
-    counts = np.zeros(3, dtype=np.int64)
-    for i in range(trials):
-        walks = sample_paths(K3, 0, plan, rng_for(derive_sample_seed(5, 0, i)))
-        counts[walks[0][0, 1]] += 1
+    counts = np.bincount(walks_of(K3, 0, (trials,), seed=5)[0][:, 1], minlength=3)
     assert counts[0] == 0
     p = 0.5
     sigma = np.sqrt(trials * p * (1 - p))
@@ -92,9 +90,65 @@ def test_first_step_uniformity_three_sigma():
         assert abs(c - trials * p) <= 3 * sigma
 
 
+# node 0 has degree 3 and node 4 degree 7: multiply-shift is exact only at
+# powers of two, so these check its rounding does not skew the pick
+HUBS = make_graph(12, [(0, i) for i in (1, 2, 3)] + [(4, i) for i in range(5, 12)])
+
+
+@pytest.mark.parametrize("hub,deg", [(0, 3), (4, 7)])
+def test_first_step_uniform_at_degrees_3_and_7(hub, deg):
+    trials = 30000
+    first = walks_of(HUBS, hub, (trials,), seed=11)[0][:, 1]
+    nbrs = HUBS.neighbors[HUBS.offsets[hub]:HUBS.offsets[hub + 1]]
+    assert len(nbrs) == deg and set(first) <= set(nbrs)
+    counts = np.bincount(first, minlength=HUBS.num_nodes)[nbrs]
+    p = 1 / deg
+    sigma = np.sqrt(trials * p * (1 - p))
+    assert np.abs(counts - trials * p).max() <= 3 * sigma
+
+
+def test_node_walks_do_not_depend_on_the_batch():
+    g = make_graph(50, [(u, (u * 7 + 3) % 50) for u in range(50) if u != (u * 7 + 3) % 50])
+    nodes = np.array([4, 17, 0, 33, 49])
+    plan = SamplePlan((3, 2, 4))
+    batch = sample_paths(g, nodes, plan, 6, "eval", 2)
+    reverse = sample_paths(g, nodes[::-1], plan, 6, "eval", 2)
+    for i, node in enumerate(nodes):
+        alone = walks_of(g, node, plan.counts_per_length, seed=6, kind="eval", a=2)
+        for l in range(3):
+            assert (batch[l][i] == alone[l]).all()
+            assert (reverse[l][len(nodes) - 1 - i] == alone[l]).all()
+
+
+def test_draws_do_not_repeat_across_walks_steps_and_lengths():
+    # every node's neighbor list is 0..1023, so a walk's nodes are its picks,
+    # and a pick is the top 10 bits of its draw
+    n = 1024
+    g = Graph(num_nodes=n, offsets=np.arange(0, n * n + 1, n), neighbors=np.tile(np.arange(n), n),
+              features=np.zeros((n, 2), dtype=np.float32), directed=True)
+    one, two, three = walks_of(g, 5, (100, 100, 100))
+    pairs = {
+        "length-1 vs length-2 first steps": (one[:, 1], two[:, 1]),
+        "first vs second step of a walk": (two[:, 1], two[:, 2]),
+        "walk j vs walk j+1": (two[:-1, 1:], two[1:, 1:]),
+        "step 2 of walk j vs step 1 of walk j+1": (two[:-1, 2], two[1:, 1]),
+    }
+    for name, (x, y) in pairs.items():
+        assert (x == y).mean() < 0.05, name  # 1/1024 for independent draws
+    # over all 600 draws, equal pairs stay near the C(600, 2)/1024 of
+    # independent draws; a counter reused between any two draw families adds
+    # at least 100
+    picks = np.concatenate([one[:, 1:].ravel(), two[:, 1:].ravel(), three[:, 1:].ravel()])
+    counts = np.bincount(picks, minlength=n)
+    equal_pairs = (counts * (counts - 1) // 2).sum()
+    expected = len(picks) * (len(picks) - 1) / 2 / n
+    assert equal_pairs < expected + 5 * np.sqrt(expected)
+
+
 def test_central_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        sample_paths(K3, 7, SamplePlan((1,)), rng_for(0))
+    for nodes, bad in (([7], 7), ([0, -1, 2], -1), ([1, 3], 3)):
+        with pytest.raises(IndexOutOfRange, match=f"node {bad} not in"):
+            sample_paths(K3, nodes, SamplePlan((1,)), 0, "walk", 0)
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -102,6 +156,9 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_sample_seed(0, 0, 0) != derive_sample_seed(0, 0, 1)
     assert derive_sample_seed(0, 0, 0) != derive_sample_seed(0, 1, 0)
     assert derive_sample_seed(0, 0, 0) != derive_sample_seed(1, 0, 0)
+    nodes = np.array([0, 1, 0xC0DE, 2 ** 40])
+    assert derive_sample_seed(3, 2, nodes).tolist() == [derive_sample_seed(3, 2, int(n))
+                                                        for n in nodes]
 
 
 def test_derive_seed_collision_scan():

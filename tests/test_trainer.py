@@ -255,13 +255,15 @@ def test_truncated_checkpoint_rejected(tiny_dataset, tmp_path):
 
 
 def test_version_1_checkpoint_rejected(tmp_path):
-    path = tmp_path / "v1.psck"
-    save_checkpoint(path, {"x": 1}, {"w": np.ones(4, np.float32)})
-    data = bytearray(path.read_bytes())
-    data[4:8] = (1).to_bytes(4, "little")
-    path.write_bytes(bytes(data))
-    with pytest.raises(VersionMismatch, match="version 1, expected 2"):
-        load_model_checkpoint(path)
+    # version 1 recorded the Adam and clipping constants, version 2 held encoder.layer{k}.bk
+    for old in (1, 2):
+        path = tmp_path / f"v{old}.psck"
+        save_checkpoint(path, {"x": 1}, {"w": np.ones(4, np.float32)})
+        data = bytearray(path.read_bytes())
+        data[4:8] = old.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(VersionMismatch, match=f"version {old}, expected 3"):
+            load_model_checkpoint(path)
 
 
 def test_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
