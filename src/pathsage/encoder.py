@@ -3,7 +3,10 @@
 A sampled path [c, v_1, ..., v_l] becomes a token sequence whose position
 index is each node's walk distance from the central node (the central node
 itself sits at position 0). After m post-norm transformer layers the
-position-0 output is the path representation.
+position-0 output is the path representation. Only that row leaves the
+encoder, so the last layer's attention still covers every token (its maps
+are reported), but its output projection, residuals, dropout, layer norms
+and FFN run on one row per path instead of T.
 """
 
 from __future__ import annotations
@@ -102,7 +105,14 @@ def _split_heads(x, heads):
     return ag.transpose(x, (0, 2, 1, 3))  # (N, h, T, dh)
 
 
-def _encoder_layer(layer, x, heads, dropout_rate, rng):
+def _encoder_layer(layer, x, heads, dropout_rate, rng, readout=False):
+    """One post-norm layer on x (N, T, d) -> (output, attention (N, h, T, T)).
+
+    The output is (N, T, d), or with `readout` only its position-0 row
+    (N, d), computed past attention from attention row 0 alone. Dropout
+    draws the whole (N, T, d) mask either way, so the stream does not
+    depend on `readout`.
+    """
     n, t, d = x.shape
     dh = d // heads
     q = _split_heads(ag.add(ag.matmul(x, layer.wq), layer.bq), heads)
@@ -110,13 +120,20 @@ def _encoder_layer(layer, x, heads, dropout_rate, rng):
     v = _split_heads(ag.add(ag.matmul(x, layer.wv), layer.bv), heads)
     scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     attn = ag.softmax(scores)                       # (N, h, T, T)
-    ctx = ag.matmul(attn, v)                        # (N, h, T, dh)
-    ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (n, t, d))
+    if readout:
+        row0 = ag.reshape(ag.select(attn, axis=2, index=0), (n, heads, 1, t))
+        ctx = ag.reshape(ag.matmul(row0, v), (n, d))  # (N, h, 1, dh) -> (N, d)
+        x = ag.select(x, axis=1, index=0)
+        row0_of = (n, t, d)
+    else:
+        ctx = ag.matmul(attn, v)                    # (N, h, T, dh)
+        ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (n, t, d))
+        row0_of = None
     out = ag.add(ag.matmul(ctx, layer.wo), layer.bo)
-    out = ag.dropout(out, dropout_rate, rng)
+    out = ag.dropout(out, dropout_rate, rng, row0_of)
     x = ag.layer_norm(ag.add(x, out), layer.ln1_g, layer.ln1_b)
     ff = ag.matmul(ag.relu(ag.add(ag.matmul(x, layer.w1), layer.b1)), layer.w2)
-    ff = ag.dropout(ag.add(ff, layer.b2), dropout_rate, rng)
+    ff = ag.dropout(ag.add(ff, layer.b2), dropout_rate, rng, row0_of)
     x = ag.layer_norm(ag.add(x, ff), layer.ln2_g, layer.ln2_b)
     return x, attn.data
 
@@ -141,8 +158,9 @@ def encode_paths(params: EncoderParams, pos, path_features, rng=None,
     x = ag.add(ag.matmul(path_features, params.w_in), params.b_in)
     x = ag.add(x, Tensor(pos[:t].astype(x.dtype)))
     attn_all = []
-    for layer in params.layers:
-        x, attn = _encoder_layer(layer, x, params.heads, dropout_rate, rng)
+    last = len(params.layers) - 1
+    for k, layer in enumerate(params.layers):
+        x, attn = _encoder_layer(layer, x, params.heads, dropout_rate, rng,
+                                 readout=k == last)
         attn_all.append(attn)
-    reprs = ag.select(x, axis=1, index=0)  # position-0 readout
-    return reprs, attn_all
+    return x, attn_all

@@ -27,9 +27,13 @@ class ModelConfig:
     dropout_output: float = 0.3
 
     def __post_init__(self):
-        for name in ("hidden", "heads", "depth_s"):
+        # layers >= 1: the path representation is the last layer's position-0 row
+        for name in ("hidden", "heads", "layers", "depth_s"):
             if getattr(self, name) < 1:
                 raise InvalidSetting(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("dropout_encoder", "dropout_output"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise InvalidSetting(f"{name} {getattr(self, name)} outside [0, 1)")
 
 
 @dataclass

@@ -118,12 +118,14 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
                 epoch, state: OptimizerState, total_steps):
     """One pass over the training nodes; fresh paths are sampled per epoch.
 
-    Returns (mean loss, micro-F1 of the in-epoch predictions).
+    Returns (mean loss, micro-F1 of the in-epoch predictions, largest
+    pre-clip gradient norm of its steps).
     """
     plan = SamplePlan(cfg.counts_per_length)
     order = stream_rng(cfg.seed, "shuffle", epoch).permutation(train_nodes)
     losses = []
     preds, targets = [], []
+    max_norm = 0.0
     for b0 in range(0, len(order), cfg.batch_size):
         nodes = order[b0:b0 + cfg.batch_size]
         walks = sample_many(graph, nodes, plan, cfg.seed, epoch)
@@ -147,11 +149,12 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
         adam_step(model.named_params(), grads, state,
                   lr_at(state.step + 1, total_steps, cfg))
         losses.append(value)
+        max_norm = max(max_norm, norm)
         preds.append(head_ops.predict(logits, labels.task))
         targets.append(target)
     preds = np.concatenate(preds)
     targets = np.concatenate(targets)
-    return float(np.mean(losses)), micro_f1(preds, targets, labels.task)
+    return float(np.mean(losses)), micro_f1(preds, targets, labels.task), max_norm
 
 
 @dataclass
@@ -169,8 +172,9 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
     provided).
 
     Each history record holds the epoch, its mean `loss`, `train_micro_f1`,
-    the wall `seconds` of its `train_epoch` and the training `nodes_per_s`
-    they give, plus `val_micro_f1` and `val_loss` when validated.
+    the `lr` of its last step, its largest pre-clip `grad_norm`, the wall
+    `seconds` of its `train_epoch` and the training `nodes_per_s` they give,
+    plus `val_micro_f1` and `val_loss` when validated.
     """
     state = state or OptimizerState()
     steps_per_epoch = math.ceil(len(splits.train) / cfg.batch_size)
@@ -179,10 +183,11 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
     epoch = start_epoch
     for epoch in range(start_epoch, cfg.epochs):
         start = time.perf_counter()
-        mean_loss, train_f1 = train_epoch(model, graph, labels, splits.train,
-                                          cfg, epoch, state, total_steps)
+        mean_loss, train_f1, grad_norm = train_epoch(model, graph, labels, splits.train,
+                                                     cfg, epoch, state, total_steps)
         seconds = time.perf_counter() - start
         record = {"epoch": epoch, "loss": mean_loss, "train_micro_f1": train_f1,
+                  "lr": lr_at(state.step, total_steps, cfg), "grad_norm": grad_norm,
                   "seconds": seconds, "nodes_per_s": len(splits.train) / seconds}
         if eval_fn is not None and len(splits.val):
             val_f1, val_loss = eval_fn(model, epoch)
@@ -248,13 +253,13 @@ def _restore(meta, blocks):
         stored = blocks[f"param:{name}"]
         if stored.shape != p.data.shape:
             raise ShapeMismatch(f"checkpoint block {name}", stored.shape, p.data.shape)
-        p.data = stored.copy()
+        p.data = stored  # load_checkpoint gives each block its own array
     state = OptimizerState(step=meta["adam"]["step"])
     for key, arr in blocks.items():
         if key.startswith("adam.m:"):
             name = key[len("adam.m:"):]
-            state.m[name] = arr.copy()
-            state.v[name] = blocks[f"adam.v:{name}"].copy()
+            state.m[name] = arr
+            state.v[name] = blocks[f"adam.v:{name}"]
     cfg = TrainConfig(**dict(meta["train"],
                              counts_per_length=tuple(meta["train"]["counts_per_length"])))
     extras = {"next_epoch": meta["next_epoch"], "best_val": meta["best_val"],

@@ -225,8 +225,8 @@ def overfit_run(tmp_path_factory):
     t0 = time.time()
     best_f1, epochs_used = 0.0, 0
     for epoch in range(cfg.epochs):
-        _, f1 = train_epoch(model, graph, labels, splits.train, cfg, epoch,
-                            state, total)
+        _, f1, _ = train_epoch(model, graph, labels, splits.train, cfg, epoch,
+                               state, total)
         best_f1 = max(best_f1, f1)
         epochs_used = epoch + 1
         if f1 >= 0.95:

@@ -3,7 +3,7 @@ import pytest
 
 from pathsage import autograd as ag
 from pathsage import head
-from pathsage.errors import NonScalarLoss, ShapeMismatch
+from pathsage.errors import InvalidSetting, NonScalarLoss, ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.metrics import eval_split
 from pathsage.model import ModelConfig, PathSageModel
@@ -208,6 +208,20 @@ def test_dropout_identity_in_eval_and_scales_in_train():
     kept = out[out != 0]
     np.testing.assert_allclose(kept, 2.0)
     assert abs(out.mean() - 1.0) < 0.15  # inverted scaling keeps expectation
+
+
+def test_dropout_of_row_0_draws_the_whole_mask():
+    x = ag.Tensor(np.random.default_rng(5).normal(size=(3, 5, 4)), dtype=np.float32)
+    rng_full, rng_row = (np.random.Generator(np.random.PCG64(6)) for _ in range(2))
+    full = ag.dropout(x, 0.4, rng_full).data
+    row = ag.dropout(ag.select(x, 1, 0), 0.4, rng_row, row0_of=(3, 5, 4)).data
+    assert row.dtype == np.float32 and row.tobytes() == full[:, 0].tobytes()
+    assert rng_full.random() == rng_row.random()
+    for bad in ((3, 5, 3), (2, 5, 4)):
+        with pytest.raises(ShapeMismatch):
+            ag.dropout(ag.select(x, 1, 0), 0.4, rng_row, row0_of=bad)
+    with pytest.raises(InvalidSetting):
+        ag.dropout(ag.select(x, 1, 0), 1.0, rng_row, row0_of=(3, 5, 4))
 
 
 def test_gradient_accumulates_across_branches():

@@ -57,7 +57,12 @@ def test_traced_train_epoch_and_eval_split(tmp_path):
     finally:
         t.uninstall()
         rec.uninstall()
-    spans, _, hygiene = t.analyse()
+    spans, layers, hygiene = t.analyse()
+    # the readout layer is traced like the others, forward and backward
+    assert sorted(layers) == [0, 1]
+    for k in (0, 1):
+        fwd, bwd = layers[k]
+        assert fwd > 0 and bwd > 0, k
     for name in ("sampler.sample_paths", "encoder.encode_paths", "encoder.layer",
                  "autograd.dropout.fwd", "head.head_forward"):
         assert spans.get(name, (0,))[0] > 0, name

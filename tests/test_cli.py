@@ -434,6 +434,35 @@ def test_train_logs_epoch_seconds_and_throughput(dataset, tmp_path, capsys):
         assert r["seconds"] > 0 and r["nodes_per_s"] > 0
 
 
+def test_train_logs_epoch_lr_and_grad_norm(dataset, tmp_path, capsys):
+    assert main(["train", "--dataset", str(dataset), "--checkpoint",
+                 str(tmp_path / "m.psck"), *TRAIN_FLAGS]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    epochs = [r for r in records if r["event"] == "epoch"]
+    assert len(epochs) == 2
+    assert 0.0 < epochs[0]["lr"] <= 1e-3 and epochs[1]["lr"] == 0.0  # decays to 0
+    assert all(0.0 < r["grad_norm"] < float("inf") for r in epochs)
+
+
+@pytest.mark.parametrize("argv, config, needle", [
+    (["--layers", "0"], None, "layers must be >= 1, got 0"),
+    ([], {"dropout_encoder": 1.5}, "dropout_encoder 1.5 outside [0, 1)"),
+])
+def test_model_setting_without_a_readout_exits_2(dataset, tmp_path, capsys, argv, config,
+                                                  needle):
+    ckpt = tmp_path / "m.psck"
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "c.json")]
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                 *TRAIN_FLAGS, *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [f"pathsage: error: {needle}"]
+    assert not ckpt.exists()
+
+
 def test_train_and_attn_dump_create_output_directories(dataset, tmp_path, capsys):
     ckpt = tmp_path / "new" / "m.psck"
     dump = tmp_path / "other" / "a.jsonl"

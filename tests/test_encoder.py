@@ -4,9 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from pathsage import autograd as ag
 from pathsage.autograd import Tensor
 from pathsage.encoder import (
     EncoderParams,
+    _encoder_layer,
     build_position_table,
     encode_paths,
 )
@@ -180,6 +182,73 @@ def test_encoder_gradients_finite_difference():
 
     worst = check_grad(build, arrays, step=1e-5, rtol=1e-3)
     assert worst < 1e-3
+
+
+# --- position-0 readout of the last layer --------------------------------
+
+def full_layers(params, pos, feats, rate=0.0, rng=None):
+    """Every layer on all T tokens -> (last layer's (N, T, d) output, attention)."""
+    x = ag.add(ag.matmul(Tensor(feats), params.w_in), params.b_in)
+    x = ag.add(x, Tensor(pos[:feats.shape[1]]))
+    attn = []
+    for layer in params.layers:
+        x, a = _encoder_layer(layer, x, params.heads, rate, rng)
+        attn.append(a)
+    return x, attn
+
+
+def test_readout_is_row_0_of_the_full_last_layer():
+    params = tiny_encoder(layers=2, seed=11)
+    pos = build_position_table(8, 8, dtype=np.float64)
+    feats = RNG.normal(size=(7, 6, 5))
+    reprs, attn = encode_paths(params, pos, Tensor(feats))
+    full, full_attn = full_layers(params, pos, feats)
+    assert reprs.shape == (7, 8)
+    np.testing.assert_allclose(reprs.data, full.data[:, 0], rtol=0, atol=1e-12)
+    assert len(attn) == 2
+    for got, want in zip(attn, full_attn):
+        assert got.shape == (7, 2, 6, 6) and got.tobytes() == want.tobytes()
+
+
+def test_readout_advances_the_dropout_stream_as_the_full_layer_does():
+    params = tiny_encoder(layers=2, seed=12)
+    pos = build_position_table(8, 8, dtype=np.float64)
+    feats = RNG.normal(size=(5, 4, 5))
+    rng_a, rng_b = (np.random.Generator(np.random.PCG64(21)) for _ in range(2))
+    reprs, attn = encode_paths(params, pos, Tensor(feats), rng=rng_a, dropout_rate=0.3)
+    full, full_attn = full_layers(params, pos, feats, 0.3, rng_b)
+    np.testing.assert_allclose(reprs.data, full.data[:, 0], rtol=0, atol=1e-12)
+    for got, want in zip(attn, full_attn):
+        assert got.tobytes() == want.tobytes()
+    assert rng_a.random(3).tobytes() == rng_b.random(3).tobytes()
+    undropped, _ = encode_paths(params, pos, Tensor(feats))
+    assert not np.allclose(reprs.data, undropped.data)  # dropout did act
+
+
+def test_readout_layer_gradients_finite_difference():
+    # wq and wk of the last layer reach the output only through attention row 0
+    d, heads = 8, 2
+    feats = RNG.normal(size=(2, 4, 5))
+    weights = Tensor(RNG.normal(size=(2, d)))
+    params = tiny_encoder(d=d, heads=heads, layers=2, seed=17)
+    last = params.layers[-1]
+    names = [f.name for f in fields(last)]
+    arrays = [getattr(last, name).data.copy() for name in names]
+    pos = build_position_table(6, d, dtype=np.float64)
+
+    def build(ts):
+        for name, t in zip(names, ts):
+            setattr(last, name, t)
+        reprs, _ = encode_paths(params, pos, Tensor(feats))
+        return tsum(mul(reprs, weights))
+
+    probes = [Tensor(a, requires_grad=True) for a in arrays]
+    ag.backward(build(probes))
+    for name, t in zip(names, probes):
+        if name in ("wq", "bq", "wk"):
+            assert np.abs(t.grad).max() > 1e-6, name  # not vacuous
+    worst = check_grad(build, arrays, step=1e-5, rtol=1e-4)
+    assert worst < 1e-4
 
 
 def test_path_too_long():

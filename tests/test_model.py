@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from pathsage.errors import ShapeMismatch
+from pathsage.errors import InvalidSetting, ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.model import ModelConfig, PathSageModel
 from pathsage.sampler import SamplePlan, rng_for, sample_paths
@@ -103,3 +103,19 @@ def test_config_json_roundtrip(setup):
     _, model = setup
     d = json.loads(json.dumps(asdict(model.config)))
     assert ModelConfig(**d) == model.config
+
+
+@pytest.mark.parametrize("field, value", [
+    ("layers", 0), ("layers", -1), ("hidden", 0), ("heads", 0), ("depth_s", 0),
+    ("dropout_encoder", 1.5), ("dropout_encoder", 1.0), ("dropout_encoder", -0.1),
+    ("dropout_output", 1.0), ("dropout_output", float("nan")),
+])
+def test_config_rejects_settings_the_model_cannot_serve(field, value):
+    with pytest.raises(InvalidSetting, match=field):
+        ModelConfig(feature_dim=4, num_classes=3, task="multiclass", **{field: value})
+
+
+def test_config_accepts_one_layer_and_zero_dropout():
+    mc = ModelConfig(feature_dim=4, num_classes=3, task="multiclass", layers=1,
+                     dropout_encoder=0.0, dropout_output=0.0)
+    assert (mc.layers, mc.dropout_encoder, mc.dropout_output) == (1, 0.0, 0.0)

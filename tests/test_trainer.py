@@ -6,6 +6,7 @@ import pytest
 
 from pathsage import autograd as ag
 from pathsage import checkpoint
+from pathsage import trainer as trainer_mod
 from pathsage.checkpoint import load_checkpoint, save_checkpoint
 from pathsage.errors import (ChecksumMismatch, IncompleteCheckpoint, InvalidSetting,
                              NonFiniteGradient, VersionMismatch)
@@ -168,10 +169,40 @@ def test_epoch_returns_finite_loss_and_f1(tiny_dataset):
     graph, labels, splits = tiny_dataset
     cfg = tiny_cfg()
     model = make_model(graph, labels, cfg)
-    loss, f1 = train_epoch(model, graph, labels, splits.train, cfg, epoch=0,
-                           state=OptimizerState(), total_steps=100)
+    loss, f1, norm = train_epoch(model, graph, labels, splits.train, cfg, epoch=0,
+                                 state=OptimizerState(), total_steps=100)
     assert np.isfinite(loss)
     assert 0.0 <= f1 <= 1.0
+    assert 0.0 < norm < np.inf
+
+
+def test_epoch_grad_norm_is_the_largest_pre_clip_norm(tiny_dataset, monkeypatch):
+    graph, labels, splits = tiny_dataset
+    cfg = tiny_cfg()
+    model = make_model(graph, labels, cfg)
+    norms = []
+    real_clip = trainer_mod._clip_grads
+
+    def reporting_clip(grads):  # the largest norm of step 2 is neither first nor last
+        norms.append(real_clip(grads))
+        return 9.0 if len(norms) == 2 else 1.0
+
+    monkeypatch.setattr(trainer_mod, "_clip_grads", reporting_clip)
+    _, _, norm = train_epoch(model, graph, labels, splits.train, cfg, 0, OptimizerState(), 100)
+    assert len(norms) == -(-len(splits.train) // cfg.batch_size) > 2
+    assert norm == 9.0
+
+
+def test_fit_records_last_lr_and_grad_norm(tiny_dataset):
+    graph, labels, splits = tiny_dataset
+    cfg = tiny_cfg(epochs=3)
+    result = fit(make_model(graph, labels, cfg), graph, labels, splits, cfg)
+    steps = -(-len(splits.train) // cfg.batch_size)
+    for rec in result.history:
+        last_step = (rec["epoch"] + 1) * steps
+        assert rec["lr"] == lr_at(last_step, steps * cfg.epochs, cfg)
+        assert 0.0 < rec["grad_norm"] < np.inf
+    assert result.history[-1]["lr"] == 0.0  # the schedule ends at zero
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -233,6 +264,11 @@ def test_checkpoint_roundtrip_bit_exact(tiny_dataset, tmp_path):
         assert (state2.m[name] == state.m[name].astype(np.float32)).all()
     assert cfg2 == cfg
     assert extras == {"next_epoch": 1, "best_val": 0.5, "bad_epochs": 0}
+    # every restored parameter and moment is its own writable array
+    arrays = ([p.data for _, p in loaded.named_params()]
+              + list(state2.m.values()) + list(state2.v.values()))
+    assert all(a.flags.writeable and a.flags.c_contiguous for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
     # save -> load -> save is byte-identical
     path2 = tmp_path / "b.psck"
     save_model_checkpoint(path2, loaded, state2, cfg2, next_epoch=1, best_val=0.5)
