@@ -1,30 +1,42 @@
-"""Versioned binary checkpoints with a trailing CRC64.
+"""Versioned binary checkpoints with a trailing CRC-32.
 
 Layout: magic "PSCK", u32 version, u64 json_len, JSON state blob
 (sorted keys), u64 block count, then per block: u16 name length, name
 bytes, u8 ndim, ndim x u64 dims, raw little-endian f32 payload; finally
-a u64 CRC64 (ECMA, reflected) of everything before it.
+a u32 CRC-32 (zlib's) of everything before it.
 
-Saving writes a temporary file next to the target, fsyncs it, renames it
-over the target and fsyncs the directory, so a failed or interrupted save
-leaves the previous checkpoint intact and a finished one survives a power
-loss.
+Saving streams the header and then each block's header and payload straight
+into a temporary file next to the target, folding every piece into a
+running CRC as it is written, so no payload is copied. It then fsyncs the
+file, renames it over the target and fsyncs the directory, so a failed or
+interrupted save leaves the previous checkpoint intact and a finished one
+survives a power loss.
+
+Loading reads the file once, checks the CRC over it in place and copies
+each block once into its own aligned array. A file whose CRC holds but
+whose fields do not parse (a block count or shape that runs past the data,
+bytes left after the last block, a state blob that is not a JSON object)
+raises IncompleteCheckpoint.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumMismatch, MissingFile, VersionMismatch
+from .errors import ChecksumMismatch, IncompleteCheckpoint, MissingFile, VersionMismatch
 
 MAGIC = b"PSCK"
-VERSION = 3  # bumped when the layout or the trainer's state blob changes
+VERSION = 4  # bumped when the layout or the trainer's state blob changes
 
+# The pure-Python CRC64 of format versions 1-3. Nothing here calls it;
+# perfbench/tracer.py still binds it by name.
 _POLY = 0xC96C5795D7870F42
 _TABLE = []
 for _i in range(256):
@@ -43,29 +55,28 @@ def crc64(data, crc=0):
 
 def save_checkpoint(path, state_json, blocks):
     """Write state (a JSON-serializable dict) plus named float arrays."""
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
     blob = json.dumps(state_json, sort_keys=True).encode()
-    buf += struct.pack("<Q", len(blob))
-    buf += blob
     items = sorted(blocks.items())
-    buf += struct.pack("<Q", len(items))
-    for name, arr in items:
-        raw = name.encode()
-        arr = np.ascontiguousarray(arr, dtype="<f4")
-        buf += struct.pack("<H", len(raw))
-        buf += raw
-        buf += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            buf += struct.pack("<Q", dim)
-        buf += arr.tobytes()
-    buf += struct.pack("<Q", crc64(buf))
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(buf)
+            crc = 0
+
+            def put(piece):
+                nonlocal crc
+                fh.write(piece)
+                crc = zlib.crc32(piece, crc)
+
+            put(MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob
+                + struct.pack("<Q", len(items)))
+            for name, arr in items:
+                raw = name.encode()
+                arr = np.asarray(arr, dtype="<f4", order="C")  # a 0-d array stays 0-d
+                put(struct.pack(f"<H{len(raw)}sB{arr.ndim}Q", len(raw), raw, arr.ndim,
+                                *arr.shape))
+                put(memoryview(arr))
+            fh.write(struct.pack("<I", crc))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -87,33 +98,59 @@ def load_checkpoint(path):
     buf = path.read_bytes()
     if len(buf) < 4 or buf[:4] != MAGIC:
         raise VersionMismatch(f"{path}: not a checkpoint file")
-    if len(buf) < 24:
+    if len(buf) < 12:
         raise ChecksumMismatch(f"{path}: truncated checkpoint")
     (version,) = struct.unpack_from("<I", buf, 4)
     if version != VERSION:
         raise VersionMismatch(f"{path}: checkpoint version {version}, expected {VERSION}")
-    (stored_crc,) = struct.unpack_from("<Q", buf, len(buf) - 8)
-    if crc64(buf[:-8]) != stored_crc:
-        raise ChecksumMismatch(f"{path}: CRC64 mismatch")
+    end = len(buf) - 4
+    (stored_crc,) = struct.unpack_from("<I", buf, end)
+    if zlib.crc32(memoryview(buf)[:end]) != stored_crc:
+        raise ChecksumMismatch(f"{path}: checksum mismatch")
+    return _parse(buf, end, path)
+
+
+def _parse(buf, end, path):
+    """The state and blocks of a checksummed file, each field checked against
+    `end`, where the trailer starts."""
     off = 8
-    (json_len,) = struct.unpack_from("<Q", buf, off)
-    off += 8
-    state = json.loads(buf[off:off + json_len].decode())
-    off += json_len
-    (n_blocks,) = struct.unpack_from("<Q", buf, off)
-    off += 8
+
+    def take(n, what):
+        nonlocal off
+        if n > end - off:
+            raise IncompleteCheckpoint(f"{path}: {what} runs past the end of the data")
+        off += n
+        return off - n
+
+    (json_len,) = struct.unpack_from("<Q", buf, take(8, "the state length"))
+    start = take(json_len, "the state")
+    try:
+        state = json.loads(buf[start:off].decode())
+    except ValueError:  # not UTF-8 or not JSON
+        state = None
+    if not isinstance(state, dict):
+        raise IncompleteCheckpoint(f"{path}: the state is not a JSON object")
+    (n_blocks,) = struct.unpack_from("<Q", buf, take(8, "the block count"))
     blocks = {}
-    for _ in range(n_blocks):
-        (name_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off:off + name_len].decode()
-        off += name_len
-        ndim = buf[off]
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}Q", buf, off)
-        off += 8 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(buf, dtype="<f4", count=count, offset=off).reshape(shape)
+    for k in range(n_blocks):
+        what = f"block {k} of {n_blocks}"
+        (name_len,) = struct.unpack_from("<H", buf, take(2, what))
+        start = take(name_len, what)
+        try:
+            name = buf[start:off].decode()
+        except UnicodeDecodeError:
+            raise IncompleteCheckpoint(f"{path}: {what} has a name that is not UTF-8") from None
+        if name in blocks:
+            raise IncompleteCheckpoint(f"{path}: block {name!r} appears twice")
+        ndim = buf[take(1, what)]
+        shape = struct.unpack_from(f"<{ndim}Q", buf, take(8 * ndim, what))
+        count = math.prod(shape)
+        start = take(4 * count, f"block {name!r} of shape {shape}")
+        try:
+            arr = np.frombuffer(buf, dtype="<f4", count=count, offset=start).reshape(shape)
+        except ValueError:  # an empty block with a dimension past numpy's limit
+            raise IncompleteCheckpoint(f"{path}: block {name!r} has shape {shape}") from None
         blocks[name] = arr.copy()
-        off += 4 * count
+    if off != end:
+        raise IncompleteCheckpoint(f"{path}: {end - off} bytes after the last block")
     return state, blocks

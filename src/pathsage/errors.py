@@ -103,8 +103,8 @@ class ChecksumMismatch(DataError):
 
 
 class IncompleteCheckpoint(DataError):
-    """A checkpoint with a valid CRC lacks a block or a state key, or carries
-    an unknown one."""
+    """A checkpoint with a valid checksum whose fields do not parse, or that
+    lacks a block or a state key, or carries an unknown one."""
 
 
 # --- metrics ---

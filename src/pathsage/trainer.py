@@ -174,7 +174,10 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
     Each history record holds the epoch, its mean `loss`, `train_micro_f1`,
     the `lr` of its last step, its largest pre-clip `grad_norm`, the wall
     `seconds` of its `train_epoch` and the training `nodes_per_s` they give,
-    plus `val_micro_f1` and `val_loss` when validated.
+    the wall seconds spent validating (`eval_seconds`) and writing the
+    checkpoint (`checkpoint_seconds`), plus `val_micro_f1` and `val_loss`
+    when validated. `log_fn` sees each record after the epoch's checkpoint
+    is written.
     """
     state = state or OptimizerState()
     steps_per_epoch = math.ceil(len(splits.train) / cfg.batch_size)
@@ -189,6 +192,7 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
         record = {"epoch": epoch, "loss": mean_loss, "train_micro_f1": train_f1,
                   "lr": lr_at(state.step, total_steps, cfg), "grad_norm": grad_norm,
                   "seconds": seconds, "nodes_per_s": len(splits.train) / seconds}
+        start = time.perf_counter()
         if eval_fn is not None and len(splits.val):
             val_f1, val_loss = eval_fn(model, epoch)
             record.update({"val_micro_f1": val_f1, "val_loss": val_loss})
@@ -196,13 +200,16 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
                 best_val, bad_epochs = val_f1, 0
             else:
                 bad_epochs += 1
-        history.append(record)
-        if log_fn:
-            log_fn(record)
+        record["eval_seconds"] = time.perf_counter() - start
+        start = time.perf_counter()
         if checkpoint_path:
             save_model_checkpoint(checkpoint_path, model, state, cfg,
                                   next_epoch=epoch + 1, best_val=best_val,
                                   bad_epochs=bad_epochs)
+        record["checkpoint_seconds"] = time.perf_counter() - start
+        history.append(record)
+        if log_fn:
+            log_fn(record)
         if eval_fn is not None and bad_epochs >= PATIENCE:
             break
     return FitResult(history=history, best_val=best_val, epochs_run=len(history))
@@ -234,8 +241,8 @@ def save_model_checkpoint(path, model, state, cfg, next_epoch, best_val=-1.0,
 def load_model_checkpoint(path):
     """-> (model, optimizer state, TrainConfig, extras dict).
 
-    A file that passes its CRC but lacks a block or a state key, or carries
-    an unknown config key, raises IncompleteCheckpoint.
+    A file that passes its checksum but lacks a block or a state key, or
+    carries an unknown config key, raises IncompleteCheckpoint.
     """
     meta, blocks = load_checkpoint(path)
     try:

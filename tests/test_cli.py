@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +356,18 @@ def test_incomplete_checkpoint_exits_2(dataset, tmp_path, capsys):
     assert "param:head.w2" in err and "Traceback" not in err
 
 
+def test_checkpoint_with_leftover_bytes_exits_2(checkpoint, dataset, tmp_path, capsys):
+    # the checksum holds, but a block follows the last one the count names
+    body = checkpoint.read_bytes()[:-4] + b"\x01\x00w\x00" + b"\x00" * 4
+    ckpt = tmp_path / "model.psck"
+    ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pathsage: data error:"), lines
+    assert "8 bytes after the last block" in lines[0]
+
+
 # --- subcommands --------------------------------------------------------
 
 def test_synth_topology_flag(tmp_path, capsys):
@@ -432,6 +446,7 @@ def test_train_logs_epoch_seconds_and_throughput(dataset, tmp_path, capsys):
     assert [r["epoch"] for r in epochs] == [0, 1]
     for r in epochs:
         assert r["seconds"] > 0 and r["nodes_per_s"] > 0
+        assert r["eval_seconds"] > 0 and r["checkpoint_seconds"] > 0
 
 
 def test_train_logs_epoch_lr_and_grad_norm(dataset, tmp_path, capsys):

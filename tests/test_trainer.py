@@ -1,5 +1,9 @@
+import json
+import math
 import os
 import stat
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -193,16 +197,26 @@ def test_epoch_grad_norm_is_the_largest_pre_clip_norm(tiny_dataset, monkeypatch)
     assert norm == 9.0
 
 
-def test_fit_records_last_lr_and_grad_norm(tiny_dataset):
+def test_fit_records_last_lr_and_grad_norm(tiny_dataset, tmp_path):
     graph, labels, splits = tiny_dataset
     cfg = tiny_cfg(epochs=3)
-    result = fit(make_model(graph, labels, cfg), graph, labels, splits, cfg)
+    path = tmp_path / "m.psck"
+    logged = []
+
+    def log_fn(rec):  # called once the epoch's checkpoint is on disk
+        logged.append((rec, load_model_checkpoint(path)[3]["next_epoch"]))
+
+    result = fit(make_model(graph, labels, cfg), graph, labels, splits, cfg,
+                 checkpoint_path=path, eval_fn=lambda m, epoch: (epoch / 10, 1.0), log_fn=log_fn)
     steps = -(-len(splits.train) // cfg.batch_size)
     for rec in result.history:
         last_step = (rec["epoch"] + 1) * steps
         assert rec["lr"] == lr_at(last_step, steps * cfg.epochs, cfg)
         assert 0.0 < rec["grad_norm"] < np.inf
+        assert rec["eval_seconds"] > 0.0 and rec["checkpoint_seconds"] > 0.0
     assert result.history[-1]["lr"] == 0.0  # the schedule ends at zero
+    assert [(rec["epoch"], next_epoch) for rec, next_epoch in logged] == [(0, 1), (1, 2), (2, 3)]
+    assert [rec for rec, _ in logged] == result.history
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -291,15 +305,79 @@ def test_truncated_checkpoint_rejected(tiny_dataset, tmp_path):
 
 
 def test_version_1_checkpoint_rejected(tmp_path):
-    # version 1 recorded the Adam and clipping constants, version 2 held encoder.layer{k}.bk
-    for old in (1, 2):
+    # version 1 recorded the Adam and clipping constants, version 2 held
+    # encoder.layer{k}.bk, version 3 ended in a CRC64
+    for old in (1, 2, 3):
         path = tmp_path / f"v{old}.psck"
         save_checkpoint(path, {"x": 1}, {"w": np.ones(4, np.float32)})
         data = bytearray(path.read_bytes())
         data[4:8] = old.to_bytes(4, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(VersionMismatch, match=f"version {old}, expected 3"):
+        with pytest.raises(VersionMismatch, match=f"version {old}, expected 4"):
             load_model_checkpoint(path)
+
+
+def _block(name, shape, payload=None):
+    raw = name.encode()
+    if payload is None:
+        payload = np.arange(math.prod(shape), dtype="<f4").tobytes()
+    return struct.pack(f"<H{len(raw)}sB{len(shape)}Q", len(raw), raw, len(shape), *shape) + payload
+
+
+def _checksummed(n_blocks, *blocks, state=b'{"x": 1}'):
+    """A version-4 file with a valid CRC-32 trailer, whatever its fields say."""
+    body = (b"PSCK" + struct.pack("<IQ", 4, len(state)) + state + struct.pack("<Q", n_blocks)
+            + b"".join(blocks))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_trailer_is_the_crc32_of_every_byte_before_it(tmp_path):
+    path = tmp_path / "t.psck"
+    blocks = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "w": np.arange(4, dtype=np.float32)}
+    save_checkpoint(path, {"x": 1}, blocks)
+    data = path.read_bytes()
+    assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
+    assert data == _checksummed(2, _block("a", (2, 3)), _block("w", (4,)),
+                                state=json.dumps({"x": 1}).encode())
+
+
+def test_zero_and_three_dimensional_blocks_round_trip(tmp_path):
+    path = tmp_path / "nd.psck"
+    cube = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    blocks = {"scalar": np.float32(3), "cube": cube, "strided": cube[:, ::2, 1:].T}
+    save_checkpoint(path, {"x": 1}, blocks)
+    _, loaded = load_checkpoint(path)
+    assert set(loaded) == set(blocks)
+    for name, arr in blocks.items():
+        assert loaded[name].shape == np.shape(arr), name
+        assert loaded[name].dtype == np.float32 and (loaded[name] == arr).all(), name
+    assert loaded["scalar"].ndim == 0
+
+
+@pytest.mark.parametrize("data, needle", [
+    (_checksummed(2, _block("w", (4,))), "block 1 of 2 runs past the end of the data"),
+    (_checksummed(2 ** 64 - 1, _block("w", (4,))), "block 1 of 18446744073709551615 runs past"),
+    (_checksummed(1, _block("w", (5,), np.ones(4, "<f4").tobytes())),
+     "block 'w' of shape (5,) runs past the end of the data"),
+    (_checksummed(1, _block("w", (2 ** 40, 2 ** 40), b"")), "block 'w' of shape"),
+    (_checksummed(0, _block("w", (4,))), "28 bytes after the last block"),
+    (_checksummed(1, _block("w", (4,)), b"\0"), "1 bytes after the last block"),
+    (_checksummed(2, _block("w", (4,)), _block("w", (4,))), "block 'w' appears twice"),
+    (_checksummed(1, _block("w", (0, 2 ** 63), b"")), "block 'w' has shape"),
+    (_checksummed(1, _block("?", (1,)).replace(b"?", b"\xff")), "not UTF-8"),
+    (_checksummed(0, state=b"[1]"), "the state is not a JSON object"),
+    (_checksummed(0, state=b"\xff{}"), "the state is not a JSON object"),
+    (b"PSCK" + struct.pack("<IQ", 4, 99) + b"{}" + struct.pack("<I", zlib.crc32(
+        b"PSCK" + struct.pack("<IQ", 4, 99) + b"{}")), "the state runs past the end"),
+], ids=["count past blocks", "huge count", "shape past file", "huge shape", "leftover block",
+        "leftover byte", "duplicate name", "dimension past numpy", "name not UTF-8",
+        "state not an object", "state not UTF-8", "state length past file"])
+def test_checksummed_file_with_bad_structure_rejected(tmp_path, data, needle):
+    path = tmp_path / "s.psck"
+    path.write_bytes(data)
+    with pytest.raises(IncompleteCheckpoint) as info:
+        load_checkpoint(path)
+    assert needle in str(info.value)
 
 
 def test_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
@@ -322,12 +400,15 @@ def test_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
 
 def test_corrupted_payload_fails_crc(tmp_path):
     path = tmp_path / "d.psck"
-    save_checkpoint(path, {"x": 1}, {"w": np.ones(4, np.float32)})
-    data = bytearray(path.read_bytes())
-    data[30] ^= 0xFF
-    path.write_bytes(bytes(data))
-    with pytest.raises(ChecksumMismatch):
-        load_model_checkpoint(path)
+    save_checkpoint(path, {"x": 1}, {"a": np.ones(2, np.float32), "w": np.ones(4, np.float32)})
+    good = path.read_bytes()
+    # a header byte, a byte of the last float block, a byte of the trailer
+    for pos in (30, len(good) - 6, len(good) - 2):
+        data = bytearray(good)
+        data[pos] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ChecksumMismatch, match="checksum mismatch"):
+            load_model_checkpoint(path)
 
 
 def test_fit_stops_after_patience_epochs_without_improvement(tiny_dataset):
