@@ -205,27 +205,18 @@ def layer_norm(x, gain, bias):
     return _make(data, (x, gain, bias), vjp)
 
 
-def dropout(x, rate, rng, row0_of=None):
+def dropout(x, rate, rng):
     """Inverted dropout: kept activations are scaled by 1/(1-rate).
 
-    The mask is drawn from the dropout stream `rng`. Returns `x` itself when
-    there is no stream (inference) or rate is 0. With `row0_of` = (N, T, d),
-    x (N, d) is row 0 of an activation of that shape: the mask is drawn for
-    the whole activation and its row 0 kept, so the stream advances as it
-    would for the whole activation.
+    The mask, of x's shape, is drawn from the dropout stream `rng`. Returns
+    `x` itself when there is no stream (inference) or rate is 0.
     """
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise InvalidSetting(f"dropout rate {rate} outside [0, 1)")
     if rng is None or rate == 0.0:
         return x
-    if row0_of is None:
-        drawn = rng.random(x.shape) >= rate
-    elif (row0_of[0],) + tuple(row0_of[2:]) == x.shape:
-        drawn = (rng.random(row0_of) >= rate)[:, 0]
-    else:
-        raise ShapeMismatch("dropout row 0 of another shape", x.shape, row0_of)
-    keep = drawn.astype(x.dtype) / (1.0 - rate)
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
 
     def vjp(g):
         return (g * keep,)

@@ -236,9 +236,21 @@ def cmd_train(cfg, args):
     return 0
 
 
-def cmd_eval(cfg, args):
+def _model_and_dataset(cfg):
+    """-> (model, TrainConfig, graph, labels, splits) for --checkpoint and
+    --dataset, rejecting a dataset that the model was not built for."""
     model, _, tc, _ = load_model_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
     graph, labels, splits = load_dataset(_require(cfg, "dataset", "--dataset"))
+    for name, value in (("feature_dim", graph.feature_dim),
+                        ("num_classes", labels.num_classes), ("task", labels.task)):
+        if getattr(model.config, name) != value:
+            raise DataError(f"checkpoint {name} {getattr(model.config, name)!r} "
+                            f"!= dataset {name} {value!r}")
+    return model, tc, graph, labels, splits
+
+
+def cmd_eval(cfg, args):
+    model, tc, graph, labels, splits = _model_and_dataset(cfg)
     split = cfg["split"]
     if split not in SPLIT_NAMES:
         raise DataError(f"unknown split {split!r}")
@@ -250,8 +262,7 @@ def cmd_eval(cfg, args):
 
 def cmd_attn_dump(cfg, args):
     out = _output_file(cfg, "out", "--out")
-    model, _, tc, _ = load_model_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
-    graph, labels, _ = load_dataset(_require(cfg, "dataset", "--dataset"))
+    model, tc, graph, labels, _ = _model_and_dataset(cfg)
     node = _require(cfg, "node", "--node")
     out.parent.mkdir(parents=True, exist_ok=True)
     count = dump_attention(model, graph, labels, node, tc.counts_per_length,

@@ -4,9 +4,10 @@ A sampled path [c, v_1, ..., v_l] becomes a token sequence whose position
 index is each node's walk distance from the central node (the central node
 itself sits at position 0). After m post-norm transformer layers the
 position-0 output is the path representation. Only that row leaves the
-encoder, so the last layer's attention still covers every token (its maps
-are reported), but its output projection, residuals, dropout, layer norms
-and FFN run on one row per path instead of T.
+encoder, so the last layer queries from position 0 alone: its keys and
+values come from every token, and everything past them runs on one row per
+path instead of T. `attention_maps` runs every layer on all T rows to
+report the full (T, T) maps.
 """
 
 from __future__ import annotations
@@ -106,47 +107,31 @@ def _split_heads(x, heads):
 
 
 def _encoder_layer(layer, x, heads, dropout_rate, rng, readout=False):
-    """One post-norm layer on x (N, T, d) -> (output, attention (N, h, T, T)).
+    """One post-norm layer on x (N, T, d) -> (output (N, R, d), attention
+    (N, h, R, T) array).
 
-    The output is (N, T, d), or with `readout` only its position-0 row
-    (N, d), computed past attention from attention row 0 alone. Dropout
-    draws the whole (N, T, d) mask either way, so the stream does not
-    depend on `readout`.
+    Keys and values come from every token. The R query rows are all T
+    tokens, or with `readout` position 0 alone (R = 1), the row the path
+    representation is read from.
     """
-    n, t, d = x.shape
-    dh = d // heads
-    q = _split_heads(ag.add(ag.matmul(x, layer.wq), layer.bq), heads)
+    n, _, d = x.shape
+    rows = ag.reshape(ag.select(x, 1, 0), (n, 1, d)) if readout else x
+    q = _split_heads(ag.add(ag.matmul(rows, layer.wq), layer.bq), heads)
     k = _split_heads(ag.matmul(x, layer.wk), heads)
     v = _split_heads(ag.add(ag.matmul(x, layer.wv), layer.bv), heads)
-    scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    attn = ag.softmax(scores)                       # (N, h, T, T)
-    if readout:
-        row0 = ag.reshape(ag.select(attn, axis=2, index=0), (n, heads, 1, t))
-        ctx = ag.reshape(ag.matmul(row0, v), (n, d))  # (N, h, 1, dh) -> (N, d)
-        x = ag.select(x, axis=1, index=0)
-        row0_of = (n, t, d)
-    else:
-        ctx = ag.matmul(attn, v)                    # (N, h, T, dh)
-        ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (n, t, d))
-        row0_of = None
-    out = ag.add(ag.matmul(ctx, layer.wo), layer.bo)
-    out = ag.dropout(out, dropout_rate, rng, row0_of)
-    x = ag.layer_norm(ag.add(x, out), layer.ln1_g, layer.ln1_b)
+    scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d // heads))
+    attn = ag.softmax(scores)                       # (N, h, R, T)
+    ctx = ag.reshape(ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)), rows.shape)
+    out = ag.dropout(ag.add(ag.matmul(ctx, layer.wo), layer.bo), dropout_rate, rng)
+    x = ag.layer_norm(ag.add(rows, out), layer.ln1_g, layer.ln1_b)
     ff = ag.matmul(ag.relu(ag.add(ag.matmul(x, layer.w1), layer.b1)), layer.w2)
-    ff = ag.dropout(ag.add(ff, layer.b2), dropout_rate, rng, row0_of)
+    ff = ag.dropout(ag.add(ff, layer.b2), dropout_rate, rng)
     x = ag.layer_norm(ag.add(x, ff), layer.ln2_g, layer.ln2_b)
     return x, attn.data
 
 
-def encode_paths(params: EncoderParams, pos, path_features, rng=None,
-                 dropout_rate=0.0):
-    """Encode a batch of equal-length paths.
-
-    pos: position table (max_len, d); path_features: Tensor (N, T, F) of
-    per-token node features in path order; rng: the dropout stream, None
-    for inference. Returns (reprs (N, d) Tensor, attn list per layer of
-    (N, heads, T, T) arrays).
-    """
+def _embed(params, pos, path_features):
+    """Input projection plus positions: (N, T, F) features -> (N, T, d)."""
     if path_features.data.ndim != 3:
         raise ShapeMismatch("expected (N, T, F) features", path_features.shape)
     t = path_features.shape[1]
@@ -156,11 +141,32 @@ def encode_paths(params: EncoderParams, pos, path_features, rng=None,
         raise ShapeMismatch("feature width vs input projection",
                             path_features.shape, params.w_in.shape)
     x = ag.add(ag.matmul(path_features, params.w_in), params.b_in)
-    x = ag.add(x, Tensor(pos[:t].astype(x.dtype)))
-    attn_all = []
-    last = len(params.layers) - 1
+    return ag.add(x, Tensor(pos[:t].astype(x.dtype)))
+
+
+def encode_paths(params: EncoderParams, pos, path_features, rng=None,
+                 dropout_rate=0.0):
+    """Encode a batch of equal-length paths.
+
+    pos: position table (max_len, d); path_features: Tensor (N, T, F) of
+    per-token node features in path order; rng: the dropout stream, None
+    for inference. Returns the path representations, an (N, d) Tensor.
+    """
+    x = _embed(params, pos, path_features)
     for k, layer in enumerate(params.layers):
-        x, attn = _encoder_layer(layer, x, params.heads, dropout_rate, rng,
-                                 readout=k == last)
-        attn_all.append(attn)
-    return x, attn_all
+        x = _encoder_layer(layer, x, params.heads, dropout_rate, rng,
+                           readout=k == len(params.layers) - 1)[0]
+    return ag.reshape(x, (x.shape[0], x.shape[2]))
+
+
+def attention_maps(params: EncoderParams, pos, path_features):
+    """The (N, heads, T, T) attention array of every layer, in layer order,
+    with every token as a query; one inference forward without dropout that
+    records no autograd graph."""
+    with ag.no_record():
+        x = _embed(params, pos, path_features)
+        maps = []
+        for layer in params.layers:
+            x, attn = _encoder_layer(layer, x, params.heads, 0.0, None)
+            maps.append(attn)
+    return maps

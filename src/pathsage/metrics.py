@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import no_record
+from .autograd import Tensor, no_record
+from .encoder import attention_maps
 from .errors import EmptySplit, InvalidSetting, LengthMismatch, MalformedRecord, MissingFile
 from .graph import SINGLE_LABEL, is_int
 from .head import predict, sample_losses
@@ -54,7 +55,7 @@ def eval_split(model, graph, labels, nodes, counts_per_length, seed,
         chunk = nodes[b0:b0 + batch_size]
         walks = sample_paths(graph, chunk, plan, seed, "eval", run)
         with no_record():
-            logits = model.forward_batch(graph, walks)[0]
+            logits = model.forward_batch(graph, walks)
         target = labels.labels[chunk]
         preds.append(predict(logits, labels.task))
         losses.append(sample_losses(logits, target, labels.task))
@@ -89,38 +90,25 @@ def eval_runs(model, graph, labels, nodes, counts_per_length, seed, runs):
 def _token_labels(labels, path):
     if labels.task == SINGLE_LABEL:
         return [int(labels.labels[v]) for v in path]
-    out = []
-    for v in path:
-        pos = np.flatnonzero(labels.labels[v])
-        out.append(int(pos[0]) if pos.size else -1)
-    return out
+    # a multi-label token is tagged with its first label, or -1 without one
+    return [int(np.argmax(row)) if row.any() else -1 for row in labels.labels[path]]
 
 
 def dump_attention(model, graph, labels, node, counts_per_length, seed, out_path):
-    """One inference forward for `node`, recording no autograd graph; write
-    a JSON line per (path, layer, head) with the full attention weight
-    matrix."""
+    """Write a JSON line per (path, layer, head) of `node`'s eval-stream
+    paths with the full attention weight matrix; returns the line count."""
     walks = sample_paths(graph, [node], SamplePlan(counts_per_length), seed, "eval", 0)
-    with no_record():
-        _, attention = model.forward_batch(graph, walks)
     count = 0
     with open(out_path, "w") as fh:
-        for l, bucket in enumerate(walks, start=1):
-            per_layer = attention[l]  # list over layers of (n_l, heads, T, T)
-            for j, row in enumerate(bucket[0]):
-                path = [int(v) for v in row]
+        for bucket in walks:
+            per_layer = attention_maps(model.encoder, model.pos_table,
+                                       Tensor(graph.features[bucket[0]]))
+            for j, path in enumerate(bucket[0].tolist()):
                 toks = _token_labels(labels, path)
                 for layer_idx, weights in enumerate(per_layer):
                     for h in range(weights.shape[1]):
-                        record = {
-                            "central": int(node),
-                            "path": path,
-                            "layer": layer_idx,
-                            "head": h,
-                            "weights": [[float(w) for w in row]
-                                        for row in weights[j, h]],
-                            "labels": toks,
-                        }
+                        record = {"central": int(node), "path": path, "layer": layer_idx,
+                                  "head": h, "weights": weights[j, h].tolist(), "labels": toks}
                         fh.write(json.dumps(record) + "\n")
                         count += 1
     return count

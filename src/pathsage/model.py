@@ -1,4 +1,4 @@
-"""Full model: shared path encoder + per-length pooling + fusion head."""
+"""Full model: shared path encoder + per-length pooling + fusion head -> logits."""
 
 from __future__ import annotations
 
@@ -63,11 +63,8 @@ class PathSageModel:
     def forward_batch(self, graph: Graph, walks, rng=None):
         """Forward a batch's `sample_paths` tuple, whose entry l-1 is the
         int64 (B, n_l, l+1) array of length-l walks; dropout runs only when
-        a dropout stream `rng` is given.
-
-        Returns (logits Tensor (B, num_classes), attention) where attention
-        maps length l -> list over layers of (B*n_l, heads, T, T) arrays in
-        central-node-major path order.
+        a dropout stream `rng` is given. Returns the logits, a Tensor
+        (B, num_classes).
         """
         if len(walks) != self.config.depth_s:
             raise ShapeMismatch(f"batch depth {len(walks)} != model depth {self.config.depth_s}")
@@ -78,14 +75,12 @@ class PathSageModel:
         if b == 0:
             raise ShapeMismatch("empty batch")
         pooled = []
-        attention = {}
         for l, w in enumerate(walks, start=1):
             feats = Tensor(graph.features[w.reshape(-1, l + 1)])  # (B*n_l, l+1, F)
-            reprs, attention[l] = encode_paths(self.encoder, self.pos_table, feats, rng=rng,
-                                               dropout_rate=self.config.dropout_encoder)
+            reprs = encode_paths(self.encoder, self.pos_table, feats, rng=rng,
+                                 dropout_rate=self.config.dropout_encoder)
             reprs = ag.reshape(reprs, w.shape[:2] + (self.config.hidden,))
             pooled.append(ag.canonical_bucket_mean(reprs))  # (B, d)
         concat = ag.concat(pooled, axis=-1)                 # (B, s*d)
-        logits = head_forward(self.head, concat, rng=rng,
-                              dropout_rate=self.config.dropout_output)
-        return logits, attention
+        return head_forward(self.head, concat, rng=rng,
+                            dropout_rate=self.config.dropout_output)

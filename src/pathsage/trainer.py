@@ -8,6 +8,8 @@ identical loss sequence.
 
 from __future__ import annotations
 
+import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -22,6 +24,8 @@ from .errors import (IncompleteCheckpoint, InvalidSetting, NonFiniteGradient, No
 from .metrics import micro_f1
 from .model import ModelConfig, PathSageModel
 from .sampler import SamplePlan, sample_paths, stream_rng
+
+log = logging.getLogger(__name__)
 
 GRAD_CLIP = 5.0  # global L2 norm the gradients of a step are clipped to
 PATIENCE = 10  # epochs without a better validation micro-F1 before fit stops
@@ -119,7 +123,8 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
     """One pass over the training nodes; fresh paths are sampled per epoch.
 
     Returns (mean loss, micro-F1 of the in-epoch predictions, largest
-    pre-clip gradient norm of its steps).
+    pre-clip gradient norm of its steps). At DEBUG level each step logs a
+    JSON `step` line with its epoch, step, loss, pre-clip grad_norm and lr.
     """
     plan = SamplePlan(cfg.counts_per_length)
     order = stream_rng(cfg.seed, "shuffle", epoch).permutation(train_nodes)
@@ -131,8 +136,7 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
         walks = sample_many(graph, nodes, plan, cfg.seed, epoch)
         drop_rng = stream_rng(cfg.seed, "dropout", epoch, b0)
         model.zero_grad()
-        # keep no reference to the attention arrays: backward frees them
-        logits = model.forward_batch(graph, walks, rng=drop_rng)[0]
+        logits = model.forward_batch(graph, walks, rng=drop_rng)
         target = labels.labels[nodes]
         loss = head_ops.loss(logits, target, labels.task)
         value = loss.item()
@@ -146,8 +150,11 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
         if not math.isfinite(norm):
             raise NonFiniteGradient(
                 f"non-finite gradient norm {norm} at epoch {epoch} step {state.step}")
-        adam_step(model.named_params(), grads, state,
-                  lr_at(state.step + 1, total_steps, cfg))
+        lr = lr_at(state.step + 1, total_steps, cfg)
+        adam_step(model.named_params(), grads, state, lr)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(json.dumps({"epoch": epoch, "event": "step", "grad_norm": norm,
+                                  "loss": value, "lr": lr, "step": state.step}))
         losses.append(value)
         max_norm = max(max_norm, norm)
         preds.append(head_ops.predict(logits, labels.task))
@@ -242,14 +249,15 @@ def load_model_checkpoint(path):
     """-> (model, optimizer state, TrainConfig, extras dict).
 
     A file that passes its checksum but lacks a block or a state key, or
-    carries an unknown config key, raises IncompleteCheckpoint.
+    carries an unknown config key or a config value that does not convert,
+    raises IncompleteCheckpoint.
     """
     meta, blocks = load_checkpoint(path)
     try:
         return _restore(meta, blocks)
     except KeyError as exc:
         raise IncompleteCheckpoint(f"{path}: missing {exc.args[0]!r}") from None
-    except TypeError as exc:  # a config key missing or unknown
+    except (TypeError, ValueError) as exc:  # a config key missing or unknown, or a bad value
         raise IncompleteCheckpoint(f"{path}: {exc}") from None
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from pathsage import autograd as ag
 from pathsage.autograd import Tensor
-from pathsage.encoder import build_position_table
+from pathsage.encoder import attention_maps, build_position_table
 from pathsage.graph import Graph, LabelSet, build_csr, load_dataset
 from pathsage.head import loss as head_loss
 from pathsage.metrics import attention_stats, dump_attention, eval_split, micro_f1
@@ -60,11 +60,11 @@ def test_gradient_integrity(capsys):
     targets = np.array([1, 2])
 
     def loss_value():
-        logits, _ = model.forward_batch(graph, batches)
+        logits = model.forward_batch(graph, batches)
         return head_loss(logits, targets, "single_label").item()
 
     model.zero_grad()
-    logits, _ = model.forward_batch(graph, batches)
+    logits = model.forward_batch(graph, batches)
     ag.backward(head_loss(logits, targets, "single_label"))
 
     h = 1e-3
@@ -168,11 +168,11 @@ def test_attention_rows_normalized(capsys):
     plan = SamplePlan((3, 3, 3))
     nodes = rng_for(1).choice(300, size=100, replace=False)
     batches = sample_paths(graph, nodes, plan, 4, "walk", 0)
-    _, attn = model.forward_batch(graph, batches)
     worst = 0.0
     rows = 0
-    for per_layer in attn.values():
-        for w in per_layer:
+    for l, walks in enumerate(batches, start=1):
+        feats = Tensor(graph.features[walks.reshape(-1, l + 1)])
+        for w in attention_maps(model.encoder, model.pos_table, feats):
             sums = w.sum(axis=-1)
             worst = max(worst, float(np.abs(sums - 1.0).max()))
             rows += sums.size
@@ -196,10 +196,10 @@ def test_pooling_order_invariance(capsys):
     identical = True
     for central in (0, 17, 42):
         batch = sample_paths(graph, [central], plan, 2, "walk", 0)
-        base, _ = model.forward_batch(graph, batch)
+        base = model.forward_batch(graph, batch)
         for _ in range(5):
             shuffled = tuple(w[:, rng.permutation(w.shape[1])] for w in batch)
-            again, _ = model.forward_batch(graph, shuffled)
+            again = model.forward_batch(graph, shuffled)
             identical &= base.data.tobytes() == again.data.tobytes()
     report(capsys, 5, identical,
            "logits bit-identical under 15 within-bucket path shuffles "

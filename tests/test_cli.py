@@ -1,6 +1,9 @@
 import json
+import logging
+import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -11,10 +14,10 @@ import numpy as np
 import pytest
 
 import pathsage
-from pathsage import cli, trainer
+from pathsage import cli, encoder, trainer
 from pathsage.checkpoint import load_checkpoint, save_checkpoint
 from pathsage.cli import COMMAND_FLAGS, CONFIG_DEFAULTS, build_parser, main, resolve_config
-from pathsage.graph import load_dataset, read_features_bin
+from pathsage.graph import load_dataset, read_features_bin, write_features_bin
 from pathsage.sampler import derive_sample_seed, rng_for, stream_rng
 
 
@@ -368,6 +371,46 @@ def test_checkpoint_with_leftover_bytes_exits_2(checkpoint, dataset, tmp_path, c
     assert "8 bytes after the last block" in lines[0]
 
 
+def _variant(dataset, out, field, value):
+    """A copy of `dataset` whose meta.json `field` is `value`; a wider
+    feature_dim gets zero-padded features of that width."""
+    shutil.copytree(dataset, out)
+    meta = json.loads((out / "meta.json").read_text())
+    if field == "feature_dim":
+        feats = read_features_bin(dataset / "features.bin")
+        write_features_bin(out / "features.bin", np.pad(feats, ((0, 0), (0, value - feats.shape[1]))))
+    (out / "meta.json").write_text(json.dumps(dict(meta, **{field: value})))
+    return out
+
+
+@pytest.mark.parametrize("command", ["eval", "attn-dump"])
+@pytest.mark.parametrize("field, value, needle", [
+    ("num_classes", 4, "checkpoint num_classes 3 != dataset num_classes 4"),
+    ("task", "multi_label", "checkpoint task 'single_label' != dataset task 'multi_label'"),
+    ("feature_dim", 20, "checkpoint feature_dim"),
+])
+def test_dataset_the_checkpoint_was_not_built_for_exits_2(dataset, checkpoint, tmp_path, capsys,
+                                                          monkeypatch, command, field, value,
+                                                          needle):
+    other = _variant(dataset, tmp_path / "other", field, value)
+    load_dataset(other)  # a valid dataset, just not the model's
+
+    def no_forward(*args):
+        raise AssertionError("forward pass before the dataset check")
+
+    monkeypatch.setattr(encoder, "_embed", no_forward)
+    dump = tmp_path / "a.jsonl"
+    argv = {"eval": ["eval"], "attn-dump": ["attn-dump", "--node", "0", "--out", str(dump)]}
+    capsys.readouterr()
+    code = main([*argv[command], "--dataset", str(other), "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pathsage: data error:"), lines
+    assert needle in lines[0]
+    assert not dump.exists()
+
+
 # --- subcommands --------------------------------------------------------
 
 def test_synth_topology_flag(tmp_path, capsys):
@@ -457,6 +500,28 @@ def test_train_logs_epoch_lr_and_grad_norm(dataset, tmp_path, capsys):
     assert len(epochs) == 2
     assert 0.0 < epochs[0]["lr"] <= 1e-3 and epochs[1]["lr"] == 0.0  # decays to 0
     assert all(0.0 < r["grad_norm"] < float("inf") for r in epochs)
+
+
+@pytest.mark.parametrize("level, lines_per_step", [("debug", 1), ("info", 0)])
+def test_debug_log_adds_one_step_line_per_step(dataset, tmp_path, capsys, monkeypatch, level,
+                                               lines_per_step):
+    monkeypatch.setenv("PATHSAGE_LOG", level)
+    try:
+        assert main(["train", "--dataset", str(dataset), "--checkpoint",
+                     str(tmp_path / "m.psck"), *TRAIN_FLAGS]) == 0
+    finally:
+        logging.getLogger("pathsage").setLevel(logging.INFO)
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    steps_per_epoch = math.ceil(len(load_dataset(dataset)[2].train) / 16)
+    steps = [r for r in records if r["event"] == "step"]
+    assert len(steps) == lines_per_step * 2 * steps_per_epoch
+    assert [r["step"] for r in steps] == list(range(1, len(steps) + 1))
+    assert [r["epoch"] for r in steps] == sorted([0, 1] * (len(steps) // 2))
+    for r in steps:
+        assert set(r) == {"event", "epoch", "step", "loss", "grad_norm", "lr"}
+        assert r["loss"] > 0 and 0 < r["grad_norm"] < float("inf") and 0 <= r["lr"] <= 1e-3
+    assert [r["event"] for r in records if r["event"] != "step"] == [
+        "epoch", "epoch", "train_done"]
 
 
 @pytest.mark.parametrize("argv, config, needle", [

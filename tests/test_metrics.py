@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pathsage.autograd import Tensor
 from pathsage.errors import EmptySplit, LengthMismatch, ShapeMismatch
-from pathsage.graph import load_dataset
+from pathsage.graph import LabelSet, load_dataset
 from pathsage.metrics import (
     attention_stats,
     dump_attention,
@@ -220,6 +220,23 @@ def test_dump_record_count_and_schema(small_setup, tmp_path):
         w = np.asarray(rec["weights"])
         assert w.shape == (t, t)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-5)
+
+
+def test_dump_tags_multi_label_tokens_with_their_first_label(small_setup, tmp_path):
+    graph, _, splits, model = small_setup
+    # node v has no label, label 1, labels 0 and 2, or label 2, by v % 4
+    patterns = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 1], [0, 0, 1]], dtype=np.uint8)
+    rows = patterns[np.arange(graph.num_nodes) % 4]
+    labels = LabelSet(task="multi_label", num_classes=3, labels=rows)
+    out = tmp_path / "dump.jsonl"
+    seen = set()
+    for node in range(4):
+        dump_attention(model, graph, labels, node, (3, 2), seed=1, out_path=out)
+        for line in out.read_text().splitlines():
+            rec = json.loads(line)
+            assert rec["labels"] == [(-1, 1, 0, 2)[v % 4] for v in rec["path"]]
+            seen.update(v % 4 for v in rec["path"])
+    assert seen == {0, 1, 2, 3}
 
 
 def test_stats_aggregates_same_and_diff_label_mass(small_setup, tmp_path):

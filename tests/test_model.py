@@ -4,6 +4,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from pathsage.autograd import Tensor
+from pathsage.encoder import attention_maps
 from pathsage.errors import InvalidSetting, ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.model import ModelConfig, PathSageModel
@@ -30,36 +32,36 @@ def walks_for(graph, nodes, counts=(3, 3, 3), seed=0):
 
 def test_logit_shapes(setup):
     graph, model = setup
-    logits, attn = model.forward_batch(graph, walks_for(graph, range(5)))
-    assert logits.shape == (5, 3)
-    assert set(attn) == {1, 2, 3}
+    logits = model.forward_batch(graph, walks_for(graph, range(5)))
+    assert isinstance(logits, Tensor) and logits.shape == (5, 3)
 
 
 def test_single_node_matches_batch_row(setup):
     graph, model = setup
     batches = walks_for(graph, [4, 9])
-    full, _ = model.forward_batch(graph, batches)
-    single, _ = model.forward_batch(graph, tuple(w[:1] for w in batches))
+    full = model.forward_batch(graph, batches)
+    single = model.forward_batch(graph, tuple(w[:1] for w in batches))
     np.testing.assert_allclose(single.data[0], full.data[0], atol=1e-6)
 
 
 def test_bucket_shuffle_leaves_logits_bit_identical(setup):
     graph, model = setup
     batches = walks_for(graph, [7])
-    base, _ = model.forward_batch(graph, batches)
+    base = model.forward_batch(graph, batches)
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(4):
         shuffled = tuple(w[:, rng.permutation(w.shape[1])] for w in batches)
-        again, _ = model.forward_batch(graph, shuffled)
+        again = model.forward_batch(graph, shuffled)
         assert base.data.tobytes() == again.data.tobytes()
 
 
 def test_attention_collection_shapes(setup):
     graph, model = setup
     batches = walks_for(graph, [0, 1])
-    _, attn = model.forward_batch(graph, batches)
-    assert set(attn) == {1, 2, 3}
-    for l, per_layer in attn.items():
+    assert len(batches) == 3
+    for l, walks in enumerate(batches, start=1):
+        feats = Tensor(graph.features[walks.reshape(-1, l + 1)])
+        per_layer = attention_maps(model.encoder, model.pos_table, feats)
         assert len(per_layer) == 2  # encoder layers
         for w in per_layer:
             assert w.shape == (2 * 3, 2, l + 1, l + 1)
@@ -92,9 +94,9 @@ def test_malformed_batch_arrays_rejected(setup):
 def test_training_mode_dropout_differs_but_is_seeded(setup):
     graph, model = setup
     batches = walks_for(graph, [3])
-    a, _ = model.forward_batch(graph, batches, rng=rng_for(9))
-    b, _ = model.forward_batch(graph, batches, rng=rng_for(9))
-    c, _ = model.forward_batch(graph, batches, rng=rng_for(10))
+    a = model.forward_batch(graph, batches, rng=rng_for(9))
+    b = model.forward_batch(graph, batches, rng=rng_for(9))
+    c = model.forward_batch(graph, batches, rng=rng_for(10))
     assert (a.data == b.data).all()
     assert not (a.data == c.data).all()
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import struct
 import zlib
@@ -473,6 +474,24 @@ def test_incomplete_checkpoint_names_the_key(tiny_dataset, tmp_path, part, needl
     bad = _resave_altered(full, tmp_path / "bad.psck", **part)
     with pytest.raises(IncompleteCheckpoint, match=needle):
         load_model_checkpoint(bad)
+
+
+@pytest.mark.parametrize("section, key, value, needle", [
+    ("train", "counts_per_length", ["a", 2], "invalid literal for int()"),
+    ("model", "layers", 0, "layers must be >= 1"),
+])
+def test_checkpoint_config_value_that_does_not_convert(tiny_dataset, tmp_path, section, key,
+                                                       value, needle):
+    graph, labels, _ = tiny_dataset
+    cfg = tiny_cfg()
+    full = tmp_path / "full.psck"
+    save_model_checkpoint(full, make_model(graph, labels, cfg), OptimizerState(), cfg,
+                          next_epoch=1)
+    meta, blocks = load_checkpoint(full)
+    meta[section][key] = value
+    save_checkpoint(tmp_path / "bad.psck", meta, blocks)
+    with pytest.raises(IncompleteCheckpoint, match=re.escape(needle)):
+        load_model_checkpoint(tmp_path / "bad.psck")
 
 
 def test_resume_matches_uninterrupted_run(tiny_dataset, tmp_path):
