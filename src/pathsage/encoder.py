@@ -7,13 +7,14 @@ position-0 output is the path representation. Only that row leaves the
 encoder, so the last layer queries from position 0 alone: its keys and
 values come from every token, and everything past them runs on one row per
 path instead of T. `attention_maps` runs every layer on all T rows to
-report the full (T, T) maps.
+report the full (T, T) maps. `layer_shapes` names and shapes one layer's
+parameters; `model.PathSageModel.build` makes them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,33 +37,14 @@ def build_position_table(max_len, d, dtype=np.float32):
     return table.astype(dtype)
 
 
-def affine_init(rng, fan_in, fan_out, dtype):
-    """Weight (fan_in, fan_out) ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)) and a zero
-    bias, both trainable."""
-    bound = 1.0 / math.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype),
-               requires_grad=True)
-    b = Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True)
-    return w, b
-
-
-@dataclass
-class EncoderLayerParams:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor  # no key bias: softmax ignores the q.bk it adds to a score row
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    ln1_g: Tensor
-    ln1_b: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
+def layer_shapes(d):
+    """(name, shape) of each parameter of one encoder layer of width d, in
+    `named_params` order."""
+    return (("wq", (d, d)), ("bq", (d,)),
+            ("wk", (d, d)),  # no key bias: softmax ignores the q.bk it adds to a score row
+            ("wv", (d, d)), ("bv", (d,)), ("wo", (d, d)), ("bo", (d,)),
+            ("w1", (d, 4 * d)), ("b1", (4 * d,)), ("w2", (4 * d, d)), ("b2", (d,)),
+            ("ln1_g", (d,)), ("ln1_b", (d,)), ("ln2_g", (d,)), ("ln2_b", (d,)))
 
 
 @dataclass
@@ -70,34 +52,14 @@ class EncoderParams:
     heads: int
     w_in: Tensor
     b_in: Tensor
-    layers: list = field(default_factory=list)
-
-    @staticmethod
-    def init(rng, feature_dim, hidden, heads, num_layers, dtype=np.float32):
-        if hidden % heads != 0:
-            raise ShapeMismatch(f"hidden {hidden} not divisible by heads {heads}")
-        w_in, b_in = affine_init(rng, feature_dim, hidden, dtype)
-        params = EncoderParams(heads=heads, w_in=w_in, b_in=b_in)
-        for _ in range(num_layers):
-            wq, bq = affine_init(rng, hidden, hidden, dtype)
-            wk = affine_init(rng, hidden, hidden, dtype)[0]
-            wv, bv = affine_init(rng, hidden, hidden, dtype)
-            wo, bo = affine_init(rng, hidden, hidden, dtype)
-            w1, b1 = affine_init(rng, hidden, 4 * hidden, dtype)
-            w2, b2 = affine_init(rng, 4 * hidden, hidden, dtype)
-            ones = lambda: Tensor(np.ones(hidden, dtype=dtype), requires_grad=True)
-            zeros = lambda: Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-            params.layers.append(EncoderLayerParams(
-                wq, bq, wk, wv, bv, wo, bo, w1, b1, w2, b2,
-                ones(), zeros(), ones(), zeros()))
-        return params
+    layers: list  # one SimpleNamespace per layer, an attribute per `layer_shapes` name
 
     def named_params(self):
         yield "encoder.w_in", self.w_in
         yield "encoder.b_in", self.b_in
         for k, layer in enumerate(self.layers):
-            for f in fields(layer):
-                yield f"encoder.layer{k}.{f.name}", getattr(layer, f.name)
+            for name, tensor in vars(layer).items():
+                yield f"encoder.layer{k}.{name}", tensor
 
 
 def _split_heads(x, heads):

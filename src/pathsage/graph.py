@@ -1,7 +1,7 @@
 """Immutable graph storage: CSR adjacency, node features, labels, splits.
 
 Dataset directory layout:
-    meta.json     {"num_nodes", "feature_dim", "num_classes", "task", "directed"}
+    meta.json     {"num_nodes", "feature_dim" >= 1, "num_classes" >= 1, "task", "directed"}
     edges.csv     one `src,dst` per line, 0-based, no header
     features.bin  magic "PSGF", u32 version, u64 rows, u64 cols, f32 LE row-major
     labels.csv    single_label: `node,label`; multi_label: `node,l1;l2;...`
@@ -96,8 +96,11 @@ def read_features_bin(path: Path) -> np.ndarray:
         if version != FEATURES_VERSION:
             raise MalformedRecord(path, 0, f"unsupported features version {version}")
         data = np.fromfile(fh, dtype="<f4", count=rows * cols)
+        extra = len(fh.read())
     if data.size != rows * cols:
         raise MalformedRecord(path, 0, "truncated feature payload")
+    if extra:
+        raise MalformedRecord(path, 0, f"{extra} bytes after the feature payload")
     return data.reshape(rows, cols)
 
 
@@ -220,6 +223,9 @@ def load_dataset(dir_path):
         if not is_int(meta[key]):
             raise MalformedRecord(root / "meta.json", 0,
                                   f"{key} must be an integer, got {meta[key]!r}")
+    for key in ("feature_dim", "num_classes"):
+        if meta[key] < 1:
+            raise MalformedRecord(root / "meta.json", 0, f"{key} must be >= 1, got {meta[key]}")
     num_nodes, feature_dim, num_classes, task = (
         meta["num_nodes"], meta["feature_dim"], meta["num_classes"], meta["task"])
     if task not in (SINGLE_LABEL, MULTI_LABEL):

@@ -2,7 +2,8 @@
 
 The concatenated per-length path summaries are fused by a two-layer relu
 feed-forward that maps straight to class logits. Activations (softmax /
-sigmoid) live only inside loss and prediction; logits stay raw.
+sigmoid) live only inside loss and prediction; logits stay raw. The head's
+four tensors are made, with the encoder's, by `model.PathSageModel.build`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import affine_init
 from .errors import InvalidTarget, WidthMismatch
 from .graph import MULTI_LABEL, SINGLE_LABEL
 
@@ -24,12 +24,6 @@ class HeadParams:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-
-    @staticmethod
-    def init(rng, depth_s, hidden, num_classes, dtype=np.float32):
-        w1, b1 = affine_init(rng, depth_s * hidden, hidden, dtype)
-        w2, b2 = affine_init(rng, hidden, num_classes, dtype)
-        return HeadParams(w1, b1, w2, b2)
 
     def named_params(self):
         for f in fields(self):

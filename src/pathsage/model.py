@@ -1,14 +1,20 @@
-"""Full model: shared path encoder + per-length pooling + fusion head -> logits."""
+"""Full model: shared path encoder + per-length pooling + fusion head -> logits.
+
+Every model, fresh (`init`) or restored from a checkpoint, is made by
+`PathSageModel.build` from one table of parameter names and shapes.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import EncoderParams, build_position_table, encode_paths
+from .encoder import EncoderParams, build_position_table, encode_paths, layer_shapes
 from .errors import InvalidSetting, ShapeMismatch
 from .graph import Graph
 from .head import HeadParams, head_forward
@@ -31,6 +37,8 @@ class ModelConfig:
         for name in ("hidden", "heads", "layers", "depth_s"):
             if getattr(self, name) < 1:
                 raise InvalidSetting(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.hidden % self.heads:
+            raise InvalidSetting(f"hidden {self.hidden} not divisible by heads {self.heads}")
         for name in ("dropout_encoder", "dropout_output"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise InvalidSetting(f"{name} {getattr(self, name)} outside [0, 1)")
@@ -44,13 +52,39 @@ class PathSageModel:
     pos_table: np.ndarray  # (depth_s + 1, hidden)
 
     @staticmethod
-    def init(config: ModelConfig, rng, dtype=np.float32):
-        enc = EncoderParams.init(rng, config.feature_dim, config.hidden,
-                                 config.heads, config.layers, dtype=dtype)
-        head = HeadParams.init(rng, config.depth_s, config.hidden,
-                               config.num_classes, dtype=dtype)
-        pos = build_position_table(config.depth_s + 1, config.hidden, dtype=dtype)
+    def build(config: ModelConfig, take):
+        """The model whose parameters are `take(name, shape)`, asked for in
+        `named_params` order (another shape raises ShapeMismatch); positions take w_in's dtype."""
+        def group(prefix, shapes):
+            out = {}
+            for name, shape in shapes:
+                arr = take(f"{prefix}.{name}", shape)
+                if arr.shape != shape:
+                    raise ShapeMismatch(f"parameter {prefix}.{name}", arr.shape, shape)
+                out[name] = Tensor(arr, requires_grad=True)
+            return out
+
+        f, d, s, k = config.feature_dim, config.hidden, config.depth_s, config.num_classes
+        stem = group("encoder", (("w_in", (f, d)), ("b_in", (d,))))
+        layers = [SimpleNamespace(**group(f"encoder.layer{i}", layer_shapes(d)))
+                  for i in range(config.layers)]
+        enc = EncoderParams(heads=config.heads, layers=layers, **stem)
+        head = HeadParams(**group("head", (("w1", (s * d, d)), ("b1", (d,)),
+                                           ("w2", (d, k)), ("b2", (k,)))))
+        pos = build_position_table(s + 1, d, dtype=enc.w_in.dtype)
         return PathSageModel(config=config, encoder=enc, head=head, pos_table=pos)
+
+    @staticmethod
+    def init(config: ModelConfig, rng, dtype=np.float32):
+        """A fresh model: 2-D weights (fan_in, fan_out) ~ U(+-1/sqrt(fan_in)),
+        drawn in `named_params` order; layer-norm gains (`*_g`) 1, the rest 0."""
+        def draw(name, shape):
+            if len(shape) == 2:
+                bound = 1.0 / math.sqrt(shape[0])
+                return rng.uniform(-bound, bound, size=shape).astype(dtype)
+            return (np.ones if name.endswith("_g") else np.zeros)(shape, dtype=dtype)
+
+        return PathSageModel.build(config, draw)
 
     def named_params(self):
         yield from self.encoder.named_params()

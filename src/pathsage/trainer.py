@@ -248,33 +248,36 @@ def save_model_checkpoint(path, model, state, cfg, next_epoch, best_val=-1.0,
 def load_model_checkpoint(path):
     """-> (model, optimizer state, TrainConfig, extras dict).
 
-    A file that passes its checksum but lacks a block or a state key, or
+    A file that passes its checksum but lacks a block or a state key,
     carries an unknown config key or a config value that does not convert,
-    raises IncompleteCheckpoint.
+    holds a parameter or Adam moment of the wrong shape, a moment without
+    its partner, or a block that names no parameter raises
+    IncompleteCheckpoint. Restoring draws no random numbers.
     """
     meta, blocks = load_checkpoint(path)
     try:
         return _restore(meta, blocks)
     except KeyError as exc:
         raise IncompleteCheckpoint(f"{path}: missing {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:  # a config key missing or unknown, or a bad value
+    except (TypeError, ValueError, ShapeMismatch) as exc:  # a bad config key or value or shape
         raise IncompleteCheckpoint(f"{path}: {exc}") from None
 
 
 def _restore(meta, blocks):
     mc = ModelConfig(**meta["model"])
-    model = PathSageModel.init(mc, stream_rng(0, "init"))
-    for name, p in model.named_params():
-        stored = blocks[f"param:{name}"]
-        if stored.shape != p.data.shape:
-            raise ShapeMismatch(f"checkpoint block {name}", stored.shape, p.data.shape)
-        p.data = stored  # load_checkpoint gives each block its own array
+    # load_checkpoint gives each block its own array
+    model = PathSageModel.build(mc, lambda name, shape: blocks.pop(f"param:{name}"))
     state = OptimizerState(step=meta["adam"]["step"])
-    for key, arr in blocks.items():
-        if key.startswith("adam.m:"):
-            name = key[len("adam.m:"):]
-            state.m[name] = arr
-            state.v[name] = blocks[f"adam.v:{name}"]
+    for name, p in model.named_params():
+        keys = (f"adam.m:{name}", f"adam.v:{name}")
+        if keys[0] not in blocks and keys[1] not in blocks:
+            continue
+        for key, moments in zip(keys, (state.m, state.v)):
+            moments[name] = blocks.pop(key)  # KeyError: the moment has no partner
+            if moments[name].shape != p.shape:
+                raise ShapeMismatch(f"block {key!r}", moments[name].shape, p.shape)
+    if blocks:
+        raise ValueError(f"block {min(blocks)!r} names no parameter")
     cfg = TrainConfig(**dict(meta["train"],
                              counts_per_length=tuple(meta["train"]["counts_per_length"])))
     extras = {"next_epoch": meta["next_epoch"], "best_val": meta["best_val"],

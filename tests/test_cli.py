@@ -225,6 +225,15 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
         dump = tmp_path / "attn.jsonl"
         dump.write_text(json.dumps({"layer": 0, "head": 0, "weights": [[1.0]], "labels": [2 ** 64]}))
         return ["attn-stats", "--dump", str(dump)], "attn.jsonl:1: a label exceeds 64 bits"
+    if case == "no classes":  # a multi_label dataset whose meta.json has num_classes -1
+        bad = tmp_path / "no_classes"
+        bad.mkdir()
+        for name in ("edges.csv", "features.bin", "labels.csv", "splits.json"):
+            (bad / name).write_bytes((dataset / name).read_bytes())
+        meta = json.loads((dataset / "meta.json").read_text())
+        (bad / "meta.json").write_text(json.dumps(dict(meta, num_classes=-1, task="multi_label")))
+        return ["train", "--dataset", str(bad), "--checkpoint", str(tmp_path / "m.psck"),
+                *TRAIN_FLAGS], "meta.json:0: num_classes must be >= 1, got -1"
     raw = tmp_path / "raw"
     raw.mkdir()
     for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
@@ -242,7 +251,7 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
 @pytest.mark.parametrize("case", ["split", "checkpoint directory", "dump directory",
                                   "missing dump", "non-JSON dump line",
                                   "ragged dump record", "non-integer dump fields", "huge dump label",
-                                  "non-numeric feature", "out-of-range edge"])
+                                  "no classes", "non-numeric feature", "out-of-range edge"])
 def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
     argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
     capsys.readouterr()

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,13 +6,14 @@ import pytest
 from pathsage import autograd as ag
 from pathsage.autograd import Tensor
 from pathsage.encoder import (
-    EncoderParams,
     _encoder_layer,
     attention_maps,
     build_position_table,
     encode_paths,
+    layer_shapes,
 )
 from pathsage.errors import OddDimension, PathTooLong, ShapeMismatch
+from pathsage.model import ModelConfig, PathSageModel
 
 from helpers import check_grad, mul, tsum
 
@@ -58,8 +58,11 @@ def test_odd_dimension_rejected():
 # --- encoder ------------------------------------------------------------
 
 def tiny_encoder(d=8, heads=2, layers=1, feat=5, dtype=np.float64, seed=0):
+    """The encoder of a freshly initialised model; it draws before the head."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return EncoderParams.init(rng, feat, d, heads, layers, dtype=dtype)
+    mc = ModelConfig(feature_dim=feat, num_classes=2, task="single_label", hidden=d,
+                     heads=heads, layers=layers, depth_s=1)
+    return PathSageModel.init(mc, rng, dtype=dtype).encoder
 
 
 def ln(v, g, b, eps=1e-5):
@@ -182,8 +185,8 @@ def test_encoder_gradients_finite_difference():
         params = tiny_encoder(d=d, heads=heads, layers=1, seed=3)
         params.w_in, params.b_in = ts[0], ts[1]
         layer = params.layers[0]
-        for f, t in zip(fields(layer), ts[2:]):
-            setattr(layer, f.name, t)
+        for (name, _), t in zip(layer_shapes(d), ts[2:]):
+            setattr(layer, name, t)
         pos = build_position_table(6, d, dtype=np.float64)
         reprs = encode_paths(params, pos, Tensor(feats))
         return tsum(mul(reprs, reprs))
@@ -254,7 +257,7 @@ def test_readout_layer_gradients_finite_difference():
     weights = Tensor(RNG.normal(size=(2, d)))
     params = tiny_encoder(d=d, heads=heads, layers=2, seed=17)
     last = params.layers[-1]
-    names = [f.name for f in fields(last)]
+    names = [name for name, _ in layer_shapes(d)]
     arrays = [getattr(last, name).data.copy() for name in names]
     pos = build_position_table(6, d, dtype=np.float64)
 

@@ -120,6 +120,9 @@ def _meta_with(**fields):
     ("meta.json", _meta_with(feature_dim=True), "feature_dim must be an integer, got True"),
     ("meta.json", _meta_with(num_classes="2"), "num_classes must be an integer, got '2'"),
     ("meta.json", _meta_with(directed="false"), "directed must be true or false"),
+    ("meta.json", _meta_with(num_classes=0), "num_classes must be >= 1, got 0"),
+    ("meta.json", _meta_with(feature_dim=0), "feature_dim must be >= 1, got 0"),
+    ("meta.json", _meta_with(num_classes=-1, task="multi_label"), "num_classes must be >= 1, got -1"),
     ("splits.json", '{"train": [0, 1]', ":1:"),
     ("splits.json", json.dumps({"train": ["x"]}), "train split is not a list"),
     ("splits.json", json.dumps({"train": [0], "val": [[1]]}), "val split is not a list"),
@@ -178,6 +181,14 @@ def test_truncated_features_bin(tmp_path):
     raw = (tmp_path / "f.bin").read_bytes()
     (tmp_path / "f.bin").write_bytes(raw[:-8])
     with pytest.raises(MalformedRecord):
+        read_features_bin(tmp_path / "f.bin")
+
+
+def test_features_bin_with_trailing_bytes_rejected(tmp_path):
+    write_features_bin(tmp_path / "f.bin", np.zeros((30, 11), dtype=np.float32))
+    with open(tmp_path / "f.bin", "ab") as fh:
+        fh.write(bytes(40))
+    with pytest.raises(MalformedRecord, match="40 bytes after the feature payload"):
         read_features_bin(tmp_path / "f.bin")
 
 

@@ -13,8 +13,17 @@ RNG = np.random.Generator(np.random.PCG64(55))
 
 
 def make_head(depth=2, hidden=4, classes=3, seed=0, dtype=np.float64):
+    """Weights ~ U(+-1/sqrt(fan_in)) and zero biases, as a model's head starts;
+    built directly, since an odd `hidden` has no position table."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return HeadParams.init(rng, depth, hidden, classes, dtype=dtype)
+
+    def affine(fan_in, fan_out):
+        bound = 1.0 / math.sqrt(fan_in)
+        w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
+        return (ag.Tensor(w, requires_grad=True),
+                ag.Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
+
+    return HeadParams(*affine(depth * hidden, hidden), *affine(hidden, classes))
 
 
 # --- per-length pooling ------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict, replace
 
@@ -108,7 +109,7 @@ def test_config_json_roundtrip(setup):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("layers", 0), ("layers", -1), ("hidden", 0), ("heads", 0), ("depth_s", 0),
+    ("layers", 0), ("layers", -1), ("hidden", 0), ("heads", 0), ("heads", 3), ("depth_s", 0),
     ("dropout_encoder", 1.5), ("dropout_encoder", 1.0), ("dropout_encoder", -0.1),
     ("dropout_output", 1.0), ("dropout_output", float("nan")),
 ])
@@ -121,3 +122,55 @@ def test_config_accepts_one_layer_and_zero_dropout():
     mc = ModelConfig(feature_dim=4, num_classes=3, task="multiclass", layers=1,
                      dropout_encoder=0.0, dropout_output=0.0)
     assert (mc.layers, mc.dropout_encoder, mc.dropout_output) == (1, 0.0, 0.0)
+
+
+# --- one parameter builder ---------------------------------------------------
+
+def _param_digest(model):
+    h = hashlib.sha256()
+    for name, p in model.named_params():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+# sha256 over every parameter's name and bytes in named_params order, as the
+# init draws stood when the model was first made by `build`; any change to
+# their order or law changes it
+@pytest.mark.parametrize("dtype, digest", [
+    (np.float32, "bf3188c7d46dbf86550cec605df845f4af180d3bcfb25cbc4aea9277a9b9ac79"),
+    (np.float64, "50dd718ad86694b38c525391be42d962fce6508f3a5bb15874385bd603a70456"),
+])
+def test_init_draws_are_pinned(dtype, digest):
+    mc = ModelConfig(feature_dim=5, num_classes=3, task="single_label", hidden=8, heads=2,
+                     layers=2, depth_s=3)
+    model = PathSageModel.init(mc, rng_for(1), dtype=dtype)
+    assert _param_digest(model) == digest
+    assert model.pos_table.dtype == dtype
+
+
+def test_build_asks_for_every_parameter_in_named_params_order(setup):
+    _, model = setup
+    arrays = {name: p.data for name, p in model.named_params()}
+    asked = []
+
+    def take(name, shape):
+        asked.append((name, shape))
+        return arrays[name]
+
+    again = PathSageModel.build(model.config, take)
+    assert asked == [(name, p.shape) for name, p in model.named_params()]
+    assert len(asked) == 2 + 15 * model.config.layers + 4
+    assert [name for name, _ in again.named_params()] == list(arrays)
+    assert all(p.data is arrays[name] and p.requires_grad for name, p in again.named_params())
+    assert again.pos_table.tobytes() == model.pos_table.tobytes()
+
+
+def test_build_rejects_an_array_of_the_wrong_shape(setup):
+    _, model = setup
+
+    def take(name, shape):
+        return np.zeros((2, 2) if name == "encoder.layer1.w1" else shape, dtype=np.float32)
+
+    with pytest.raises(ShapeMismatch, match=r"encoder\.layer1\.w1: \(2, 2\) vs \(8, 32\)"):
+        PathSageModel.build(model.config, take)

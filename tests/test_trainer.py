@@ -5,6 +5,7 @@ import re
 import stat
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,14 +445,15 @@ def test_failed_save_keeps_previous_checkpoint(tiny_dataset, tmp_path, monkeypat
     assert load_model_checkpoint(path)[3]["next_epoch"] == 1
 
 
-def _resave_altered(src, dst, block=None, meta_key=None, model_key=None):
-    """Rewrite a checkpoint with one part removed or added; the result
-    carries a valid CRC."""
+def _resave_altered(src, dst, block=None, meta_key=None, model_key=None, put=None):
+    """Rewrite a checkpoint with one part removed, added or replaced; the
+    result carries a valid CRC."""
     meta, blocks = load_checkpoint(src)
     blocks.pop(block, None)
     meta.pop(meta_key, None)
     if model_key:
         meta["model"][model_key] = 1
+    blocks.update(put or {})
     save_checkpoint(dst, meta, blocks)
     return dst
 
@@ -462,6 +464,13 @@ def _resave_altered(src, dst, block=None, meta_key=None, model_key=None):
     ({"meta_key": "adam"}, "adam"),
     ({"meta_key": "next_epoch"}, "next_epoch"),
     ({"model_key": "width"}, "width"),
+    ({"block": "adam.m:head.b2"}, "adam.m:head.b2"),
+    ({"put": {"param:head.b2": np.zeros((7, 3))}}, "head.b2: (7, 3) vs (3,)"),
+    ({"put": {"adam.m:head.b2": np.zeros((7, 3))}}, "'adam.m:head.b2': (7, 3) vs (3,)"),
+    ({"put": {"adam.v:encoder.layer0.wq": np.zeros(8)}},
+     "'adam.v:encoder.layer0.wq': (8,) vs (8, 8)"),
+    ({"put": {"adam.m:head.b3": np.zeros(3), "adam.v:head.b3": np.zeros(3)}},
+     "'adam.m:head.b3' names no parameter"),
 ])
 def test_incomplete_checkpoint_names_the_key(tiny_dataset, tmp_path, part, needle):
     graph, labels, splits = tiny_dataset
@@ -472,8 +481,33 @@ def test_incomplete_checkpoint_names_the_key(tiny_dataset, tmp_path, part, needl
     full = tmp_path / "full.psck"
     save_model_checkpoint(full, model, state, cfg, next_epoch=1)
     bad = _resave_altered(full, tmp_path / "bad.psck", **part)
-    with pytest.raises(IncompleteCheckpoint, match=needle):
+    with pytest.raises(IncompleteCheckpoint, match=re.escape(needle)):
         load_model_checkpoint(bad)
+
+
+# A format-4 checkpoint written by the code as it stood before every model was
+# made by `PathSageModel.build`: hidden 8, 2 heads, 1 layer, depth 2, 3 classes,
+# after one epoch on a 30-node synth dataset, so it carries Adam moments.
+V4_FILE = Path(__file__).parent / "data" / "tiny_v4.psck"
+
+
+def test_earlier_format_4_file_round_trips_bit_identically(tmp_path):
+    model, state, cfg, extras = load_model_checkpoint(V4_FILE)
+    assert len(state.m) == len(state.v) == len(list(model.named_params())) == 21
+    assert state.step > 0 and extras == {"next_epoch": 1, "best_val": 0.5, "bad_epochs": 1}
+    save_model_checkpoint(tmp_path / "again.psck", model, state, cfg, **extras)
+    assert (tmp_path / "again.psck").read_bytes() == V4_FILE.read_bytes()
+
+
+def test_load_draws_no_random_numbers(monkeypatch):
+    class NoDraw(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("uniform draw")
+
+    monkeypatch.setattr(np.random, "Generator", NoDraw)
+    model, _, _, _ = load_model_checkpoint(V4_FILE)
+    with pytest.raises(AssertionError, match="uniform draw"):  # the patch does bite
+        PathSageModel.init(model.config, rng_for(0))
 
 
 @pytest.mark.parametrize("section, key, value, needle", [
