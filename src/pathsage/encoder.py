@@ -74,20 +74,21 @@ def _encoder_layer(layer, x, heads, dropout_rate, rng, readout=False):
 
     Keys and values come from every token. The R query rows are all T
     tokens, or with `readout` position 0 alone (R = 1), the row the path
-    representation is read from.
+    representation is read from. Each bias is added inside its GEMM.
     """
-    n, _, d = x.shape
+    n, t, d = x.shape
     rows = ag.reshape(ag.select(x, 1, 0), (n, 1, d)) if readout else x
-    q = _split_heads(ag.add(ag.matmul(rows, layer.wq), layer.bq), heads)
-    k = _split_heads(ag.matmul(x, layer.wk), heads)
-    v = _split_heads(ag.add(ag.matmul(x, layer.wv), layer.bv), heads)
-    scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d // heads))
+    q = _split_heads(ag.matmul(rows, layer.wq, layer.bq), heads)
+    # keys go straight to (N, h, dh, T): one transpose copy
+    k = ag.transpose(ag.reshape(ag.matmul(x, layer.wk), (n, t, heads, d // heads)), (0, 2, 3, 1))
+    v = _split_heads(ag.matmul(x, layer.wv, layer.bv), heads)
+    scores = ag.scale(ag.matmul(q, k), 1.0 / math.sqrt(d // heads))
     attn = ag.softmax(scores)                       # (N, h, R, T)
     ctx = ag.reshape(ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)), rows.shape)
-    out = ag.dropout(ag.add(ag.matmul(ctx, layer.wo), layer.bo), dropout_rate, rng)
+    out = ag.dropout(ag.matmul(ctx, layer.wo, layer.bo), dropout_rate, rng)
     x = ag.layer_norm(ag.add(rows, out), layer.ln1_g, layer.ln1_b)
-    ff = ag.matmul(ag.relu(ag.add(ag.matmul(x, layer.w1), layer.b1)), layer.w2)
-    ff = ag.dropout(ag.add(ff, layer.b2), dropout_rate, rng)
+    ff = ag.matmul(ag.relu(ag.matmul(x, layer.w1, layer.b1)), layer.w2, layer.b2)
+    ff = ag.dropout(ff, dropout_rate, rng)
     x = ag.layer_norm(ag.add(x, ff), layer.ln2_g, layer.ln2_b)
     return x, attn.data
 
@@ -102,7 +103,7 @@ def _embed(params, pos, path_features):
     if path_features.shape[2] != params.w_in.shape[0]:
         raise ShapeMismatch("feature width vs input projection",
                             path_features.shape, params.w_in.shape)
-    x = ag.add(ag.matmul(path_features, params.w_in), params.b_in)
+    x = ag.matmul(path_features, params.w_in, params.b_in)
     return ag.add(x, Tensor(pos[:t].astype(x.dtype)))
 
 

@@ -35,9 +35,9 @@ def head_forward(params: HeadParams, concat, rng=None, dropout_rate=0.0):
     on the hidden relu activations when a dropout stream `rng` is given."""
     if concat.data.ndim != 2 or concat.shape[1] != params.w1.shape[0]:
         raise WidthMismatch("head input width", concat.shape, params.w1.shape)
-    h = ag.relu(ag.add(ag.matmul(concat, params.w1), params.b1))
+    h = ag.relu(ag.matmul(concat, params.w1, params.b1))
     h = ag.dropout(h, dropout_rate, rng)
-    return ag.add(ag.matmul(h, params.w2), params.b2)
+    return ag.matmul(h, params.w2, params.b2)
 
 
 def loss(logits, target, task):

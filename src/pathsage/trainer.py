@@ -30,6 +30,8 @@ log = logging.getLogger(__name__)
 GRAD_CLIP = 5.0  # global L2 norm the gradients of a step are clipped to
 PATIENCE = 10  # epochs without a better validation micro-F1 before fit stops
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the phases of a training step timed by train_epoch, in step order
+PHASES = ("sample", "forward", "backward", "optimizer")
 
 
 @dataclass
@@ -119,21 +121,28 @@ def sample_many(graph, nodes, plan, seed, epoch):
 
 
 def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConfig,
-                epoch, state: OptimizerState, total_steps):
+                epoch, state: OptimizerState, total_steps, phases=None):
     """One pass over the training nodes; fresh paths are sampled per epoch.
 
     Returns (mean loss, micro-F1 of the in-epoch predictions, largest
     pre-clip gradient norm of its steps). At DEBUG level each step logs a
     JSON `step` line with its epoch, step, loss, pre-clip grad_norm and lr.
+    A dict `phases` gains, under each `PHASES` name, the wall seconds the
+    steps spent sampling walks, in the forward pass and loss, in backward,
+    and in clip plus Adam.
     """
     plan = SamplePlan(cfg.counts_per_length)
     order = stream_rng(cfg.seed, "shuffle", epoch).permutation(train_nodes)
     losses = []
     preds, targets = [], []
     max_norm = 0.0
+    phases = {} if phases is None else phases
+    clock = time.perf_counter
     for b0 in range(0, len(order), cfg.batch_size):
+        t0 = clock()
         nodes = order[b0:b0 + cfg.batch_size]
         walks = sample_many(graph, nodes, plan, cfg.seed, epoch)
+        t1 = clock()
         drop_rng = stream_rng(cfg.seed, "dropout", epoch, b0)
         model.zero_grad()
         logits = model.forward_batch(graph, walks, rng=drop_rng)
@@ -144,14 +153,19 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
             raise NonFiniteLoss(
                 f"non-finite loss {value} at epoch {epoch} step {state.step} "
                 f"(lr={lr_at(state.step + 1, total_steps, cfg):.3e})")
+        t2 = clock()
         ag.backward(loss)
         grads = {name: p.grad for name, p in model.named_params() if p.grad is not None}
+        t3 = clock()
         norm = _clip_grads(grads)
         if not math.isfinite(norm):
             raise NonFiniteGradient(
                 f"non-finite gradient norm {norm} at epoch {epoch} step {state.step}")
         lr = lr_at(state.step + 1, total_steps, cfg)
         adam_step(model.named_params(), grads, state, lr)
+        t4 = clock()
+        for name, seconds in zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            phases[name] = phases.get(name, 0.0) + seconds
         if log.isEnabledFor(logging.DEBUG):
             log.debug(json.dumps({"epoch": epoch, "event": "step", "grad_norm": norm,
                                   "loss": value, "lr": lr, "step": state.step}))
@@ -181,10 +195,12 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
     Each history record holds the epoch, its mean `loss`, `train_micro_f1`,
     the `lr` of its last step, its largest pre-clip `grad_norm`, the wall
     `seconds` of its `train_epoch` and the training `nodes_per_s` they give,
-    the wall seconds spent validating (`eval_seconds`) and writing the
-    checkpoint (`checkpoint_seconds`), plus `val_micro_f1` and `val_loss`
-    when validated. `log_fn` sees each record after the epoch's checkpoint
-    is written.
+    the parts of those seconds spent in each step phase (`sample_seconds`,
+    `forward_seconds`, `backward_seconds` and `optimizer_seconds`; see
+    `train_epoch`), the wall seconds spent validating (`eval_seconds`) and
+    writing the checkpoint (`checkpoint_seconds`), plus `val_micro_f1` and
+    `val_loss` when validated. `log_fn` sees each record after the epoch's
+    checkpoint is written.
     """
     state = state or OptimizerState()
     steps_per_epoch = math.ceil(len(splits.train) / cfg.batch_size)
@@ -192,13 +208,15 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
     history = []
     epoch = start_epoch
     for epoch in range(start_epoch, cfg.epochs):
+        phases = {}
         start = time.perf_counter()
         mean_loss, train_f1, grad_norm = train_epoch(model, graph, labels, splits.train,
-                                                     cfg, epoch, state, total_steps)
+                                                     cfg, epoch, state, total_steps, phases)
         seconds = time.perf_counter() - start
         record = {"epoch": epoch, "loss": mean_loss, "train_micro_f1": train_f1,
                   "lr": lr_at(state.step, total_steps, cfg), "grad_norm": grad_norm,
-                  "seconds": seconds, "nodes_per_s": len(splits.train) / seconds}
+                  "seconds": seconds, "nodes_per_s": len(splits.train) / seconds,
+                  **{f"{name}_seconds": phases[name] for name in PHASES}}
         start = time.perf_counter()
         if eval_fn is not None and len(splits.val):
             val_f1, val_loss = eval_fn(model, epoch)

@@ -247,6 +247,7 @@ def test_overfit_planted_one_hop(capsys, overfit_run):
 # 7. longer paths beat short ones on a planted 3-hop dataset
 # -----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_depth_sensitivity(capsys, tmp_path):
     t0 = time.time()
     d = synth_planted_khop(tmp_path / "k3", num_nodes=1000, avg_degree=1.0,

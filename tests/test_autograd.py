@@ -28,12 +28,37 @@ def test_softmax_rows_normalized_and_positive():
     assert (s > 0).all()
 
 
+@pytest.mark.parametrize("t", [1, 2, 7, 8, 9, 17, 40])
+def test_float32_softmax_matches_float64_oracle(t):
+    x32 = (RNG.normal(size=(50, 3, 4, t)) * 4).astype(np.float32)
+    g32 = RNG.normal(size=x32.shape).astype(np.float32)
+    x = ag.Tensor(x32, requires_grad=True)
+    out = ag.softmax(x)
+    ag.backward(tsum(mul(out, ag.Tensor(g32))))
+    x64, g64 = x32.astype(np.float64), g32.astype(np.float64)
+    e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    want_gx = s * (g64 - (g64 * s).sum(axis=-1, keepdims=True))
+    assert out.dtype == np.float32 and x.grad.dtype == np.float32
+    assert np.abs(out.data - s).max() <= 1e-6
+    assert np.abs(x.grad - want_gx).max() <= 1e-5 * np.abs(g64).max()
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_float32_softmax_of_short_rows_is_bit_identical_to_a_row_sum(t):
+    # numpy's reduce adds a row shorter than 8 in order, as softmax's column
+    # fold does; a numpy that reorders short sums fails here
+    x = (RNG.normal(size=(500, 4, t)) * 3).astype(np.float32)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert ag.softmax(ag.Tensor(x)).data.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+
 def test_relu_forward_and_vjp():
-    x = ag.Tensor([-1.0, 2.0], requires_grad=True)
+    x = ag.Tensor([-1.0, 0.0, -0.0, 2.0], requires_grad=True)
     y = ag.relu(x)
-    np.testing.assert_array_equal(y.data, [0.0, 2.0])
+    np.testing.assert_array_equal(y.data, [0.0, 0.0, 0.0, 2.0])
     ag.backward(tsum(y))
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])  # 0 at 0
 
 
 def test_sum_gradient_is_ones():
@@ -78,6 +103,60 @@ def test_batched_matmul_with_shared_2d_operand():
     check_grad(lambda ts: tsum(mul(m := ag.matmul(ts[0], ts[1]), m)), [a, w])
 
 
+def test_matmul_with_bias_adds_it_to_every_row():
+    a = RNG.normal(size=(2, 5, 3)).astype(np.float32)
+    w = RNG.normal(size=(3, 4)).astype(np.float32)
+    bias = RNG.normal(size=4).astype(np.float32)
+    fused = ag.matmul(ag.Tensor(a), ag.Tensor(w), ag.Tensor(bias)).data
+    assert fused.tobytes() == (ag.matmul(ag.Tensor(a), ag.Tensor(w)).data + bias).tobytes()
+
+
+@pytest.mark.parametrize("b_shape,bias_shape", [
+    ((3, 4), (3,)),        # wrong width
+    ((3, 4), (1, 4)),      # not a row vector
+    ((2, 3, 4), (4,)),     # a batched b takes no bias
+])
+def test_matmul_bias_shape_mismatch(b_shape, bias_shape):
+    with pytest.raises(ShapeMismatch):
+        ag.matmul(ag.Tensor(np.ones((2, 5, 3))), ag.Tensor(np.ones(b_shape)),
+                  ag.Tensor(np.ones(bias_shape)))
+
+
+@pytest.mark.parametrize("op,b_shape", [
+    ("matmul", (4, 5)), ("matmul", (2, 4, 5)), ("matmul_bias", (4, 5)), ("add", (4,)),
+])
+@pytest.mark.parametrize("constant", [0, 1])
+def test_constant_operand_gets_no_gradient(op, b_shape, constant):
+    a, b, bias = RNG.normal(size=(2, 3, 4)), RNG.normal(size=b_shape), RNG.normal(size=5)
+
+    def run(needs):
+        ts = [ag.Tensor(x, requires_grad=need) for x, need in zip((a, b), needs)]
+        if op == "add":
+            out = ag.add(*ts)
+        elif op == "matmul_bias":
+            out = ag.matmul(*ts, ag.Tensor(bias, requires_grad=True))
+        else:
+            out = ag.matmul(*ts)
+        slots = out._vjp(np.ones(out.shape))
+        ag.backward(tsum(mul(out, out)))
+        return slots, [t.grad for t in ts]
+
+    slots, got = run([i != constant for i in range(2)])
+    _, want = run([True, True])
+    assert slots[constant] is None and got[constant] is None
+    assert slots[1 - constant] is not None
+    assert got[1 - constant].tobytes() == want[1 - constant].tobytes()
+
+
+def test_shared_bias_column_sum_is_bit_identical_to_a_leading_axes_sum():
+    # a numpy that changes either summation order fails here
+    for width in (2, 3, 32, 128):
+        g = RNG.normal(size=(300, 9, width)).astype(np.float32)
+        x = RNG.normal(size=g.shape).astype(np.float32)
+        assert ag._column_sum(g).tobytes() == g.sum(axis=(0, 1)).tobytes()
+        assert ag._column_sum(g, x).tobytes() == (g * x).sum(axis=(0, 1)).tobytes()
+
+
 def _max_rel(got, want):
     """Largest absolute error, relative to the oracle's largest magnitude."""
     return float(np.abs(got.astype(np.float64) - want).max() / np.abs(want).max())
@@ -112,6 +191,7 @@ def test_float32_matmul_matches_float64_oracle(a_shape, b_shape):
     ("select", [(4, 3, 2)]),
     ("concat", [(2, 3), (2, 4)]),
     ("add_bias", [(4, 3, 5), (5,)]),
+    ("matmul_bias", [(2, 5, 3), (3, 4), (4,)]),
     ("scale", [(3, 3)]),
     ("reshape", [(2, 6)]),
     ("transpose", [(2, 3, 4)]),
@@ -134,6 +214,8 @@ def test_primitive_gradients(prim, shapes):
             y = ag.concat(ts, axis=-1)
         elif prim == "add_bias":
             y = ag.add(ts[0], ts[1])
+        elif prim == "matmul_bias":
+            y = ag.matmul(ts[0], ts[1], ts[2])
         elif prim == "scale":
             y = ag.scale(ts[0], 2.5)
         elif prim == "reshape":
@@ -262,7 +344,8 @@ def test_canonical_bucket_mean_bit_identical_under_permutation():
 def _every_op(x, w, gain, bias):
     """One output of each primitive, from inputs x (2, 3, 4) and w (4, 4)."""
     rows = ag.reshape(x, (6, 4))
-    return [ag.add(x, bias), ag.scale(x, 2.0), ag.matmul(x, w), ag.relu(x), ag.softmax(x),
+    return [ag.add(x, bias), ag.scale(x, 2.0), ag.matmul(x, w), ag.matmul(x, w, bias),
+            ag.relu(x), ag.softmax(x),
             ag.layer_norm(x, gain, bias),
             ag.dropout(x, 0.5, np.random.Generator(np.random.PCG64(3))),
             ag.concat([x, x]), ag.select(x, 1, 0), rows, ag.transpose(x, (2, 0, 1)),

@@ -23,6 +23,7 @@ from pathsage.sampler import rng_for
 from pathsage.synth import synth_planted_khop
 from pathsage.trainer import (
     PATIENCE,
+    PHASES,
     OptimizerState,
     TrainConfig,
     adam_step,
@@ -216,6 +217,8 @@ def test_fit_records_last_lr_and_grad_norm(tiny_dataset, tmp_path):
         assert rec["lr"] == lr_at(last_step, steps * cfg.epochs, cfg)
         assert 0.0 < rec["grad_norm"] < np.inf
         assert rec["eval_seconds"] > 0.0 and rec["checkpoint_seconds"] > 0.0
+        phases = [rec[f"{name}_seconds"] for name in PHASES]
+        assert min(phases) > 0.0 and sum(phases) <= rec["seconds"]
     assert result.history[-1]["lr"] == 0.0  # the schedule ends at zero
     assert [(rec["epoch"], next_epoch) for rec, next_epoch in logged] == [(0, 1), (1, 2), (2, 3)]
     assert [rec for rec, _ in logged] == result.history
