@@ -4,14 +4,23 @@ Dataset directory layout:
     meta.json     {"num_nodes", "feature_dim" >= 1, "num_classes" >= 1, "task", "directed"}
     edges.csv     one `src,dst` per line, 0-based, no header
     features.bin  magic "PSGF", u32 version, u64 rows, u64 cols, f32 LE row-major
-    labels.csv    single_label: `node,label`; multi_label: `node,l1;l2;...`
+    labels.csv    single_label: `node,label`, one line per node; multi_label: `node,l1;l2;...`
     splits.json   {"train": [...], "val": [...], "test": [...]}
+
+CSV fields are int64 integers, with optional whitespace around them; `_`
+separators and `#` comments are errors. Empty lines are skipped, but a line
+of only whitespace is an error. Both CSVs parse as one int64 array with
+np.loadtxt; when that or a range check fails, a line-by-line scan finds the
+first bad line and raises its error.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,22 +69,31 @@ class SplitMasks:
     test: np.ndarray
 
 
+def _outside(values, n):
+    """True if some entry of the int array `values` is outside [0, n)."""
+    return values.size > 0 and (values.min() < 0 or values.max() >= n)
+
+
 def build_csr(num_nodes, edges, directed):
     """Build sorted CSR from an edge list; symmetrize when undirected and
     give isolated nodes a self-loop so random walks never stall.
 
     Edges are deduplicated and sorted as the keys src * num_nodes + dst,
     which fit in int64 while node ids stay below the shuffle pseudo-node
-    (sampler.STREAMS).
+    (sampler.STREAMS). The dedupe sorts and compares neighbours: numpy >= 2.3
+    makes np.unique hash, which is many times slower on these keys.
     """
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(pairs) and (pairs.min() < 0 or pairs.max() >= num_nodes):
+    if _outside(pairs, num_nodes):
         raise IndexOutOfRange("edge endpoint outside [0, num_nodes)")
     src, dst = pairs[:, 0], pairs[:, 1]
     if not directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     isolated = np.flatnonzero(np.bincount(src, minlength=num_nodes) == 0)
-    keys = np.unique(np.concatenate([src * num_nodes + dst, isolated * num_nodes + isolated]))
+    keys = np.sort(np.concatenate([src * num_nodes + dst, isolated * num_nodes + isolated]))
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // num_nodes, minlength=num_nodes), out=offsets[1:])
     return offsets, keys % num_nodes
@@ -95,12 +113,17 @@ def read_features_bin(path: Path) -> np.ndarray:
         version, rows, cols = struct.unpack("<IQQ", header[4:])
         if version != FEATURES_VERSION:
             raise MalformedRecord(path, 0, f"unsupported features version {version}")
+        # checked before the read: rows * cols from the header may not fit a C size
+        payload, need = os.fstat(fh.fileno()).st_size - len(header), rows * cols * 4
+        if payload < need:
+            raise MalformedRecord(path, 0, f"truncated feature payload: the header's "
+                                           f"{rows} x {cols} floats need {need} bytes, "
+                                           f"the file holds {payload}")
+        if payload > need:
+            raise MalformedRecord(path, 0, f"{payload - need} bytes after the feature payload")
         data = np.fromfile(fh, dtype="<f4", count=rows * cols)
-        extra = len(fh.read())
     if data.size != rows * cols:
         raise MalformedRecord(path, 0, "truncated feature payload")
-    if extra:
-        raise MalformedRecord(path, 0, f"{extra} bytes after the feature payload")
     return data.reshape(rows, cols)
 
 
@@ -112,63 +135,122 @@ def write_features_bin(path: Path, features: np.ndarray):
         features.tofile(fh)
 
 
-def _read_edges(path: Path, num_nodes):
-    edges = []
-    with open(_require(path)) as fh:
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_field(field):
+    """The value of a CSV integer field, or None if it is not one. Whitespace
+    around it is allowed; `_` separators and non-ASCII digits are not, as
+    numpy's parser rejects them."""
+    field = field.strip()
+    return int(field) if _INT_FIELD.fullmatch(field) else None
+
+
+def _int_table(path: Path, cols):
+    """Every non-blank line of a comma-separated int64 file as one (rows,
+    cols) array, or None if numpy cannot read it as one."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:  # comments=None: a `#` line is a bad field, not a comment
+            table = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:  # a bad field, or rows of differing lengths
+            return None
+    if table.size == 0:  # an empty file reads as shape (0, 1)
+        return np.empty((0, cols), dtype=np.int64)
+    return table if table.shape[1] == cols else None
+
+
+def _csv_lines(path: Path):
+    """(line number, stripped text) of each non-blank line. A line of only
+    whitespace is not blank: numpy's parser reads it as a field."""
+    with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise MalformedRecord(path, line_no, f"expected `src,dst`, got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MalformedRecord(path, line_no, f"non-integer endpoint in {line!r}") from None
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise IndexOutOfRange(f"{path}:{line_no}: edge ({u},{v}) outside [0,{num_nodes})")
-            edges.append((u, v))
+            text = line.strip()
+            if text:
+                yield line_no, text
+            elif line.rstrip("\n"):
+                raise MalformedRecord(path, line_no, "line holds only whitespace")
+
+
+def _reject(path: Path, records):
+    """Run `records`, a line-by-line parse of a file the array path
+    rejected, so that the first bad line raises its own error. A file in
+    which no line fails still fails."""
+    for _ in records:
+        pass
+    raise MalformedRecord(path, 0, "not a table of comma-separated int64 fields")
+
+
+def _edge_records(path: Path, num_nodes):
+    """(src, dst) per line."""
+    for line_no, line in _csv_lines(path):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise MalformedRecord(path, line_no, f"expected `src,dst`, got {line!r}")
+        u, v = map(_int_field, parts)
+        if u is None or v is None:
+            raise MalformedRecord(path, line_no, f"non-integer endpoint in {line!r}")
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise IndexOutOfRange(f"{path}:{line_no}: edge ({u},{v}) outside [0,{num_nodes})")
+        yield u, v
+
+
+def _label_records(path: Path, num_nodes, num_classes, task):
+    """(node, label ids) per line; a single-label node may appear only once."""
+    first_line = {}
+    for line_no, line in _csv_lines(path):
+        parts = line.split(",", 1)
+        if len(parts) != 2:
+            raise MalformedRecord(path, line_no, f"expected `node,label`, got {line!r}")
+        node = _int_field(parts[0])
+        if node is None:
+            raise MalformedRecord(path, line_no, f"non-integer node in {line!r}")
+        if not 0 <= node < num_nodes:
+            raise IndexOutOfRange(f"{path}:{line_no}: node {node} outside [0,{num_nodes})")
+        if task == SINGLE_LABEL:
+            if node in first_line:
+                raise MalformedRecord(path, line_no, f"node {node} already labelled "
+                                                     f"on line {first_line[node]}")
+            first_line[node] = line_no
+            tokens = [parts[1]]
+        else:
+            field = parts[1].strip()
+            tokens = field.split(";") if field else []
+        labs = []
+        for tok in tokens:
+            lab = _int_field(tok)
+            if lab is None:
+                raise MalformedRecord(path, line_no, f"non-integer label {tok.strip()!r}")
+            if not 0 <= lab < num_classes:
+                raise IndexOutOfRange(f"{path}:{line_no}: label {lab} outside [0,{num_classes})")
+            labs.append(lab)
+        yield node, labs
+
+
+def _read_edges(path: Path, num_nodes):
+    """edges.csv -> int64 (E, 2) array of in-range endpoints."""
+    edges = _int_table(_require(path), 2)
+    if edges is None or _outside(edges, num_nodes):
+        _reject(path, _edge_records(path, num_nodes))
     return edges
 
 
 def _read_labels(path: Path, num_nodes, num_classes, task):
+    _require(path)
     if task == SINGLE_LABEL:
         labels = np.full(num_nodes, -1, dtype=np.int64)
+        rows = _int_table(path, 2)
+        valid = not (rows is None or _outside(rows[:, 0], num_nodes)
+                     or _outside(rows[:, 1], num_classes))
+        if valid:
+            labels[rows[:, 0]] = rows[:, 1]
+        # a node listed twice leaves fewer labelled nodes than rows
+        if not valid or np.count_nonzero(labels >= 0) != len(rows):
+            _reject(path, _label_records(path, num_nodes, num_classes, task))
     else:
         labels = np.zeros((num_nodes, num_classes), dtype=np.uint8)
-    with open(_require(path)) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",", 1)
-            if len(parts) != 2:
-                raise MalformedRecord(path, line_no, f"expected `node,label`, got {line!r}")
-            try:
-                node = int(parts[0])
-            except ValueError:
-                raise MalformedRecord(path, line_no, f"non-integer node in {line!r}") from None
-            if not 0 <= node < num_nodes:
-                raise IndexOutOfRange(f"{path}:{line_no}: node {node} outside [0,{num_nodes})")
-            if task == SINGLE_LABEL:
-                try:
-                    lab = int(parts[1])
-                except ValueError:
-                    raise MalformedRecord(path, line_no, f"non-integer label in {line!r}") from None
-                if not 0 <= lab < num_classes:
-                    raise IndexOutOfRange(f"{path}:{line_no}: label {lab} outside [0,{num_classes})")
-                labels[node] = lab
-            else:
-                field = parts[1].strip()
-                for tok in (field.split(";") if field else []):
-                    try:
-                        lab = int(tok)
-                    except ValueError:
-                        raise MalformedRecord(path, line_no, f"non-integer label id {tok!r}") from None
-                    if not 0 <= lab < num_classes:
-                        raise IndexOutOfRange(f"{path}:{line_no}: label {lab} outside [0,{num_classes})")
-                    labels[node, lab] = 1
+        for node, labs in _label_records(path, num_nodes, num_classes, task):
+            labels[node, labs] = 1
     if task == SINGLE_LABEL and (labels < 0).any():
         missing = int(np.flatnonzero(labels < 0)[0])
         raise MalformedRecord(path, 0, f"node {missing} has no label")
@@ -196,16 +278,18 @@ def _read_splits(path: Path, num_nodes):
     out = {}
     for name in SPLIT_NAMES:
         ids = raw.get(name, [])
-        if not (isinstance(ids, list) and all(map(is_int, ids))):
+        # type, not isinstance: a JSON true is a bool, not a node id
+        if not (isinstance(ids, list) and set(map(type, ids)) <= {int}):
             raise MalformedRecord(path, 0, f"{name} split is not a list of node ids")
-        if not all(0 <= i < num_nodes for i in ids):
+        # on the Python ints, so that an id past int64 is out of range, not an overflow
+        if ids and not (0 <= min(ids) and max(ids) < num_nodes):
             raise IndexOutOfRange(f"{name} split index outside [0,{num_nodes})")
-        idx = np.asarray(ids, dtype=np.int64)
-        if len(np.unique(idx)) != len(idx):
+        idx = np.sort(np.asarray(ids, dtype=np.int64))
+        if (idx[1:] == idx[:-1]).any():
             raise SplitOverlap(f"duplicate indices inside {name} split")
-        out[name] = np.sort(idx)
+        out[name] = idx
     for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
-        if np.intersect1d(out[a], out[b]).size:
+        if np.intersect1d(out[a], out[b], assume_unique=True).size:
             raise SplitOverlap(f"{a} and {b} splits overlap")
     if out["train"].size == 0:
         raise SplitOverlap("train split is empty")

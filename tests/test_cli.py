@@ -234,6 +234,14 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
         (bad / "meta.json").write_text(json.dumps(dict(meta, num_classes=-1, task="multi_label")))
         return ["train", "--dataset", str(bad), "--checkpoint", str(tmp_path / "m.psck"),
                 *TRAIN_FLAGS], "meta.json:0: num_classes must be >= 1, got -1"
+    if case == "huge features header":  # rows * cols does not fit a C size
+        bad = tmp_path / "huge_header"
+        shutil.copytree(dataset, bad)
+        with open(bad / "features.bin", "r+b") as fh:
+            fh.seek(8)
+            fh.write(struct.pack("<QQ", 2 ** 63, 2))
+        return ["sample", "--dataset", str(bad), "--node", "0", "--counts", "2"], \
+            "features.bin:0: truncated feature payload"
     raw = tmp_path / "raw"
     raw.mkdir()
     for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
@@ -251,7 +259,8 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
 @pytest.mark.parametrize("case", ["split", "checkpoint directory", "dump directory",
                                   "missing dump", "non-JSON dump line",
                                   "ragged dump record", "non-integer dump fields", "huge dump label",
-                                  "no classes", "non-numeric feature", "out-of-range edge"])
+                                  "no classes", "huge features header", "non-numeric feature",
+                                  "out-of-range edge"])
 def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
     argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,11 +12,17 @@ from pathsage.errors import (
     SplitOverlap,
 )
 from pathsage.graph import (
+    FEATURES_MAGIC,
+    FEATURES_VERSION,
+    SPLIT_NAMES,
     load_dataset,
     read_features_bin,
     write_dataset,
     write_features_bin,
 )
+from pathsage.synth import synth_planted_khop
+
+from line_reader import read_reference
 
 
 def make_dataset(tmp_path, edges, num_nodes, task="single_label", num_classes=2,
@@ -138,6 +145,102 @@ def test_malformed_json_file_raises_malformed_record(tmp_path, name, text, needl
     assert needle in str(exc.value)
 
 
+def _assert_matches_reference(d):
+    g, ls, sm = load_dataset(d)
+    offsets, nbrs, labels, splits = read_reference(d)
+    pairs = [(g.offsets, offsets), (g.neighbors, nbrs), (ls.labels, labels),
+             *((getattr(sm, name), splits[name]) for name in SPLIT_NAMES)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+
+
+# One row per CSV input: (file, its text, None if the dataset loads, else the
+# error class and the 1-based line its message names; 0 for the whole file).
+# The dataset has 2 nodes and 2 classes; the other file is the valid one.
+CSV_CASES = [
+    ("edges.csv", "0,1\n\n\nbogus\n", (MalformedRecord, 4)),
+    ("edges.csv", "\n0,1\n\n1,5\n", (IndexOutOfRange, 4)),
+    ("edges.csv", "0,1\r\n\r\n1,1\r\n", None),
+    ("edges.csv", " 0 , 1 \n\t1,\t1\t\n", None),
+    ("edges.csv", "0,1\n1,0\n0,1\n", None),  # the same edge thrice
+    ("edges.csv", "0,1\n1\n", (MalformedRecord, 2)),
+    ("edges.csv", "0,1,1\n", (MalformedRecord, 1)),
+    ("edges.csv", "0,1.5\n", (MalformedRecord, 1)),
+    ("edges.csv", "0,1\nx,1\n", (MalformedRecord, 2)),
+    ("edges.csv", "0,1\n-1,0\n", (IndexOutOfRange, 2)),
+    ("edges.csv", f"0,{2 ** 70}\n", (IndexOutOfRange, 1)),
+    ("edges.csv", "# src,dst\n0,1\n", (MalformedRecord, 1)),
+    ("edges.csv", "0,1\n# src,dst\n", (MalformedRecord, 2)),
+    ("edges.csv", "", None),
+    ("labels.csv", "0,0\n\n\n1,x\n", (MalformedRecord, 4)),
+    ("labels.csv", "\n0,0\n\n1,2\n", (IndexOutOfRange, 4)),
+    ("labels.csv", "0,1\r\n\r\n1,0\r\n", None),
+    ("labels.csv", " 0 , 1 \n\t1,\t0\t\n", None),
+    ("labels.csv", "0,0\n1\n", (MalformedRecord, 2)),
+    ("labels.csv", "0,0\n1,1,1\n", (MalformedRecord, 2)),
+    ("labels.csv", "0,0\n1,1.5\n", (MalformedRecord, 2)),
+    ("labels.csv", "0,0\nx,1\n", (MalformedRecord, 2)),
+    ("labels.csv", "0,0\n-1,1\n", (IndexOutOfRange, 2)),
+    ("labels.csv", "0,0\n1,-1\n", (IndexOutOfRange, 2)),
+    ("labels.csv", f"0,0\n{2 ** 70},1\n", (IndexOutOfRange, 2)),
+    ("labels.csv", f"0,0\n1,{2 ** 70}\n", (IndexOutOfRange, 2)),
+    ("labels.csv", "# node,label\n0,0\n1,1\n", (MalformedRecord, 1)),
+    ("labels.csv", "0,0\n1,1\n# node,label\n", (MalformedRecord, 3)),
+    ("labels.csv", "", (MalformedRecord, 0)),  # node 0 has no label
+]
+
+
+@pytest.mark.parametrize("name,text,expected", CSV_CASES)
+def test_csv_inputs(tmp_path, name, text, expected):
+    d = make_dataset(tmp_path, [(0, 1)], 2)
+    (d / name).write_bytes(text.encode())
+    if expected is None:
+        _assert_matches_reference(d)
+        return
+    error, line = expected
+    with pytest.raises(error) as exc:
+        load_dataset(d)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"{d / name}:{line}: ")
+
+
+@pytest.mark.parametrize("name,text,line", [
+    ("labels.csv", "0,0\n1,1\n\n0,1\n", 4),  # a node labelled twice
+    ("edges.csv", "0,1\n1_0,1\n", 2),  # int() accepts `_` separators
+    ("labels.csv", "0,0\n1,1_0\n", 2),
+    ("edges.csv", "0,1\n\u0661,1\n", 2),  # and non-ASCII digits
+    ("edges.csv", "0,1\n  \n1,0\n", 2),  # numpy reads a line of spaces as a field
+    ("labels.csv", "0,0\n\t\n1,1\n", 2),
+])
+def test_csv_inputs_outside_the_grammar_name_their_line(tmp_path, name, text, line):
+    d = make_dataset(tmp_path, [(0, 1)], 2)
+    (d / name).write_bytes(text.encode())
+    with pytest.raises(MalformedRecord) as exc:
+        load_dataset(d)
+    assert str(exc.value).startswith(f"{d / name}:{line}: ")
+
+
+def test_multi_label_node_listed_twice_gets_both_labels(tmp_path):
+    d = make_dataset(tmp_path, [(0, 1)], 2, task="multi_label", num_classes=3)
+    (d / "labels.csv").write_text("0,0\n1,\n0,2;1\n")
+    _, ls, _ = load_dataset(d)
+    assert ls.labels.tolist() == [[1, 1, 1], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("topology,seed", [("er", 1), ("er", 2), ("ring", 3), ("ring", 4)])
+def test_load_matches_line_reader_with_blank_lines(tmp_path, topology, seed):
+    d = synth_planted_khop(tmp_path / "ds", num_nodes=120, avg_degree=3.0, k=2,
+                           num_classes=3, seed=seed, topology=topology)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for name in ("edges.csv", "labels.csv"):
+        lines = (d / name).read_text().splitlines(keepends=True)
+        for at in sorted(rng.integers(0, len(lines) + 1, size=len(lines) // 4), reverse=True):
+            lines[at:at] = ["\n"] * int(rng.integers(1, 4))
+        (d / name).write_text("".join(lines))
+    _assert_matches_reference(d)
+
+
 def test_edge_index_out_of_range(tmp_path):
     d = make_dataset(tmp_path, [(0, 1)], 2)
     (d / "edges.csv").write_text("0,5\n")
@@ -190,6 +293,14 @@ def test_features_bin_with_trailing_bytes_rejected(tmp_path):
         fh.write(bytes(40))
     with pytest.raises(MalformedRecord, match="40 bytes after the feature payload"):
         read_features_bin(tmp_path / "f.bin")
+
+
+@pytest.mark.parametrize("rows,cols", [(2 ** 63, 2), (2 ** 40, 2 ** 30), (2 ** 64 - 1, 2 ** 64 - 1)])
+def test_features_bin_header_past_the_file_rejected(tmp_path, rows, cols):
+    path = tmp_path / "f.bin"
+    path.write_bytes(FEATURES_MAGIC + struct.pack("<IQQ", FEATURES_VERSION, rows, cols) + bytes(16))
+    with pytest.raises(MalformedRecord, match="truncated feature payload"):
+        read_features_bin(path)
 
 
 def test_multi_label_round_trip(tmp_path):

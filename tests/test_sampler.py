@@ -162,8 +162,10 @@ def test_derive_seed_deterministic_and_distinct():
 
 
 def test_derive_seed_collision_scan():
-    seeds = {derive_sample_seed(7, e, n) for e in range(100) for n in range(10000)}
-    assert len(seeds) == 100 * 10000  # zero 64-bit collisions expected at 1e6 draws
+    nodes = np.arange(10000)
+    seeds = np.sort(np.concatenate([derive_sample_seed(7, e, nodes) for e in range(100)]))
+    assert seeds.size == 100 * 10000
+    assert (seeds[1:] != seeds[:-1]).all()  # zero 64-bit collisions expected at 1e6 draws
 
 
 def _state(rng):
