@@ -14,7 +14,13 @@ a vjp returns None for an input that requires none, and skips its math.
 `backward` walks the recorded graph once in reverse topological order and
 accumulates gradients into the leaves. Inside a `no_record()` block
 (inference) no op records anything, so the graph of one forward pass is
-not kept alive by its outputs.
+not kept alive by its outputs; `is_recording()` tells which state is on.
+
+A 2-D GEMM with fewer than `GEMM_MIN_ROWS` rows runs on a zero-padded copy
+of that many rows. BLAS gives a row different bits when M is small (the
+gemv path at M = 1, other kernels below 16 rows at K = 512 and 1024), so
+for the model's tested shapes a row's bits do not depend on how many rows
+share its GEMM (README states the limits).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .errors import InvalidSetting, NonScalarLoss, ShapeMismatch
 
 DEFAULT_DTYPE = np.float32
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
+GEMM_MIN_ROWS = 16  # smallest M a 2-D matmul forward hands to BLAS
 
 # False inside a no_record() block. A module global is enough: the runtime
 # is single-threaded.
@@ -81,6 +88,11 @@ def no_record():
         yield
     finally:
         _recording = saved
+
+
+def is_recording():
+    """False inside a no_record() block, True otherwise."""
+    return _recording
 
 
 def _make(data, parents, vjp):
@@ -147,7 +159,9 @@ def matmul(a, b, bias=None):
 
     A 2-D b makes one 2-D GEMM each way: a is viewed as (M, d) rows, the
     forward is `a2 @ b` and the vjp is `g2 @ b.T` and `a2.T @ g2`, so b's
-    gradient sums over all M rows inside that one GEMM. A `bias` of b's
+    gradient sums over all M rows inside that one GEMM. An M below
+    `GEMM_MIN_ROWS` is zero-padded up to it in the forward, so a row's bits
+    do not depend on M; the vjp is unpadded. A `bias` of b's
     width (2-D b only) is added in place into the GEMM output; its gradient
     is the column sum of `g2`. A batched b makes one matmul per batch entry
     each way, and its gradient has b's shape. An operand that requires no
@@ -167,7 +181,13 @@ def matmul(a, b, bias=None):
         parents = (a, b, bias)
     if b.data.ndim == 2:
         a2 = a.data.reshape(-1, a.shape[-1])
-        out2 = a2 @ b.data
+        m = a2.shape[0]
+        if m < GEMM_MIN_ROWS:
+            padded = np.zeros((GEMM_MIN_ROWS, a2.shape[1]), dtype=a2.dtype)
+            padded[:m] = a2
+            out2 = (padded @ b.data)[:m]
+        else:
+            out2 = a2 @ b.data
         if bias is not None:
             out2 += bias.data
         data = out2.reshape(*a.shape[:-1], b.shape[-1])

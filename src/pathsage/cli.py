@@ -20,10 +20,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from .errors import DataError, InvalidSetting, MalformedRecord, NumericalError, PathSageError
-from .graph import SPLIT_NAMES, is_int, load_dataset, write_features_bin
+from .errors import DataError, InvalidSetting, NumericalError, PathSageError
+from .graph import SPLIT_NAMES, is_int, load_dataset, read_features_csv, write_features_bin
 from .metrics import attention_stats, dump_attention, eval_runs, eval_split
 from .model import ModelConfig, PathSageModel
 from .sampler import SamplePlan, sample_paths, stream_rng
@@ -168,10 +166,7 @@ def cmd_ingest(cfg, args):
         feats_csv = src / "features.csv"
         if not feats_csv.is_file():
             raise DataError(f"missing input file {feats_csv}")
-        try:
-            features = np.loadtxt(feats_csv, delimiter=",", dtype=np.float32, ndmin=2)
-        except ValueError as exc:
-            raise MalformedRecord(feats_csv, 0, str(exc)) from None
+        features = read_features_csv(feats_csv)
         write_features_bin(tmp / "features.bin", features)
         load_dataset(tmp)  # validation pass
         out.mkdir(exist_ok=True)

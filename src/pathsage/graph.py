@@ -172,13 +172,38 @@ def _csv_lines(path: Path):
                 raise MalformedRecord(path, line_no, "line holds only whitespace")
 
 
-def _reject(path: Path, records):
+def _reject(path: Path, records, kind="int64"):
     """Run `records`, a line-by-line parse of a file the array path
     rejected, so that the first bad line raises its own error. A file in
     which no line fails still fails."""
     for _ in records:
         pass
-    raise MalformedRecord(path, 0, "not a table of comma-separated int64 fields")
+    raise MalformedRecord(path, 0, f"not a table of comma-separated {kind} fields")
+
+
+def _float_records(path: Path):
+    """One row of float fields per line, each as wide as the first."""
+    width = None
+    for line_no, line in _csv_lines(path):
+        parts = line.split(",")
+        width = width or len(parts)
+        if len(parts) != width:
+            raise MalformedRecord(path, line_no, f"{len(parts)} fields, the first row has {width}")
+        for field in parts:
+            try:
+                float(field)
+            except ValueError:
+                raise MalformedRecord(path, line_no, f"non-numeric field {field.strip()!r}") from None
+        yield
+
+
+def read_features_csv(path: Path) -> np.ndarray:
+    """A comma-separated float table -> float32 (rows, cols). A `#` line is
+    a bad field, not a comment; a bad file raises at its first bad line."""
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2, comments=None)
+    except ValueError:
+        _reject(path, _float_records(path), "float")
 
 
 def _edge_records(path: Path, num_nodes):

@@ -2,6 +2,7 @@
 
 Every model, fresh (`init`) or restored from a checkpoint, is made by
 `PathSageModel.build` from one table of parameter names and shapes.
+An inference forward encodes each distinct walk of a batch once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,29 @@ from .encoder import EncoderParams, build_position_table, encode_paths, layer_sh
 from .errors import InvalidSetting, ShapeMismatch
 from .graph import Graph
 from .head import HeadParams, head_forward
+
+
+_ROW_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it is a bijection
+
+
+def distinct_rows(rows):
+    """(keep, inverse) for a 2-D integer array: `rows[keep]` holds each
+    distinct row once, and `rows[keep][inverse]` equals `rows`.
+
+    Rows are sorted by a 64-bit hash, and a row opens a new group unless it
+    equals its predecessor in every field. So two different rows are never
+    merged; a hash collision can only leave a duplicate row in place.
+    """
+    h = np.zeros(len(rows), dtype=np.uint64)
+    for col in rows.T.astype(np.uint64):  # uint64 arithmetic wraps modulo 2**64
+        h = (h ^ col) * _ROW_HASH_MUL
+    order = np.argsort(h)
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 @dataclass
@@ -99,6 +123,11 @@ class PathSageModel:
         int64 (B, n_l, l+1) array of length-l walks; dropout runs only when
         a dropout stream `rng` is given. Returns the logits, a Tensor
         (B, num_classes).
+
+        Without a dropout stream and outside recording (`ag.no_record`), a
+        path's representation depends only on its node sequence, so each
+        distinct walk of a length is encoded once and copied back to every
+        walk that repeats it. Pooling sees the same rows either way.
         """
         if len(walks) != self.config.depth_s:
             raise ShapeMismatch(f"batch depth {len(walks)} != model depth {self.config.depth_s}")
@@ -108,11 +137,18 @@ class PathSageModel:
                 raise ShapeMismatch(f"length-{l} walks of shape {w.shape} in a batch of {b}")
         if b == 0:
             raise ShapeMismatch("empty batch")
+        dedupe = rng is None and not ag.is_recording()
         pooled = []
         for l, w in enumerate(walks, start=1):
-            feats = Tensor(graph.features[w.reshape(-1, l + 1)])  # (B*n_l, l+1, F)
+            rows = w.reshape(-1, l + 1)                       # (B*n_l, l+1)
+            if dedupe:
+                keep, inverse = distinct_rows(rows)
+                rows = rows[keep]
+            feats = Tensor(graph.features[rows])              # (rows, l+1, F)
             reprs = encode_paths(self.encoder, self.pos_table, feats, rng=rng,
                                  dropout_rate=self.config.dropout_encoder)
+            if dedupe:
+                reprs = Tensor(reprs.data[inverse])           # (B*n_l, d)
             reprs = ag.reshape(reprs, w.shape[:2] + (self.config.hidden,))
             pooled.append(ag.canonical_bucket_mean(reprs))  # (B, d)
         concat = ag.concat(pooled, axis=-1)                 # (B, s*d)

@@ -388,11 +388,33 @@ def model_setup(tmp_path_factory):
     return graph, labels, splits, model
 
 
+@pytest.fixture(scope="module")
+def graphs(tmp_path_factory):
+    """topology -> (graph, labels) of an 80-node directed ring and ER graph."""
+    root = tmp_path_factory.mktemp("graphs")
+    return {topology: load_dataset(synth_planted_khop(
+        root / topology, num_nodes=80, avg_degree=3.0, k=2, num_classes=3, seed=5,
+        topology=topology))[:2] for topology in ("ring", "er")}
+
+
+def _model(graph, labels, hidden, depth=3):
+    return PathSageModel.init(ModelConfig(
+        feature_dim=graph.feature_dim, num_classes=3, task=labels.task, hidden=hidden, heads=4,
+        layers=2, depth_s=depth), stream_rng(1, "init"))
+
+
+def _plan(depth=3):
+    return SamplePlan((3, 2, 4, 2, 2, 2, 2, 2)[:depth])
+
+
+@pytest.mark.parametrize("topology", ["ring", "er"])
+@pytest.mark.parametrize("hidden", [32, 128])
+@pytest.mark.parametrize("batch", [1, 2, 7, 64])
 @pytest.mark.parametrize("dropout", [False, True])
-def test_forward_without_recording_is_bit_identical(model_setup, dropout):
-    graph, _, _, model = model_setup
-    plan = SamplePlan((3, 2))
-    walks = sample_paths(graph, range(6), plan, 1, "eval", 0)
+def test_forward_without_recording_is_bit_identical(graphs, topology, hidden, batch, dropout):
+    graph, labels = graphs[topology]
+    model = _model(graph, labels, hidden)
+    walks = sample_paths(graph, range(batch), _plan(), 1, "eval", 0)
 
     def forward():
         rng = stream_rng(1, "dropout", 0, 0) if dropout else None
@@ -403,6 +425,37 @@ def test_forward_without_recording_is_bit_identical(model_setup, dropout):
         plain = forward()
     assert recorded._vjp is not None and plain._vjp is None
     assert plain.data.tobytes() == recorded.data.tobytes()
+
+
+# depth 8 at hidden 128 is the paper's shape: the head's first GEMM has K = 1024
+@pytest.mark.parametrize("topology", ["ring", "er"])
+@pytest.mark.parametrize("hidden, depth", [(32, 3), (128, 3), (128, 8)])
+def test_eval_logits_do_not_depend_on_batch_or_position(graphs, topology, hidden, depth):
+    graph, labels = graphs[topology]
+    model = _model(graph, labels, hidden, depth)
+    nodes = np.arange(64)
+
+    def logits(chunk):
+        walks = sample_paths(graph, chunk, _plan(depth), 1, "eval", 0)
+        with ag.no_record():
+            return model.forward_batch(graph, walks).data
+
+    full = logits(nodes)
+    assert full.dtype == np.float32
+    for batch in (1, 7):
+        parts = np.concatenate([logits(nodes[i:i + batch]) for i in range(0, 64, batch)])
+        assert parts.tobytes() == full.tobytes(), f"batches of {batch}"
+    perm = np.random.Generator(np.random.PCG64(3)).permutation(64)
+    assert logits(nodes[perm]).tobytes() == full[perm].tobytes()
+
+
+@pytest.mark.parametrize("k", [128, 512, 1024])
+def test_small_matmul_rows_match_a_large_gemm(k):
+    a = RNG.normal(size=(64, k)).astype(np.float32)
+    w = ag.Tensor(RNG.normal(size=(k, 128)).astype(np.float32))
+    full = ag.matmul(ag.Tensor(a), w).data
+    for m in range(1, 16):
+        assert ag.matmul(ag.Tensor(a[:m]), w).data.tobytes() == full[:m].tobytes(), m
 
 
 def test_training_after_eval_gives_every_parameter_a_gradient(model_setup):

@@ -249,7 +249,16 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
     argv = ["ingest", "--input", str(raw), "--out", str(tmp_path / "out")]
     if case == "non-numeric feature":
         (raw / "features.csv").write_text("0.5,1\n0.5,abc\n")
-        return argv, "features.csv"
+        return argv, "features.csv:2: non-numeric field 'abc'"
+    if case == "feature after a blank line":  # the error names the file's own line
+        (raw / "features.csv").write_text("0.5,1\n\n0.5,1\n0.5,2\n0.5,abc\n")
+        return argv, "features.csv:5: non-numeric field 'abc'"
+    if case == "feature header line":  # `#` starts no comment
+        (raw / "features.csv").write_text("# header\n0.5,1\n")
+        return argv, "features.csv:1: non-numeric field '# header'"
+    if case == "ragged features":
+        (raw / "features.csv").write_text("0.5,1\n0.5,1,2\n")
+        return argv, "features.csv:2: 3 fields, the first row has 2"
     feats = read_features_bin(dataset / "features.bin")
     np.savetxt(raw / "features.csv", feats, delimiter=",", fmt="%.8g")
     (raw / "edges.csv").write_text("0,1\n1,60\n")  # out-of-range edge: 60 nodes
@@ -260,7 +269,8 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
                                   "missing dump", "non-JSON dump line",
                                   "ragged dump record", "non-integer dump fields", "huge dump label",
                                   "no classes", "huge features header", "non-numeric feature",
-                                  "out-of-range edge"])
+                                  "feature after a blank line", "feature header line",
+                                  "ragged features", "out-of-range edge"])
 def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
     argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
     capsys.readouterr()

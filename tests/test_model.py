@@ -5,11 +5,12 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from pathsage.autograd import Tensor
+from pathsage import model as model_module
+from pathsage.autograd import Tensor, no_record
 from pathsage.encoder import attention_maps
 from pathsage.errors import InvalidSetting, ShapeMismatch
 from pathsage.graph import load_dataset
-from pathsage.model import ModelConfig, PathSageModel
+from pathsage.model import ModelConfig, PathSageModel, distinct_rows
 from pathsage.sampler import SamplePlan, rng_for, sample_paths
 from pathsage.synth import synth_planted_khop
 
@@ -40,9 +41,64 @@ def test_logit_shapes(setup):
 def test_single_node_matches_batch_row(setup):
     graph, model = setup
     batches = walks_for(graph, [4, 9])
-    full = model.forward_batch(graph, batches)
-    single = model.forward_batch(graph, tuple(w[:1] for w in batches))
-    np.testing.assert_allclose(single.data[0], full.data[0], atol=1e-6)
+    with no_record():
+        full = model.forward_batch(graph, batches)
+        single = model.forward_batch(graph, tuple(w[:1] for w in batches))
+    assert single.data[0].tobytes() == full.data[0].tobytes()
+
+
+def test_inference_encodes_each_distinct_walk_once(tmp_path, monkeypatch):
+    # every walk of one length from a node of a directed ring is the same path
+    graph, labels, _ = load_dataset(synth_planted_khop(
+        tmp_path / "ring", num_nodes=30, avg_degree=1.0, k=1, num_classes=3, seed=4,
+        topology="ring"))
+    model = PathSageModel.init(ModelConfig(feature_dim=graph.feature_dim, num_classes=3,
+                                           task=labels.task, hidden=8, heads=2, depth_s=3),
+                               rng_for(2))
+    rows = []
+    real = model_module.encode_paths
+
+    def counting(params, pos, feats, **kwargs):
+        rows.append(feats.shape[0])
+        return real(params, pos, feats, **kwargs)
+
+    monkeypatch.setattr(model_module, "encode_paths", counting)
+    walks = walks_for(graph, range(5))
+    with no_record():
+        plain = model.forward_batch(graph, walks)
+    assert rows == [5, 5, 5]  # one row per (node, length)
+    rows.clear()
+    recorded = model.forward_batch(graph, walks)  # a recording forward encodes every walk
+    assert rows == [15, 15, 15]
+    assert plain.data.tobytes() == recorded.data.tobytes()
+    rows.clear()
+    with no_record():
+        model.forward_batch(graph, walks, rng=rng_for(9))  # so does one with dropout
+    assert rows == [15, 15, 15]
+
+
+def _same_groups(x, y):
+    """True when x and y put the same positions into equal groups."""
+    return ((x[:, None] == x[None, :]) == (y[:, None] == y[None, :])).all()
+
+
+@pytest.mark.parametrize("case", ["random", "all duplicates", "no duplicates"])
+def test_distinct_rows_matches_np_unique(case):
+    rows = {"random": RNG.integers(0, 4, size=(300, 3)),
+            "all duplicates": np.tile([7, 1, 7, 2], (50, 1)),
+            "no duplicates": RNG.permutation(600).reshape(200, 3)}[case]
+    keep, inverse = distinct_rows(rows)
+    unique, unique_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert (rows[keep][inverse] == rows).all()
+    assert rows[keep][np.lexsort(rows[keep].T[::-1])].tobytes() == unique.tobytes()
+    assert _same_groups(inverse, unique_inverse.reshape(-1))
+
+
+def test_distinct_rows_never_merges_rows_whose_hashes_collide(monkeypatch):
+    monkeypatch.setattr(model_module, "_ROW_HASH_MUL", np.uint64(0))  # every hash is 0
+    rows = RNG.integers(0, 3, size=(100, 2))
+    keep, inverse = distinct_rows(rows)
+    assert (rows[keep][inverse] == rows).all()
 
 
 def test_bucket_shuffle_leaves_logits_bit_identical(setup):
