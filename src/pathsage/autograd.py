@@ -9,12 +9,21 @@ a shared 2-D weight is one 2-D GEMM each way, and a bias given to `matmul`
 is added in place into its output. `softmax` reduces over its short last
 axis (the 2-9 keys of an attention row) one column at a time rather than
 through numpy's per-row reduce. Each primitive records a vector-Jacobian
-product closure on the output tensor whenever an input requires gradients;
-a vjp returns None for an input that requires none, and skips its math.
-`backward` walks the recorded graph once in reverse topological order and
-accumulates gradients into the leaves. Inside a `no_record()` block
-(inference) no op records anything, so the graph of one forward pass is
-not kept alive by its outputs; `is_recording()` tells which state is on.
+product closure whenever an input requires gradients; a vjp returns None
+for an input that requires none, and skips its math.
+
+The recorded graph holds no forward data. An op output that records gets a
+`_Node`: its vjp closure and its parents, where a parent is that input's
+own node, the input itself if it is a leaf that requires gradients, or None
+if it requires none. A closure keeps only the arrays, shapes and flags its
+vjp reads, never a `Tensor`. So an array that no vjp reads (a GEMM output
+before its head transpose, a sum, a dropout output) is freed as soon as the
+forward code drops its tensor, and the tape of a step holds only the
+vjps' operands. `backward` walks the graph once in reverse topological
+order, accumulates gradients into the leaves, and releases each node's
+closure and parents right after its vjp runs. Inside a `no_record()` block
+(inference) no op records anything; `is_recording()` tells which state is
+on.
 
 A 2-D GEMM with fewer than `GEMM_MIN_ROWS` rows runs on a zero-padded copy
 of that many rows. BLAS gives a row different bits when M is small (the
@@ -40,8 +49,20 @@ GEMM_MIN_ROWS = 16  # smallest M a 2-D matmul forward hands to BLAS
 _recording = True
 
 
+class _Node:
+    """One recorded op: its vjp closure, callable(grad_out) -> one gradient
+    (or None) per parent, and its parents, each a `_Node`, a leaf `Tensor`
+    that requires gradients, or None. Both are cleared by `backward`."""
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents, vjp):
+        self.parents = parents
+        self.vjp = vjp
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -52,8 +73,19 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = None   # tuple[Tensor, ...] when produced by a primitive
-        self._vjp = None       # callable(grad_out) -> tuple of parent grads
+        self._node = None  # the _Node of a recorded op output
+
+    @property
+    def _parents(self):
+        return None if self._node is None else self._node.parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
 
     @property
     def shape(self):
@@ -97,12 +129,13 @@ def is_recording():
 
 def _make(data, parents, vjp):
     """Build an op output, recording the vjp only if some parent needs grads
-    and recording is on."""
+    and recording is on. The node refers to each parent's node, not to the
+    parent tensor, so the graph does not keep a parent's data alive."""
     out = Tensor(data, dtype=data.dtype)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._node = _Node(tuple([p._node or (p if p.requires_grad else None)
+                                 for p in parents]), vjp)
     return out
 
 
@@ -138,10 +171,11 @@ def add(a, b):
     if len(b.shape) > len(a.shape) or a.shape[len(a.shape) - len(b.shape):] != b.shape:
         raise ShapeMismatch("add operands incompatible", a.shape, b.shape)
     data = a.data + b.data
+    need_a, need_b, b_shape = a.requires_grad, b.requires_grad, b.shape
 
     def vjp(g):
-        return (g if a.requires_grad else None,
-                _unbroadcast_trailing(g, b.shape) if b.requires_grad else None)
+        return (g if need_a else None,
+                _unbroadcast_trailing(g, b_shape) if need_b else None)
 
     return _make(data, (a, b), vjp)
 
@@ -173,6 +207,7 @@ def matmul(a, b, bias=None):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch("matmul inner dims differ", a.shape, b.shape)
     parents = (a, b)
+    need_a, need_b = a.requires_grad, b.requires_grad
     if bias is not None:
         bias = _as_tensor(bias)
         if b.data.ndim != 2 or bias.shape != b.shape[-1:]:
@@ -191,20 +226,25 @@ def matmul(a, b, bias=None):
         if bias is not None:
             out2 += bias.data
         data = out2.reshape(*a.shape[:-1], b.shape[-1])
+        # each operand is kept only for the other operand's gradient
+        a2, b_data = a2 if need_b else None, b.data if need_a else None
+        biased = bias is not None
+        need_bias = biased and bias.requires_grad
 
         def vjp(g):
             g2 = g.reshape(-1, g.shape[-1])
-            grads = ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
-                     a2.T @ g2 if b.requires_grad else None)
-            if bias is None:
+            grads = ((g2 @ b_data.T).reshape(*g.shape[:-1], -1) if need_a else None,
+                     a2.T @ g2 if need_b else None)
+            if not biased:
                 return grads
-            return grads + (_column_sum(g2) if bias.requires_grad else None,)
+            return grads + (_column_sum(g2) if need_bias else None,)
     else:
         data = np.matmul(a.data, b.data)
+        a_data, b_data = a.data if need_b else None, b.data if need_a else None
 
         def vjp(g):
-            return (np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None,
-                    np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None)
+            return (np.matmul(g, np.swapaxes(b_data, -1, -2)) if need_a else None,
+                    np.matmul(np.swapaxes(a_data, -1, -2), g) if need_b else None)
 
     return _make(data, parents, vjp)
 
@@ -284,11 +324,12 @@ def layer_norm(x, gain, bias):
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
+    need_gain, need_bias, gain_data = gain.requires_grad, bias.requires_grad, gain.data
 
     def vjp(g):
-        ggain = _column_sum(g, xhat) if gain.requires_grad else None
-        gbias = _column_sum(g) if bias.requires_grad else None
-        gx = g * gain.data
+        ggain = _column_sum(g, xhat) if need_gain else None
+        gbias = _column_sum(g) if need_bias else None
+        gx = g * gain_data
         m1 = _row_mean64(gx).astype(dt)
         m2 = _row_mean64(gx, xhat).astype(dt)
         gx -= m1
@@ -334,10 +375,11 @@ def select(x, axis, index):
     """Pick a single slice along `axis`, dropping that axis."""
     x = _as_tensor(x)
     data = np.take(x.data, index, axis=axis)
+    shape = x.shape
 
     def vjp(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        sl = [slice(None)] * x.data.ndim
+        gx = np.zeros(shape, dtype=g.dtype)
+        sl = [slice(None)] * len(shape)
         sl[axis] = index
         gx[tuple(sl)] = g
         return (gx,)
@@ -415,11 +457,12 @@ def softmax_cross_entropy(logits, targets):
     b = z.shape[0]
     data = np.asarray(per.mean(), dtype=logits.dtype)
     p = np.exp(z - lse[:, None])
+    dt = logits.dtype
 
     def vjp(g):
         gz = p.copy()
         gz[np.arange(b), t] -= 1.0
-        return ((np.float64(g.reshape(())) / b * gz).astype(logits.dtype),)
+        return ((np.float64(g.reshape(())) / b * gz).astype(dt),)
 
     return _make(data, (logits,), vjp)
 
@@ -436,9 +479,10 @@ def bce_with_logits(logits, targets):
     n = z.size
     data = np.asarray(per.mean(), dtype=logits.dtype)
     sig = 1.0 / (1.0 + np.exp(-z))
+    dt = logits.dtype
 
     def vjp(g):
-        return ((np.float64(g.reshape(())) / n * (sig - y)).astype(logits.dtype),)
+        return ((np.float64(g.reshape(())) / n * (sig - y)).astype(dt),)
 
     return _make(data, (logits,), vjp)
 
@@ -451,13 +495,19 @@ def backward(loss):
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
     Gradients accumulate additively across multiple uses of a tensor and
-    across repeated backward calls. The recorded graph is released afterward.
+    across repeated backward calls. Each recorded node is released as soon
+    as its vjp has run: its closure, and with it the arrays it kept, and
+    its parents are dropped, so the tape shrinks while backward walks it,
+    and afterwards `loss` and every op output of its graph record nothing.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise NonScalarLoss(f"backward needs a scalar loss, got shape {getattr(loss, 'shape', None)}")
+    if not loss.requires_grad:
+        return
+    root = loss._node or loss
 
     topo, visited = [], set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -467,28 +517,29 @@ def backward(loss):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        if node._parents:
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+        if type(node) is _Node and node.parents:
+            for p in node.parents:
+                if p is not None and id(p) not in visited:
                     stack.append((p, False))
 
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    # Keyed by id(): each key is a node or leaf that is still in `topo` (a
+    # parent sits before every child there, and nodes are popped from the
+    # end), so no key's object can be freed and its id reused meanwhile.
+    grads = {id(root): np.ones_like(loss.data)}
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
-            if node.requires_grad:
+        if type(node) is not _Node:  # a leaf tensor
+            if g is not None:
                 node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if not parent.requires_grad or pg is None:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
-    for node in topo:
-        node._parents = None
-        node._vjp = None
+        if g is not None and node.vjp is not None:
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if parent is None or pg is None:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+        node.parents = node.vjp = None

@@ -32,9 +32,12 @@ def distinct_rows(rows):
     equals its predecessor in every field. So two different rows are never
     merged; a hash collision can only leave a duplicate row in place.
     """
-    h = np.zeros(len(rows), dtype=np.uint64)
-    for col in rows.T.astype(np.uint64):  # uint64 arithmetic wraps modulo 2**64
-        h = (h ^ col) * _ROW_HASH_MUL
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = rows.view(np.uint64)  # same bits; uint64 arithmetic wraps modulo 2**64
+    h = cols[:, 0] * _ROW_HASH_MUL
+    for j in range(1, cols.shape[1]):
+        h ^= cols[:, j]
+        h *= _ROW_HASH_MUL
     order = np.argsort(h)
     ordered = rows[order]
     new = np.ones(len(rows), dtype=bool)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import resource
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -185,6 +187,13 @@ class FitResult:
     epochs_run: int
 
 
+def peak_rss_mb():
+    """Peak resident memory of this process so far, in MB (2**20 bytes).
+    `ru_maxrss` counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 1024)
+
+
 def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
         start_epoch=0, checkpoint_path=None, eval_fn=None, log_fn=None,
         best_val=-1.0, bad_epochs=0):
@@ -198,7 +207,8 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
     the parts of those seconds spent in each step phase (`sample_seconds`,
     `forward_seconds`, `backward_seconds` and `optimizer_seconds`; see
     `train_epoch`), the wall seconds spent validating (`eval_seconds`) and
-    writing the checkpoint (`checkpoint_seconds`), plus `val_micro_f1` and
+    writing the checkpoint (`checkpoint_seconds`), the process's peak
+    resident memory so far (`peak_rss_mb`), plus `val_micro_f1` and
     `val_loss` when validated. `log_fn` sees each record after the epoch's
     checkpoint is written.
     """
@@ -232,6 +242,7 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
                                   next_epoch=epoch + 1, best_val=best_val,
                                   bad_epochs=bad_epochs)
         record["checkpoint_seconds"] = time.perf_counter() - start
+        record["peak_rss_mb"] = peak_rss_mb()
         history.append(record)
         if log_fn:
             log_fn(record)

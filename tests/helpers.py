@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking and the
-reducers that turn an op's output into a scalar loss."""
+"""Shared test utilities: finite-difference gradient checking, the
+reducers that turn an op's output into a scalar loss, and `tape_bytes`,
+the memory a recorded graph keeps alive."""
 
 import numpy as np
 
@@ -11,9 +12,10 @@ def tsum(x):
     """Sum of all elements, as a scalar tensor (64-bit accumulation)."""
     x = ag._as_tensor(x)
     data = np.asarray(x.data.astype(np.float64).sum(), dtype=x.dtype)
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        return (np.broadcast_to(g, x.shape).astype(x.dtype),)
+        return (np.broadcast_to(g, shape).astype(dtype),)
 
     return ag._make(data, (x,), vjp)
 
@@ -23,11 +25,54 @@ def mul(a, b):
     a, b = ag._as_tensor(a), ag._as_tensor(b)
     if a.shape != b.shape:
         raise ShapeMismatch("mul operands incompatible", a.shape, b.shape)
+    a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return g * b.data, g * a.data
+        return g * b_data, g * a_data
 
-    return ag._make(a.data * b.data, (a, b), vjp)
+    return ag._make(a_data * b_data, (a, b), vjp)
+
+
+def closure_values(fn):
+    """The values a function's closure cells hold (empty cells skipped)."""
+    values = []
+    for cell in fn.__closure__ or ():
+        try:
+            values.append(cell.cell_contents)
+        except ValueError:
+            pass
+    return values
+
+
+def tape_bytes(t):
+    """Bytes of the distinct array buffers that t's recorded graph reaches.
+
+    The walk starts at t's parents and vjp, not at t's own data. It follows
+    graph nodes (their parents and vjp), tensors (their data, parents and
+    vjp), functions (their closure cells, so a wrapped vjp is seen through)
+    and tuples and lists. A view counts as the buffer at the end of its
+    `.base` chain, each buffer once.
+    """
+    seen, buffers = set(), {}
+    stack = [t._parents, t._vjp]
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, ag.Tensor):
+            stack += [obj.data, obj._parents, obj._vjp]
+        elif isinstance(obj, ag._Node):
+            stack += [obj.parents, obj.vjp]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            stack += closure_values(obj)
+    return sum(buffers.values())
 
 
 def fd_grad(fn, arr, step=1e-6):

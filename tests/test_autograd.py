@@ -11,7 +11,7 @@ from pathsage.sampler import SamplePlan, sample_paths, stream_rng
 from pathsage.synth import synth_planted_khop
 from pathsage.trainer import OptimizerState, TrainConfig, train_epoch
 
-from helpers import check_grad, mul, tsum
+from helpers import check_grad, closure_values, mul, tape_bytes, tsum
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -362,6 +362,37 @@ def test_no_record_outputs_carry_no_graph():
         outs = _every_op(*inputs)
     for out in outs:
         assert (out._vjp, out._parents, out.requires_grad) == (None, None, False)
+
+
+def test_vjp_closures_hold_no_tensor():
+    inputs = [ag.Tensor(RNG.normal(size=shape), requires_grad=True)
+              for shape in ((2, 3, 4), (4, 4), (4,), (4,))]
+    for out in _every_op(*inputs):
+        values = closure_values(out._vjp)
+        values += [v for c in values if isinstance(c, (tuple, list)) for v in c]
+        assert not any(isinstance(v, ag.Tensor) for v in values), out._vjp.__qualname__
+
+
+# `tape_bytes` of the loss below when the graph still held every op output
+# and its vjps captured whole tensors; the split graph holds 15,759,952
+PARENT_TAPE_BYTES = 29_582_672
+
+
+def test_a_paper_shape_tape_holds_only_what_its_vjps_read_until_backward(tmp_path):
+    graph, labels, _ = load_dataset(synth_planted_khop(
+        tmp_path / "ring", num_nodes=30, avg_degree=1.0, k=3, num_classes=4, seed=3,
+        topology="ring"))
+    cfg = TrainConfig()  # the paper defaults: hidden 128, 8 heads, depth 8
+    model = PathSageModel.init(ModelConfig(
+        feature_dim=graph.feature_dim, num_classes=4, task=labels.task, hidden=cfg.hidden,
+        heads=cfg.heads, layers=cfg.layers, depth_s=cfg.depth_s), stream_rng(1, "init"))
+    nodes = np.arange(4)
+    walks = sample_paths(graph, nodes, SamplePlan(cfg.counts_per_length), 1, "walk", 0)
+    logits = model.forward_batch(graph, walks, rng=stream_rng(1, "dropout", 0, 0))
+    loss = head.loss(logits, labels.labels[nodes], labels.task)
+    assert 0 < tape_bytes(loss) <= 0.6 * PARENT_TAPE_BYTES
+    ag.backward(loss)
+    assert tape_bytes(loss) == 0 and loss._vjp is None
 
 
 def test_no_record_restores_the_flag_after_nesting_and_errors():

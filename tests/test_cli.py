@@ -518,6 +518,7 @@ def test_train_logs_epoch_seconds_and_throughput(dataset, tmp_path, capsys):
     for r in epochs:
         assert r["seconds"] > 0 and r["nodes_per_s"] > 0
         assert r["eval_seconds"] > 0 and r["checkpoint_seconds"] > 0
+        assert r["peak_rss_mb"] > 0
 
 
 def test_train_logs_epoch_lr_and_grad_norm(dataset, tmp_path, capsys):

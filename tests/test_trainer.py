@@ -217,6 +217,7 @@ def test_fit_records_last_lr_and_grad_norm(tiny_dataset, tmp_path):
         assert rec["lr"] == lr_at(last_step, steps * cfg.epochs, cfg)
         assert 0.0 < rec["grad_norm"] < np.inf
         assert rec["eval_seconds"] > 0.0 and rec["checkpoint_seconds"] > 0.0
+        assert rec["peak_rss_mb"] > 0.0
         phases = [rec[f"{name}_seconds"] for name in PHASES]
         assert min(phases) > 0.0 and sum(phases) <= rec["seconds"]
     assert result.history[-1]["lr"] == 0.0  # the schedule ends at zero
