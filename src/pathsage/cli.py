@@ -154,7 +154,7 @@ def cmd_ingest(cfg, args):
     """Build and validate the dataset in a temporary directory beside --out,
     so a bad input leaves --out as it was."""
     src = Path(args.input)
-    out = Path(_require(cfg, "out", "--out"))
+    out = _no_file_in_the_way(Path(_require(cfg, "out", "--out")), "--out")
     out.parent.mkdir(parents=True, exist_ok=True)
     copied = ("meta.json", "edges.csv", "labels.csv", "splits.json")
     with tempfile.TemporaryDirectory(dir=out.parent, prefix=f".{out.name}.") as tmp:
@@ -177,7 +177,7 @@ def cmd_ingest(cfg, args):
 
 
 def cmd_synth(cfg, args):
-    out = _require(cfg, "out", "--out")
+    out = _no_file_in_the_way(Path(_require(cfg, "out", "--out")), "--out")
     synth_planted_khop(out, num_nodes=args.nodes, avg_degree=args.avg_degree,
                        k=args.k, num_classes=args.classes, seed=cfg["seed"],
                        topology=args.topology)
@@ -196,12 +196,22 @@ def cmd_sample(cfg, args):
     return 0
 
 
+def _no_file_in_the_way(path, flag):
+    """Reject, before any work is done, a directory path that is or lies
+    under an existing non-directory, where mkdir would fail."""
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise DataError(f"{flag} {path}: {part} is not a directory")
+    return path
+
+
 def _output_file(cfg, key, flag):
     """The path of a file the subcommand will write; one that names an
     existing directory is rejected before any work is done."""
     path = Path(_require(cfg, key, flag))
     if path.is_dir():
         raise DataError(f"{flag} {path} is a directory")
+    _no_file_in_the_way(path.parent, flag)
     return path
 
 

@@ -74,14 +74,22 @@ def _outside(values, n):
     return values.size > 0 and (values.min() < 0 or values.max() >= n)
 
 
+def unique_keys(keys):
+    """The sorted distinct values of an int64 array, by a sort and a neighbour
+    compare: numpy >= 2.3 makes np.unique hash, many times slower here."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def build_csr(num_nodes, edges, directed):
     """Build sorted CSR from an edge list; symmetrize when undirected and
     give isolated nodes a self-loop so random walks never stall.
 
     Edges are deduplicated and sorted as the keys src * num_nodes + dst,
     which fit in int64 while node ids stay below the shuffle pseudo-node
-    (sampler.STREAMS). The dedupe sorts and compares neighbours: numpy >= 2.3
-    makes np.unique hash, which is many times slower on these keys.
+    (sampler.STREAMS).
     """
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if _outside(pairs, num_nodes):
@@ -90,10 +98,7 @@ def build_csr(num_nodes, edges, directed):
     if not directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     isolated = np.flatnonzero(np.bincount(src, minlength=num_nodes) == 0)
-    keys = np.sort(np.concatenate([src * num_nodes + dst, isolated * num_nodes + isolated]))
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
+    keys = unique_keys(np.concatenate([src * num_nodes + dst, isolated * num_nodes + isolated]))
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // num_nodes, minlength=num_nodes), out=offsets[1:])
     return offsets, keys % num_nodes
@@ -370,17 +375,17 @@ def write_dataset(dir_path, edges, features, labels, splits, task, num_classes, 
             "num_classes": int(num_classes), "task": task, "directed": bool(directed)}
     (root / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     with open(root / "edges.csv", "w") as fh:
-        for u, v in edges:
-            fh.write(f"{u},{v}\n")
+        src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        fh.writelines(f"{u},{v}\n" for u, v in zip(src.tolist(), dst.tolist()))
     write_features_bin(root / "features.bin", features)
     with open(root / "labels.csv", "w") as fh:
         if task == SINGLE_LABEL:
-            for node, lab in enumerate(labels):
-                fh.write(f"{node},{int(lab)}\n")
+            labels = np.asarray(labels, dtype=np.int64).tolist()
+            fh.writelines(f"{node},{lab}\n" for node, lab in enumerate(labels))
         else:
             for node, row in enumerate(labels):
                 pos = ";".join(str(i) for i in np.flatnonzero(row))
                 fh.write(f"{node},{pos}\n")
-    (root / "splits.json").write_text(json.dumps(
-        {k: [int(i) for i in v] for k, v in splits.items()}, sort_keys=True) + "\n")
+    splits = {k: np.asarray(v, dtype=np.int64).tolist() for k, v in splits.items()}
+    (root / "splits.json").write_text(json.dumps(splits, sort_keys=True) + "\n")
     return root

@@ -10,73 +10,69 @@ depth-sensitivity experiment needs.
 
 from __future__ import annotations
 
-import collections
 import math
 
 import numpy as np
 
 from .errors import DegenerateGraph, InvalidSetting
-from .graph import SINGLE_LABEL, build_csr, write_dataset
+from .graph import SINGLE_LABEL, SPLIT_NAMES, build_csr, unique_keys, write_dataset
 from .sampler import check_seed
 
 NOISE_DIM = 8  # gaussian feature columns after the one-hot attribute
 NOISE_SCALE = 0.5  # their standard deviation
 
 
-def exact_khop(offsets, neighbors, source, k):
-    """Node indices at shortest-path distance exactly k from source (BFS)."""
-    if k == 0:
-        return np.asarray([source], dtype=np.int64)
-    dist = {source: 0}
-    frontier = [source]
-    for depth in range(1, k + 1):
-        nxt = []
-        for u in frontier:
-            for v in neighbors[offsets[u]:offsets[u + 1]]:
-                v = int(v)
-                if v not in dist:
-                    dist[v] = depth
-                    nxt.append(v)
-        frontier = nxt
-        if not frontier:
-            break
-    return np.asarray(sorted(frontier), dtype=np.int64)
-
-
 def planted_labels(offsets, neighbors, hidden, k):
-    """Majority hidden attribute over each node's exact-k-hop shell.
-
-    Returns None in place of a label when the shell is empty.
-    """
-    num_nodes = len(offsets) - 1
-    labels = np.full(num_nodes, -1, dtype=np.int64)
-    for u in range(num_nodes):
-        shell = exact_khop(offsets, neighbors, u, k)
-        if shell.size == 0:
+    """Majority hidden attribute over each node's exact-k-hop shell, or None
+    if a shell is empty. A block of sources moves one hop at a time as sorted
+    keys source * n + node, keeping the pairs no earlier hop reached; no hop
+    of a block holds more pairs than the graph has nodes and entries."""
+    n = len(offsets) - 1
+    degree = np.diff(offsets)
+    classes = int(hidden.max()) + 1
+    block = max(1, (n + len(neighbors)) // max(int(degree.max()) ** k, classes))
+    labels = np.empty(n, dtype=np.int64)
+    for first in range(0, n, block):
+        sources = np.arange(first, min(first + block, n))
+        seen = frontier = sources * n + sources
+        for _ in range(k):
+            node = frontier % n
+            width = degree[node]
+            # the CSR position of each neighbour of each frontier node
+            pos = np.repeat(offsets[node] - np.cumsum(width) + width, width) + np.arange(width.sum())
+            reached = unique_keys(np.repeat(frontier - node, width) + neighbors[pos])
+            at = np.minimum(np.searchsorted(seen, reached), len(seen) - 1)
+            frontier = reached[seen[at] != reached]
+            seen = np.sort(np.concatenate([seen, frontier]))
+        votes = np.bincount((frontier // n - first) * classes + hidden[frontier % n],
+                            minlength=len(sources) * classes).reshape(-1, classes)
+        if not votes.any(axis=1).all():
             return None
-        counts = collections.Counter(int(hidden[v]) for v in shell)
-        best = max(counts.values())
-        labels[u] = min(c for c, n in counts.items() if n == best)
+        labels[sources] = votes.argmax(axis=1)  # the first maximum: the smallest class
     return labels
 
 
 def _random_edges(num_nodes, avg_degree, rng):
+    """Sorted (u < v) rows: a random spanning chain, then uniform pairs up to
+    avg_degree. Each round draws as many pairs as edges are still missing. A
+    repeat or a self-pair adds no edge, so no round overshoots, and the draws
+    are exactly those of a loop that draws one pair at a time."""
+    def keys(u, v):
+        return (np.minimum(u, v) * num_nodes + np.maximum(u, v))[u != v]
+
     target = max(num_nodes - 1, int(round(num_nodes * avg_degree / 2)))
-    # a random spanning chain keeps the graph connected, the rest is uniform
     perm = rng.permutation(num_nodes)
-    edges = {(min(int(perm[i]), int(perm[i + 1])), max(int(perm[i]), int(perm[i + 1])))
-             for i in range(num_nodes - 1)}
+    edges = unique_keys(keys(perm[:-1], perm[1:]))
     while len(edges) < target:
-        u, v = rng.integers(0, num_nodes, size=2)
-        if u != v:
-            edges.add((min(int(u), int(v)), max(int(u), int(v))))
-    return sorted(edges)
+        u, v = rng.integers(0, num_nodes, size=(target - len(edges), 2)).T
+        edges = unique_keys(np.concatenate([edges, keys(u, v)]))
+    return np.stack([edges // num_nodes, edges % num_nodes], axis=1)
 
 
 def _ring_edges(num_nodes, rng):
     """One big directed cycle over a random node order (out-degree 1)."""
     perm = rng.permutation(num_nodes)
-    return [(int(perm[i]), int(perm[(i + 1) % num_nodes])) for i in range(num_nodes)]
+    return np.stack([perm, np.roll(perm, -1)], axis=1)
 
 
 def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
@@ -106,7 +102,7 @@ def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
     check_seed(seed)
     directed = topology == "ring"
     for attempt in range(10):
-        rng = np.random.Generator(np.random.PCG64(np.uint64(seed) + np.uint64(attempt)))
+        rng = np.random.Generator(np.random.PCG64((seed + attempt) % 2**64))
         if topology == "ring":
             edges = _ring_edges(num_nodes, rng)
         else:
@@ -119,12 +115,9 @@ def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
         features = np.zeros((num_nodes, num_classes + NOISE_DIM), dtype=np.float32)
         features[np.arange(num_nodes), hidden] = 1.0
         features[:, num_classes:] = rng.normal(0.0, NOISE_SCALE, size=(num_nodes, NOISE_DIM))
-        perm = rng.permutation(num_nodes)
-        n_train = int(num_nodes * 0.6)
-        n_val = int(num_nodes * 0.2)
-        splits = {"train": sorted(int(i) for i in perm[:n_train]),
-                  "val": sorted(int(i) for i in perm[n_train:n_train + n_val]),
-                  "test": sorted(int(i) for i in perm[n_train + n_val:])}
+        n_train, n_val = int(num_nodes * 0.6), int(num_nodes * 0.2)
+        parts = np.split(rng.permutation(num_nodes), [n_train, n_train + n_val])
+        splits = dict(zip(SPLIT_NAMES, map(np.sort, parts)))
         return write_dataset(dir_path, edges, features, labels, splits,
                              task=SINGLE_LABEL, num_classes=num_classes,
                              directed=directed)

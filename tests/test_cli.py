@@ -183,6 +183,18 @@ def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
     assert not ckpt.exists()
 
 
+def test_degenerate_synth_at_the_last_seed_exits_2_with_one_line(tmp_path):
+    # every retry reseeds past 2**64 - 1; stderr must hold only the error line
+    env = dict(os.environ, PYTHONPATH=str(Path(pathsage.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pathsage.cli", "synth", "--nodes", "10",
+                           "--k", "10", "--topology", "ring", "--seed", str(2 ** 64 - 1),
+                           "--out", str(tmp_path / "x")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pathsage: data error: no graph with"), lines
+
+
 @pytest.fixture(scope="module")
 def checkpoint(dataset, tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("ckpt") / "model.psck"
@@ -205,6 +217,17 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
         (tmp_path / "dump_dir").mkdir()
         return ["attn-dump", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
                 "--node", "0", "--out", str(tmp_path / "dump_dir")], "dump_dir is a directory"
+    if case in ("synth out file", "ingest out file", "checkpoint under a file",
+                "dump under a file"):  # mkdir would raise FileExistsError
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return {"synth out file": ["synth", "--nodes", "10", "--k", "1", "--out", str(blocker)],
+                "ingest out file": ["ingest", "--input", str(dataset), "--out", str(blocker)],
+                "checkpoint under a file": ["train", "--dataset", str(dataset), "--checkpoint",
+                                            str(blocker / "m.psck"), *TRAIN_FLAGS],
+                "dump under a file": ["attn-dump", "--dataset", str(dataset), "--checkpoint",
+                                      str(checkpoint), "--node", "0", "--out",
+                                      str(blocker / "x")]}[case], "blocker is not a directory"
     if case == "missing dump":
         return ["attn-stats", "--dump", str(tmp_path / "missing.jsonl")], "missing.jsonl"
     if case == "non-JSON dump line":
@@ -266,6 +289,8 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["split", "checkpoint directory", "dump directory",
+                                  "synth out file", "ingest out file",
+                                  "checkpoint under a file", "dump under a file",
                                   "missing dump", "non-JSON dump line",
                                   "ragged dump record", "non-integer dump fields", "huge dump label",
                                   "no classes", "huge features header", "non-numeric feature",

@@ -4,6 +4,8 @@ import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -255,6 +257,51 @@ def test_seed_outside_64_bits_rejected(tiny_dataset, seed):
         train_epoch(model, graph, labels, splits.train, cfg, 0, OptimizerState(), 10)
     with pytest.raises(InvalidSetting, match="seed"):
         eval_split(model, graph, labels, splits.train, cfg.counts_per_length, seed)
+
+
+# One training step and one eval batch at the paper's model shape (hidden 128,
+# 8 heads, depth 8, 32 nodes), large enough that OpenBLAS splits its sgemms
+# across threads. Prints the sha256 of the loss, parameter and logit bytes.
+THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from pathsage import autograd as ag
+from pathsage.graph import load_dataset
+from pathsage.model import ModelConfig, PathSageModel
+from pathsage.sampler import SamplePlan, rng_for, sample_paths
+from pathsage.trainer import OptimizerState, TrainConfig, train_epoch
+graph, labels, splits = load_dataset(sys.argv[1])
+cfg = TrainConfig(epochs=1, seed=3, batch_size=32)
+mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=labels.num_classes,
+                 task=labels.task, hidden=cfg.hidden, heads=cfg.heads,
+                 layers=cfg.layers, depth_s=cfg.depth_s)
+model = PathSageModel.init(mc, rng_for(7))
+nodes = splits.train[:32]
+loss, _, _ = train_epoch(model, graph, labels, nodes, cfg, 0, OptimizerState(), 1)
+walks = sample_paths(graph, nodes, SamplePlan(cfg.counts_per_length), cfg.seed, "eval", 0)
+with ag.no_record():
+    logits = model.forward_batch(graph, walks)
+digest = hashlib.sha256(np.float64(loss).tobytes())
+for _, p in model.named_params():
+    digest.update(p.data.tobytes())
+digest.update(logits.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_a_paper_shape_step_does_not_depend_on_the_blas_thread_count(tmp_path):
+    d = synth_planted_khop(tmp_path / "ring", num_nodes=100, avg_degree=1.0, k=3,
+                           num_classes=4, seed=11, topology="ring")
+    src = str(Path(trainer_mod.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(d)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # --- fit + checkpointing ------------------------------------------------
