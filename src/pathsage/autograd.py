@@ -6,7 +6,7 @@ inputs' dtype. The exceptions work in 64-bit and round once: the row
 statistics of `layer_norm`, the column sums of `canonical_bucket_mean`, and
 the losses, which take 64-bit copies of the (B, K) logits. A product with
 a shared 2-D weight is one 2-D GEMM each way, and a bias given to `matmul`
-is added in place into its output. `softmax` reduces over its short last
+is added in place into its output. Softmax reduces over its short last
 axis (the 2-9 keys of an attention row) one column at a time rather than
 through numpy's per-row reduce. Each primitive records a vector-Jacobian
 product closure whenever an input requires gradients; a vjp returns None
@@ -26,10 +26,18 @@ closure and parents right after its vjp runs. Inside a `no_record()` block
 on.
 
 A 2-D GEMM with fewer than `GEMM_MIN_ROWS` rows runs on a zero-padded copy
-of that many rows. BLAS gives a row different bits when M is small (the
-gemv path at M = 1, other kernels below 16 rows at K = 512 and 1024), so
-for the model's tested shapes a row's bits do not depend on how many rows
-share its GEMM (README states the limits).
+of that many rows (`gemm`). BLAS gives a row different bits when M is small
+(the gemv path at M = 1, other kernels below 16 rows at K = 512 and 1024),
+so for the model's tested shapes a row's bits do not depend on how many
+rows share its GEMM (README states the limits).
+
+An op outside this module is built the same way, on `_make`: the encoder's
+fused attention (`encoder._attention`) uses `gemm`, `softmax_rows_` and
+`softmax_vjp`. Since that op took over the attention math, no code in the
+package calls `scale`, `softmax`, `transpose` or `select`. They stay because
+the benchmark's op tracer (`perfbench/tracer.py`, `AUTOGRAD_OPS`) binds
+every one of them by name; the tests' primitive reference layer
+(`tests/helpers.py::reference_layer`) also composes them.
 """
 
 from __future__ import annotations
@@ -180,6 +188,18 @@ def add(a, b):
     return _make(data, (a, b), vjp)
 
 
+def gemm(a2, b):
+    """`a2 @ b` for 2-D operands. An a2 of fewer than `GEMM_MIN_ROWS` rows
+    is multiplied as a zero-padded copy of that many rows, so a row's bits
+    do not depend on how many rows share the GEMM."""
+    m = a2.shape[0]
+    if m >= GEMM_MIN_ROWS:
+        return a2 @ b
+    padded = np.zeros((GEMM_MIN_ROWS, a2.shape[1]), dtype=a2.dtype)
+    padded[:m] = a2
+    return (padded @ b)[:m]
+
+
 def scale(a, s):
     a = _as_tensor(a)
     s = float(s)
@@ -216,13 +236,7 @@ def matmul(a, b, bias=None):
         parents = (a, b, bias)
     if b.data.ndim == 2:
         a2 = a.data.reshape(-1, a.shape[-1])
-        m = a2.shape[0]
-        if m < GEMM_MIN_ROWS:
-            padded = np.zeros((GEMM_MIN_ROWS, a2.shape[1]), dtype=a2.dtype)
-            padded[:m] = a2
-            out2 = (padded @ b.data)[:m]
-        else:
-            out2 = a2 @ b.data
+        out2 = gemm(a2, b.data)
         if bias is not None:
             out2 += bias.data
         data = out2.reshape(*a.shape[:-1], b.shape[-1])
@@ -285,16 +299,24 @@ def softmax(a):
     bit-identical to `e / e.sum(-1)`.
     """
     a = _as_tensor(a)
-    s = a.data - _fold_columns(np.maximum, a.data)
+    s = a.data.copy()
+    softmax_rows_(s)
+    return _make(s, (a,), lambda g: (softmax_vjp(g, s),))
+
+
+def softmax_rows_(s):
+    """`softmax` of an array's last axis, in place."""
+    s -= _fold_columns(np.maximum, s)
     np.exp(s, out=s)
     s /= _fold_columns(np.add, s)
 
-    def vjp(g):
-        gx = g - _fold_columns(np.add, g * s)
-        gx *= s
-        return (gx,)
 
-    return _make(s, (a,), vjp)
+def softmax_vjp(g, s):
+    """The input gradient of a softmax whose output is s, for output
+    gradient g."""
+    gx = g - _fold_columns(np.add, g * s)
+    gx *= s
+    return gx
 
 
 def _row_mean64(a, b=None):
@@ -385,6 +407,27 @@ def select(x, axis, index):
         return (gx,)
 
     return _make(data, (x,), vjp)
+
+
+def take_rows(x, index):
+    """Rows of x gathered along axis 0 by an int array `index` of any shape
+    -> index.shape + x.shape[1:]. The vjp scatters each row's gradient into
+    zeros of x's shape, and adds up the rows an index repeats."""
+    x = _as_tensor(x)
+    index = np.asarray(index, dtype=np.int64)
+    shape = x.shape
+    repeats = (_recording and x.requires_grad and index.size > 0
+               and np.bincount(index.reshape(-1), minlength=shape[0]).max() > 1)
+
+    def vjp(g):
+        gx = np.zeros(shape, dtype=g.dtype)
+        if repeats:
+            np.add.at(gx, index, g)
+        else:
+            gx[index] = g
+        return (gx,)
+
+    return _make(x.data[index], (x,), vjp)
 
 
 def reshape(x, shape):

@@ -40,6 +40,7 @@ FEATURES_VERSION = 1
 SINGLE_LABEL = "single_label"
 MULTI_LABEL = "multi_label"
 SPLIT_NAMES = ("train", "val", "test")  # the fields of SplitMasks
+_CSV_SLICE_ROWS = 1 << 16  # edges.csv rows formatted per write: ~5 MB of Python ints
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,9 @@ def write_dataset(dir_path, edges, features, labels, splits, task, num_classes, 
     (root / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     with open(root / "edges.csv", "w") as fh:
         src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-        fh.writelines(f"{u},{v}\n" for u, v in zip(src.tolist(), dst.tolist()))
+        for a in range(0, len(src), _CSV_SLICE_ROWS):  # Python ints for one slice at a time
+            b = a + _CSV_SLICE_ROWS
+            fh.writelines(f"{u},{v}\n" for u, v in zip(src[a:b].tolist(), dst[a:b].tolist()))
     write_features_bin(root / "features.bin", features)
     with open(root / "labels.csv", "w") as fh:
         if task == SINGLE_LABEL:

@@ -2,7 +2,9 @@
 
 Every model, fresh (`init`) or restored from a checkpoint, is made by
 `PathSageModel.build` from one table of parameter names and shapes.
-An inference forward encodes each distinct walk of a batch once.
+A forward packs consecutive walk lengths into chunks of at most
+`PACK_TOKENS` tokens and encodes each chunk in one encoder pass. An
+inference forward encodes each distinct walk of a batch once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ from .graph import Graph
 from .head import HeadParams, head_forward
 
 
+# Most tokens one encoder pass packs (consecutive lengths, whole lengths
+# only). Packing saves per-op overhead, but a pass's arrays grow with its
+# tokens. On the benchmark workloads (shared 2-CPU x86-64 host; 8 rounds
+# interleaved in one process, peak RSS from three 12 s runs each):
+# - 1024 was slower than 2048: ring3-small train x0.94, ring3-paper eval x0.95;
+# - 4096 was level with 2048 (ring3-paper eval x1.06, better in 5 of 8
+#   rounds), but raised ring3-paper peak RSS from 160 to 168 MB;
+# - no bound (a batch in one pass) cut er-infer eval from 1206 to 1075
+#   nodes/s (x0.93 in one process) and raised peak RSS from 160 to 208 MB
+#   on ring3-paper and from 79 to 106 MB on er-infer.
+PACK_TOKENS = 2048
 _ROW_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it is a bijection
 
 
@@ -127,9 +140,15 @@ class PathSageModel:
         a dropout stream `rng` is given. Returns the logits, a Tensor
         (B, num_classes).
 
+        Consecutive lengths are grouped into chunks of at most
+        `PACK_TOKENS` tokens (`_chunks`), and each chunk is one
+        `encode_paths` call on its packed features, so every tokenwise op
+        runs once per layer per chunk. `take_rows` then gathers each
+        length's (B, n_l, d) representations for pooling.
+
         Without a dropout stream and outside recording (`ag.no_record`), a
         path's representation depends only on its node sequence, so each
-        distinct walk of a length is encoded once and copied back to every
+        distinct walk of a length is encoded once and gathered back to every
         walk that repeats it. Pooling sees the same rows either way.
         """
         if len(walks) != self.config.depth_s:
@@ -141,19 +160,41 @@ class PathSageModel:
         if b == 0:
             raise ShapeMismatch("empty batch")
         dedupe = rng is None and not ag.is_recording()
-        pooled = []
+        lengths = []                                          # (l, rows, inverse)
         for l, w in enumerate(walks, start=1):
             rows = w.reshape(-1, l + 1)                       # (B*n_l, l+1)
+            inverse = np.arange(len(rows))
             if dedupe:
                 keep, inverse = distinct_rows(rows)
                 rows = rows[keep]
-            feats = Tensor(graph.features[rows])              # (rows, l+1, F)
-            reprs = encode_paths(self.encoder, self.pos_table, feats, rng=rng,
-                                 dropout_rate=self.config.dropout_encoder)
-            if dedupe:
-                reprs = Tensor(reprs.data[inverse])           # (B*n_l, d)
-            reprs = ag.reshape(reprs, w.shape[:2] + (self.config.hidden,))
-            pooled.append(ag.canonical_bucket_mean(reprs))  # (B, d)
+            lengths.append((l, rows, inverse.reshape(w.shape[:2])))
+        pooled = []
+        for chunk in _chunks(lengths):
+            feats = Tensor(graph.features[np.concatenate([rows.reshape(-1)
+                                                          for _, rows, _ in chunk])])
+            segments = tuple((l + 1, len(rows)) for l, rows, _ in chunk)
+            reprs = encode_paths(self.encoder, self.pos_table, feats, segments, rng=rng,
+                                 dropout_rate=self.config.dropout_encoder)  # (sum U, d)
+            start = 0
+            for _, rows, inverse in chunk:
+                # this length's representation of every walk, (B, n_l, d)
+                pooled.append(ag.canonical_bucket_mean(ag.take_rows(reprs, start + inverse)))
+                start += len(rows)
         concat = ag.concat(pooled, axis=-1)                 # (B, s*d)
         return head_forward(self.head, concat, rng=rng,
                             dropout_rate=self.config.dropout_output)
+
+
+def _chunks(lengths):
+    """Consecutive (l, rows, inverse) entries grouped into chunks of at most
+    `PACK_TOKENS` tokens; a length with more tokens is a chunk alone."""
+    chunk, tokens = [], 0
+    for entry in lengths:
+        size = entry[1].size
+        if chunk and tokens + size > PACK_TOKENS:
+            yield chunk
+            chunk, tokens = [], 0
+        chunk.append(entry)
+        tokens += size
+    if chunk:
+        yield chunk

@@ -1,6 +1,9 @@
 """Shared test utilities: finite-difference gradient checking, the
-reducers that turn an op's output into a scalar loss, and `tape_bytes`,
-the memory a recorded graph keeps alive."""
+reducers that turn an op's output into a scalar loss, `tape_bytes`, the
+memory a recorded graph keeps alive, and `reference_layer`, an encoder
+layer composed of autograd primitives."""
+
+import math
 
 import numpy as np
 
@@ -126,3 +129,35 @@ def rel_err(a, b, atol=1e-10):
     b = np.asarray(b, dtype=np.float64)
     err = np.abs(a - b)
     return np.where(err <= atol, 0.0, err / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12))
+
+
+def _split_heads(x, heads):
+    n, t, d = x.shape
+    x = ag.reshape(x, (n, t, heads, d // heads))
+    return ag.transpose(x, (0, 2, 1, 3))  # (N, h, T, dh)
+
+
+def reference_layer(layer, x, heads, dropout_rate, rng, readout=False):
+    """One post-norm encoder layer on equal-length paths x (N, T, d), one
+    autograd primitive per step -> (output (N, R, d), attention (N, h, R, T)).
+
+    The queries are all T tokens, or with `readout` position 0 alone. This
+    is the layer as the encoder ran it before attention became one fused
+    op; the fused layer is checked against it, values and gradients. Its
+    two dropout masks take the same draws, in the same order, as the fused
+    layer's.
+    """
+    n, t, d = x.shape
+    rows = ag.reshape(ag.select(x, 1, 0), (n, 1, d)) if readout else x
+    q = _split_heads(ag.matmul(rows, layer.wq, layer.bq), heads)
+    k = ag.transpose(ag.reshape(ag.matmul(x, layer.wk), (n, t, heads, d // heads)), (0, 2, 3, 1))
+    v = _split_heads(ag.matmul(x, layer.wv, layer.bv), heads)
+    scores = ag.scale(ag.matmul(q, k), 1.0 / math.sqrt(d // heads))
+    attn = ag.softmax(scores)                       # (N, h, R, T)
+    ctx = ag.reshape(ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)), rows.shape)
+    out = ag.dropout(ag.matmul(ctx, layer.wo, layer.bo), dropout_rate, rng)
+    x = ag.layer_norm(ag.add(rows, out), layer.ln1_g, layer.ln1_b)
+    ff = ag.matmul(ag.relu(ag.matmul(x, layer.w1, layer.b1)), layer.w2, layer.b2)
+    ff = ag.dropout(ff, dropout_rate, rng)
+    x = ag.layer_norm(ag.add(x, ff), layer.ln2_g, layer.ln2_b)
+    return x, attn.data

@@ -196,6 +196,8 @@ def test_float32_matmul_matches_float64_oracle(a_shape, b_shape):
     ("reshape", [(2, 6)]),
     ("transpose", [(2, 3, 4)]),
     ("canon_mean", [(3, 4, 5)]),
+    ("take_rows", [(5, 3)]),
+    ("take_rows_repeated", [(5, 3)]),
 ])
 def test_primitive_gradients(prim, shapes):
     arrays = [RNG.normal(size=s) for s in shapes]
@@ -210,6 +212,10 @@ def test_primitive_gradients(prim, shapes):
             y = ag.dropout(ts[0], 0.4, np.random.Generator(np.random.PCG64(8)))
         elif prim == "select":
             y = ag.select(ts[0], axis=1, index=1)
+        elif prim == "take_rows":
+            y = ag.take_rows(ts[0], np.array([[4, 0], [2, 1]]))
+        elif prim == "take_rows_repeated":
+            y = ag.take_rows(ts[0], np.array([3, 0, 3, 3]))
         elif prim == "concat":
             y = ag.concat(ts, axis=-1)
         elif prim == "add_bias":
@@ -348,7 +354,8 @@ def _every_op(x, w, gain, bias):
             ag.relu(x), ag.softmax(x),
             ag.layer_norm(x, gain, bias),
             ag.dropout(x, 0.5, np.random.Generator(np.random.PCG64(3))),
-            ag.concat([x, x]), ag.select(x, 1, 0), rows, ag.transpose(x, (2, 0, 1)),
+            ag.concat([x, x]), ag.select(x, 1, 0), ag.take_rows(rows, [[5, 0]]), rows,
+            ag.transpose(x, (2, 0, 1)),
             ag.canonical_bucket_mean(x),
             ag.softmax_cross_entropy(rows, np.zeros(6, dtype=np.int64)),
             ag.bce_with_logits(rows, np.zeros((6, 4)))]

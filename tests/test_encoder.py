@@ -6,6 +6,7 @@ import pytest
 from pathsage import autograd as ag
 from pathsage.autograd import Tensor
 from pathsage.encoder import (
+    _attention,
     _encoder_layer,
     attention_maps,
     build_position_table,
@@ -15,7 +16,7 @@ from pathsage.encoder import (
 from pathsage.errors import OddDimension, PathTooLong, ShapeMismatch
 from pathsage.model import ModelConfig, PathSageModel
 
-from helpers import check_grad, mul, tsum
+from helpers import check_grad, mul, reference_layer, tsum
 
 RNG = np.random.Generator(np.random.PCG64(77))
 
@@ -63,6 +64,17 @@ def tiny_encoder(d=8, heads=2, layers=1, feat=5, dtype=np.float64, seed=0):
     mc = ModelConfig(feature_dim=feat, num_classes=2, task="single_label", hidden=d,
                      heads=heads, layers=layers, depth_s=1)
     return PathSageModel.init(mc, rng, dtype=dtype).encoder
+
+
+def pack(*groups):
+    """Equal-length path groups (U, T, F), one per length -> (packed (P, F)
+    Tensor, their (T, U) segments)."""
+    feats = np.concatenate([g.reshape(-1, g.shape[2]) for g in groups])
+    return Tensor(feats), tuple((g.shape[1], g.shape[0]) for g in groups)
+
+
+def encode(params, pos, *groups, **kwargs):
+    return encode_paths(params, pos, *pack(*groups), **kwargs)
 
 
 def ln(v, g, b, eps=1e-5):
@@ -117,9 +129,9 @@ def test_attention_rows_sum_to_one():
 def test_single_token_attention_is_identity():
     params = tiny_encoder()
     pos = build_position_table(4, 8, dtype=np.float64)
-    feats = Tensor(RNG.normal(size=(1, 1, 5)))
-    assert encode_paths(params, pos, feats).shape == (1, 8)
-    for layer in attention_maps(params, pos, feats):
+    feats = RNG.normal(size=(1, 1, 5))
+    assert encode(params, pos, feats).shape == (1, 8)
+    for layer in attention_maps(params, pos, Tensor(feats)):
         np.testing.assert_allclose(layer[0], 1.0)
         assert layer[0].shape == (2, 1, 1)
 
@@ -128,8 +140,8 @@ def test_deterministic_without_dropout():
     params = tiny_encoder(layers=2)
     pos = build_position_table(6, 8, dtype=np.float64)
     feats = RNG.normal(size=(2, 4, 5))
-    r1 = encode_paths(params, pos, Tensor(feats))
-    r2 = encode_paths(params, pos, Tensor(feats))
+    r1 = encode(params, pos, feats)
+    r2 = encode(params, pos, feats)
     assert (r1.data == r2.data).all()
 
 
@@ -139,10 +151,10 @@ def test_position_sensitivity():
     params = tiny_encoder(layers=1, seed=5)
     pos = build_position_table(6, 8, dtype=np.float64)
     path = RNG.normal(size=(4, 5))
-    base = encode_paths(params, pos, Tensor(path[None]))
+    base = encode(params, pos, path[None])
     changed = False
     for perm in ([0, 2, 1, 3], [0, 3, 1, 2], [0, 1, 3, 2]):
-        out = encode_paths(params, pos, Tensor(path[perm][None]))
+        out = encode(params, pos, path[perm][None])
         if not np.allclose(out.data, base.data):
             changed = True
     assert changed
@@ -169,9 +181,21 @@ def test_forward_matches_straight_line_oracle():
     feats = RNG.normal(size=(3, 3, 5))
     for layers in (1, 2):
         params = tiny_encoder(d=d, heads=heads, layers=layers, seed=21)
-        reprs = encode_paths(params, pos, Tensor(feats))
+        reprs = encode(params, pos, feats)
         np.testing.assert_allclose(reprs.data, oracle_encoder(params, pos, feats)[0],
                                    rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_packed_encode_of_several_lengths_matches_the_per_length_oracle(layers):
+    # one-token paths, a length with a single path, and longer ones, packed in one pass
+    params = tiny_encoder(layers=layers, seed=23)
+    pos = build_position_table(8, 8, dtype=np.float64)
+    groups = [RNG.normal(size=(u, t, 5)) for t, u in ((1, 3), (3, 4), (5, 2), (7, 1))]
+    reprs = encode(params, pos, *groups)
+    want = np.concatenate([oracle_encoder(params, pos, g)[0] for g in groups])
+    assert reprs.shape == (10, 8)
+    np.testing.assert_allclose(reprs.data, want, rtol=0, atol=1e-12)
 
 
 def test_encoder_gradients_finite_difference():
@@ -188,31 +212,99 @@ def test_encoder_gradients_finite_difference():
         for (name, _), t in zip(layer_shapes(d), ts[2:]):
             setattr(layer, name, t)
         pos = build_position_table(6, d, dtype=np.float64)
-        reprs = encode_paths(params, pos, Tensor(feats))
+        reprs = encode(params, pos, feats)
         return tsum(mul(reprs, reprs))
 
     worst = check_grad(build, arrays, step=1e-5, rtol=1e-3)
     assert worst < 1e-3
 
 
+# --- the fused attention op ------------------------------------------------
+
+ATTENTION_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
+MIXED = ((1, 2), (3, 2), (5, 1))  # (T, U): one-token paths among longer ones
+
+
+def first_rows(segments):
+    rows, tok = [], 0
+    for t, u in segments:
+        rows += [tok + t * i for i in range(u)]
+        tok += t * u
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize("readout", [False, True])
+def test_attention_gradients_finite_difference(readout):
+    d, heads = 8, 2
+    layer = tiny_encoder(d=d, heads=heads, seed=31).layers[0]
+    tokens = sum(t * u for t, u in MIXED)
+    q_index = first_rows(MIXED) if readout else None
+    rows = len(q_index) if readout else tokens
+    weights = Tensor(RNG.normal(size=(rows, d)))
+    arrays = [RNG.normal(size=(tokens, d))]
+    arrays += [getattr(layer, name).data.copy() for name in ATTENTION_PARAMS]
+
+    def build(ts):
+        for name, t in zip(ATTENTION_PARAMS, ts[1:]):
+            setattr(layer, name, t)
+        out, attn = _attention(layer, ts[0], MIXED, heads, q_index)
+        assert [a.shape for a in attn] == [(u, heads, 1 if readout else t, t) for t, u in MIXED]
+        return tsum(mul(out, weights))
+
+    worst = check_grad(build, arrays, step=1e-6, rtol=1e-5)
+    assert worst < 1e-5
+
+
+@pytest.mark.parametrize("readout", [False, True])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_fused_layer_matches_the_primitive_reference(readout, rate):
+    # one segment: the packed rows are the reference's (N, T) rows, flattened
+    n, t, d, heads = 5, 4, 8, 2
+    feats = RNG.normal(size=(n, t, d))
+    grad_out = RNG.normal(size=(n, 1 if readout else t, d))
+    results = []
+    for fused in (True, False):
+        layer = tiny_encoder(d=d, heads=heads, seed=35).layers[0]
+        rng = np.random.Generator(np.random.PCG64(3))
+        if fused:
+            x = Tensor(feats.reshape(n * t, d), requires_grad=True)
+            out, attn = _encoder_layer(layer, x, ((t, n),), heads, rate, rng, readout=readout)
+            attn = attn[0]
+        else:
+            x = Tensor(feats, requires_grad=True)
+            out, attn = reference_layer(layer, x, heads, rate, rng, readout=readout)
+        ag.backward(tsum(mul(out, Tensor(grad_out.reshape(out.shape)))))
+        grads = [x.grad.reshape(n, t, d)] + [p.grad for p in vars(layer).values()]
+        results.append((out.data.reshape(grad_out.shape), attn, grads, rng.random(2)))
+    (out, attn, grads, tail), (ref_out, ref_attn, ref_grads, ref_tail) = results
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(attn, ref_attn, rtol=0, atol=1e-12)
+    for name, g, want in zip(["x"] + [name for name, _ in layer_shapes(d)], grads, ref_grads):
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-12, err_msg=name)
+    assert tail.tobytes() == ref_tail.tobytes()  # the same number of dropout draws
+
+
 # --- position-0 readout of the last layer --------------------------------
 
 def full_layers(params, pos, feats, rate=0.0, rng=None):
-    """Every layer on all T tokens -> (last layer's (N, T, d) output, attention)."""
-    x = ag.add(ag.matmul(Tensor(feats), params.w_in), params.b_in)
-    x = ag.add(x, Tensor(pos[:feats.shape[1]]))
+    """Every layer on all tokens of one length -> (last layer's (N, T, d)
+    output, attention)."""
+    n, t, _ = feats.shape
+    segments = ((t, n),)
+    x = ag.add(ag.matmul(Tensor(feats.reshape(n * t, -1)), params.w_in), params.b_in)
+    x = ag.add(x, Tensor(np.tile(pos[:t], (n, 1))))
     attn = []
     for layer in params.layers:
-        x, a = _encoder_layer(layer, x, params.heads, rate, rng)
-        attn.append(a)
-    return x, attn
+        x, a = _encoder_layer(layer, x, segments, params.heads, rate, rng)
+        attn.append(a[0])
+    return ag.reshape(x, (n, t, -1)), attn
 
 
 def test_readout_is_row_0_of_the_full_last_layer():
     params = tiny_encoder(layers=2, seed=11)
     pos = build_position_table(8, 8, dtype=np.float64)
     feats = RNG.normal(size=(7, 6, 5))
-    reprs = encode_paths(params, pos, Tensor(feats))
+    reprs = encode(params, pos, feats)
     full, full_attn = full_layers(params, pos, feats)
     assert reprs.shape == (7, 8)
     np.testing.assert_allclose(reprs.data, full.data[:, 0], rtol=0, atol=1e-12)
@@ -224,37 +316,45 @@ def test_readout_is_row_0_of_the_full_last_layer():
 
 def test_readout_layer_queries_only_position_0():
     params = tiny_encoder(layers=1, seed=13)
-    x = Tensor(RNG.normal(size=(5, 4, 8)))
-    out, attn = _encoder_layer(params.layers[0], x, params.heads, 0.0, None, readout=True)
-    full, full_attn = _encoder_layer(params.layers[0], x, params.heads, 0.0, None)
-    assert out.shape == (5, 1, 8) and attn.shape == (5, 2, 1, 4)
-    np.testing.assert_allclose(attn, full_attn[:, :, :1], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out.data, full.data[:, :1], rtol=0, atol=1e-12)
+    segments = ((4, 5), (2, 3))
+    x = Tensor(RNG.normal(size=(26, 8)))
+    out, attn = _encoder_layer(params.layers[0], x, segments, params.heads, 0.0, None,
+                               readout=True)
+    full, full_attn = _encoder_layer(params.layers[0], x, segments, params.heads, 0.0, None)
+    assert out.shape == (8, 8)
+    assert [a.shape for a in attn] == [(5, 2, 1, 4), (3, 2, 1, 2)]
+    for got, want in zip(attn, full_attn):
+        np.testing.assert_allclose(got, want[:, :, :1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, full.data[first_rows(segments)], rtol=0, atol=1e-12)
 
 
 def test_dropout_stream_draws_one_row_per_path_in_the_readout_layer():
-    # (N, T, d) twice per earlier layer, then (N, 1, d) twice for the readout
-    n, t, d, rate = 5, 4, 8, 0.3
+    # per chunk: (P, d) twice per earlier layer, then (paths, d) twice for the readout
+    d, rate = 8, 0.3
     params = tiny_encoder(d=d, layers=3, seed=12)
     pos = build_position_table(8, d, dtype=np.float64)
-    feats = RNG.normal(size=(n, t, 5))
-    rng_a, rng_b, rng_c = (np.random.Generator(np.random.PCG64(21)) for _ in range(3))
-    reprs = encode_paths(params, pos, Tensor(feats), rng=rng_a, dropout_rate=rate)
-    for shape in [(n, t, d)] * 4 + [(n, 1, d)] * 2:
+    groups = [RNG.normal(size=(5, 4, 5)), RNG.normal(size=(2, 3, 5))]
+    rng_a, rng_b = (np.random.Generator(np.random.PCG64(21)) for _ in range(2))
+    encode(params, pos, *groups, rng=rng_a, dropout_rate=rate)
+    for shape in [(26, d)] * 4 + [(7, d)] * 2:
         rng_b.random(shape)
     assert rng_a.random(3).tobytes() == rng_b.random(3).tobytes()
+    # one length: the packed masks are the oracle's (N, T, d) masks, flattened
+    feats = groups[0]
+    rng_a, rng_c = (np.random.Generator(np.random.PCG64(22)) for _ in range(2))
+    reprs = encode(params, pos, feats, rng=rng_a, dropout_rate=rate)
     expect = oracle_encoder(params, pos, feats,
                             keep=lambda shape: (rng_c.random(shape) >= rate) / (1 - rate))[0]
     np.testing.assert_allclose(reprs.data, expect, rtol=0, atol=1e-12)
-    undropped = encode_paths(params, pos, Tensor(feats))
+    undropped = encode(params, pos, feats)
     assert not np.allclose(reprs.data, undropped.data)  # dropout did act
 
 
 def test_readout_layer_gradients_finite_difference():
     # wq and wk of the last layer reach the output only through position 0's query
     d, heads = 8, 2
-    feats = RNG.normal(size=(2, 4, 5))
-    weights = Tensor(RNG.normal(size=(2, d)))
+    groups = [RNG.normal(size=(2, 4, 5)), RNG.normal(size=(1, 2, 5))]
+    weights = Tensor(RNG.normal(size=(3, d)))
     params = tiny_encoder(d=d, heads=heads, layers=2, seed=17)
     last = params.layers[-1]
     names = [name for name, _ in layer_shapes(d)]
@@ -264,7 +364,7 @@ def test_readout_layer_gradients_finite_difference():
     def build(ts):
         for name, t in zip(names, ts):
             setattr(last, name, t)
-        return tsum(mul(encode_paths(params, pos, Tensor(feats)), weights))
+        return tsum(mul(encode(params, pos, *groups), weights))
 
     probes = [Tensor(a, requires_grad=True) for a in arrays]
     ag.backward(build(probes))
@@ -279,11 +379,26 @@ def test_path_too_long():
     params = tiny_encoder()
     pos = build_position_table(3, 8, dtype=np.float64)
     with pytest.raises(PathTooLong):
-        encode_paths(params, pos, Tensor(RNG.normal(size=(1, 5, 5))))
+        encode(params, pos, RNG.normal(size=(1, 2, 5)), RNG.normal(size=(1, 5, 5)))
+    with pytest.raises(PathTooLong):
+        attention_maps(params, pos, Tensor(RNG.normal(size=(1, 5, 5))))
 
 
 def test_feature_width_mismatch():
     params = tiny_encoder(feat=5)
     pos = build_position_table(6, 8, dtype=np.float64)
     with pytest.raises(ShapeMismatch):
-        encode_paths(params, pos, Tensor(RNG.normal(size=(1, 3, 9))))
+        encode(params, pos, RNG.normal(size=(1, 3, 9)))
+
+
+def test_features_that_do_not_match_their_segments_are_rejected():
+    params = tiny_encoder(feat=5)
+    pos = build_position_table(6, 8, dtype=np.float64)
+    feats = Tensor(RNG.normal(size=(7, 5)))
+    for segments in (((3, 2),), ((3, 2), (2, 1)), ((0, 7),), ((3, 2), (1, 1), (2, -1))):
+        with pytest.raises(ShapeMismatch):
+            encode_paths(params, pos, feats, segments)
+    with pytest.raises(ShapeMismatch, match="packed"):
+        encode_paths(params, pos, Tensor(RNG.normal(size=(1, 7, 5))), ((7, 1),))
+    with pytest.raises(ShapeMismatch):
+        attention_maps(params, pos, feats)

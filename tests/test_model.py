@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from pathsage import autograd as ag
 from pathsage import model as model_module
 from pathsage.autograd import Tensor, no_record
 from pathsage.encoder import attention_maps
@@ -13,6 +14,8 @@ from pathsage.graph import load_dataset
 from pathsage.model import ModelConfig, PathSageModel, distinct_rows
 from pathsage.sampler import SamplePlan, rng_for, sample_paths
 from pathsage.synth import synth_planted_khop
+
+from helpers import mul, tsum
 
 RNG = np.random.Generator(np.random.PCG64(17))
 
@@ -55,26 +58,68 @@ def test_inference_encodes_each_distinct_walk_once(tmp_path, monkeypatch):
     model = PathSageModel.init(ModelConfig(feature_dim=graph.feature_dim, num_classes=3,
                                            task=labels.task, hidden=8, heads=2, depth_s=3),
                                rng_for(2))
-    rows = []
+    passes = []
     real = model_module.encode_paths
 
-    def counting(params, pos, feats, **kwargs):
-        rows.append(feats.shape[0])
-        return real(params, pos, feats, **kwargs)
+    def counting(params, pos, feats, segments, **kwargs):
+        passes.append(segments)  # (tokens per path, paths) of each length
+        return real(params, pos, feats, segments, **kwargs)
 
     monkeypatch.setattr(model_module, "encode_paths", counting)
     walks = walks_for(graph, range(5))
     with no_record():
         plain = model.forward_batch(graph, walks)
-    assert rows == [5, 5, 5]  # one row per (node, length)
-    rows.clear()
+    assert passes == [((2, 5), (3, 5), (4, 5))]  # one path per (node, length), one pass
+    passes.clear()
     recorded = model.forward_batch(graph, walks)  # a recording forward encodes every walk
-    assert rows == [15, 15, 15]
+    assert passes == [((2, 15), (3, 15), (4, 15))]
     assert plain.data.tobytes() == recorded.data.tobytes()
-    rows.clear()
+    passes.clear()
     with no_record():
         model.forward_batch(graph, walks, rng=rng_for(9))  # so does one with dropout
-    assert rows == [15, 15, 15]
+    assert passes == [((2, 15), (3, 15), (4, 15))]
+
+
+def _entries(tokens):
+    """Stand-ins for forward_batch's per-length entries: (l, rows, inverse)."""
+    return [(l, np.zeros((n // (l + 1), l + 1), dtype=np.int64), None)
+            for l, n in enumerate(tokens, start=1)]
+
+
+@pytest.mark.parametrize("tokens, chunks", [
+    ((30, 45, 60), [[1, 2, 3]]),                  # every length in one chunk
+    ((60, 90, 120, 150), [[1, 2], [3], [4]]),     # cut before a length that does not fit
+    ((20, 300, 40, 50), [[1], [2], [3, 4]]),      # a length over the bound is a chunk alone
+    ((100,), [[1]]),
+])
+def test_chunks_group_consecutive_lengths_up_to_pack_tokens(monkeypatch, tokens, chunks):
+    monkeypatch.setattr(model_module, "PACK_TOKENS", 150)
+    got = [[l for l, _, _ in chunk] for chunk in model_module._chunks(_entries(tokens))]
+    assert got == chunks
+
+
+@pytest.mark.parametrize("pack_tokens", [1, 60, 10**9])
+def test_logits_and_gradients_do_not_depend_on_the_chunking(setup, monkeypatch, pack_tokens):
+    # 1: every length alone; 60: lengths 1 and 2 (24 + 36 recorded tokens)
+    # share a pass; 10**9: one pass
+    graph, model = setup
+    model = PathSageModel.init(model.config, rng_for(4), dtype=np.float64)
+    walks = walks_for(graph, range(4))
+
+    def run():
+        model.zero_grad()
+        with no_record():
+            plain = model.forward_batch(graph, walks).data
+        logits = model.forward_batch(graph, walks)
+        ag.backward(tsum(mul(logits, logits)))
+        return plain, [p.grad for _, p in model.named_params()]
+
+    base_plain, base_grads = run()
+    monkeypatch.setattr(model_module, "PACK_TOKENS", pack_tokens)
+    plain, grads = run()
+    assert plain.tobytes() == base_plain.tobytes()
+    for g, want in zip(grads, base_grads):
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
 
 
 def _same_groups(x, y):
