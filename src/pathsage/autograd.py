@@ -4,20 +4,23 @@ Tensors wrap contiguous numpy arrays (row-major, float32 by default,
 float64 supported for gradient-check oracles). Primitives compute in their
 inputs' dtype. The exceptions work in 64-bit and round once: the row
 statistics of `layer_norm`, the column sums of `canonical_bucket_mean`, and
-the losses, which take 64-bit copies of the (B, K) logits. A product with
-a shared 2-D weight is one 2-D GEMM each way, and a bias given to `matmul`
-is added in place into its output. Softmax reduces over its short last
-axis (the 2-9 keys of an attention row) one column at a time rather than
-through numpy's per-row reduce. Each primitive records a vector-Jacobian
-product closure whenever an input requires gradients; a vjp returns None
-for an input that requires none, and skips its math.
+the losses, which take 64-bit copies of the (B, K) logits. Each primitive
+records a vector-Jacobian product closure whenever an input requires
+gradients; a vjp returns None for an input that requires none, and skips
+its math.
+
+The engine serves 2-D rows, the shapes the model, head and losses feed it.
+`matmul` takes a 2-D a and a 2-D b: one GEMM each way, with an optional
+bias of b's width added in place into its output. `add` takes operands of
+one shape, and `concat` joins on the last axis. Any other operand shape
+raises `ShapeMismatch` naming both shapes.
 
 The recorded graph holds no forward data. An op output that records gets a
 `_Node`: its vjp closure and its parents, where a parent is that input's
 own node, the input itself if it is a leaf that requires gradients, or None
 if it requires none. A closure keeps only the arrays, shapes and flags its
 vjp reads, never a `Tensor`. So an array that no vjp reads (a GEMM output
-before its head transpose, a sum, a dropout output) is freed as soon as the
+that feeds a relu, a sum, a dropout output) is freed as soon as the
 forward code drops its tensor, and the tape of a step holds only the
 vjps' operands. `backward` walks the graph once in reverse topological
 order, accumulates gradients into the leaves, and releases each node's
@@ -25,16 +28,18 @@ closure and parents right after its vjp runs. Inside a `no_record()` block
 (inference) no op records anything; `is_recording()` tells which state is
 on.
 
-A 2-D GEMM with fewer than `GEMM_MIN_ROWS` rows runs on a zero-padded copy
-of that many rows (`gemm`). BLAS gives a row different bits when M is small
+A GEMM with fewer than `GEMM_MIN_ROWS` rows runs on a zero-padded copy of
+that many rows (`gemm`). BLAS gives a row different bits when M is small
 (the gemv path at M = 1, other kernels below 16 rows at K = 512 and 1024),
 so for the model's tested shapes a row's bits do not depend on how many
 rows share its GEMM (README states the limits).
 
 An op outside this module is built the same way, on `_make`: the encoder's
 fused attention (`encoder._attention`) uses `gemm`, `softmax_rows_` and
-`softmax_vjp`. Since that op took over the attention math, no code in the
-package calls `scale`, `softmax`, `transpose` or `select`. They stay because
+`softmax_vjp`, which reduce an attention row's short last axis (its 2-9
+keys) one column at a time rather than through numpy's per-row reduce.
+Since that op took over the attention math, no code in the package calls
+`scale`, `softmax`, `transpose`, `select` or `reshape`. They stay because
 the benchmark's op tracer (`perfbench/tracer.py`, `AUTOGRAD_OPS`) binds
 every one of them by name; the tests' primitive reference layer
 (`tests/helpers.py::reference_layer`) also composes them.
@@ -82,10 +87,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._node = None  # the _Node of a recorded op output
-
-    @property
-    def _parents(self):
-        return None if self._node is None else self._node.parents
 
     @property
     def _vjp(self):
@@ -147,14 +148,6 @@ def _make(data, parents, vjp):
     return out
 
 
-def _unbroadcast_trailing(g, shape):
-    """Sum gradient over the leading axes that were broadcast away."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
-
-
 def _column_sum(a, b=None):
     """Sum of a (or of a * b) over every axis but the last -> (width,).
 
@@ -173,19 +166,17 @@ def _column_sum(a, b=None):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    """Elementwise add; b may have a trailing-suffix shape (bias broadcast).
-    An operand that requires no gradient gets None from the vjp."""
+    """Elementwise sum of two tensors of one shape. An operand that
+    requires no gradient gets None from the vjp."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if len(b.shape) > len(a.shape) or a.shape[len(a.shape) - len(b.shape):] != b.shape:
-        raise ShapeMismatch("add operands incompatible", a.shape, b.shape)
-    data = a.data + b.data
-    need_a, need_b, b_shape = a.requires_grad, b.requires_grad, b.shape
+    if a.shape != b.shape:
+        raise ShapeMismatch("add needs operands of one shape", a.shape, b.shape)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (g if need_a else None,
-                _unbroadcast_trailing(g, b_shape) if need_b else None)
+        return g if need_a else None, g if need_b else None
 
-    return _make(data, (a, b), vjp)
+    return _make(a.data + b.data, (a, b), vjp)
 
 
 def gemm(a2, b):
@@ -207,60 +198,37 @@ def scale(a, s):
 
 
 def matmul(a, b, bias=None):
-    """Matrix product over a's leading batch dims, plus an optional bias row.
-    b is a 2-D matrix (such as a weight) shared across the batch, or carries
-    exactly a's batch dims.
+    """Matrix product of a 2-D a (M, K) and a 2-D b (K, N), plus an optional
+    bias row of b's width -> (M, N).
 
-    A 2-D b makes one 2-D GEMM each way: a is viewed as (M, d) rows, the
-    forward is `a2 @ b` and the vjp is `g2 @ b.T` and `a2.T @ g2`, so b's
-    gradient sums over all M rows inside that one GEMM. An M below
-    `GEMM_MIN_ROWS` is zero-padded up to it in the forward, so a row's bits
-    do not depend on M; the vjp is unpadded. A `bias` of b's
-    width (2-D b only) is added in place into the GEMM output; its gradient
-    is the column sum of `g2`. A batched b makes one matmul per batch entry
-    each way, and its gradient has b's shape. An operand that requires no
-    gradient gets None from the vjp, and its GEMM is skipped.
+    The forward is one `gemm`, which zero-pads an M below `GEMM_MIN_ROWS`
+    so a row's bits do not depend on M, and the bias is added in place into
+    its output. The vjp is `g @ b.T` and `a.T @ g`, unpadded, so b's
+    gradient sums over all M rows inside one GEMM; the bias gradient is the
+    column sum of g. An operand that requires no gradient gets None from
+    the vjp, and its GEMM is skipped. An operand that is not 2-D raises
+    ShapeMismatch.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if min(a.data.ndim, b.data.ndim) < 2 or b.shape[:-2] not in ((), a.shape[:-2]):
-        raise ShapeMismatch("matmul needs a 2-D b or one with a's batch dims", a.shape, b.shape)
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch("matmul inner dims differ", a.shape, b.shape)
-    parents = (a, b)
-    need_a, need_b = a.requires_grad, b.requires_grad
-    if bias is not None:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatch("matmul needs 2-D operands of one inner dim", a.shape, b.shape)
+    data = gemm(a.data, b.data)
+    biased = bias is not None
+    if biased:
         bias = _as_tensor(bias)
-        if b.data.ndim != 2 or bias.shape != b.shape[-1:]:
-            raise ShapeMismatch("matmul bias needs a 2-D b of the bias's width",
-                                b.shape, bias.shape)
-        parents = (a, b, bias)
-    if b.data.ndim == 2:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        out2 = gemm(a2, b.data)
-        if bias is not None:
-            out2 += bias.data
-        data = out2.reshape(*a.shape[:-1], b.shape[-1])
-        # each operand is kept only for the other operand's gradient
-        a2, b_data = a2 if need_b else None, b.data if need_a else None
-        biased = bias is not None
-        need_bias = biased and bias.requires_grad
+        if bias.shape != b.shape[1:]:
+            raise ShapeMismatch("matmul bias needs b's width", b.shape, bias.shape)
+        data += bias.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    need_bias = biased and bias.requires_grad
+    # each operand is kept only for the other operand's gradient
+    a_data, b_data = a.data if need_b else None, b.data if need_a else None
 
-        def vjp(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            grads = ((g2 @ b_data.T).reshape(*g.shape[:-1], -1) if need_a else None,
-                     a2.T @ g2 if need_b else None)
-            if not biased:
-                return grads
-            return grads + (_column_sum(g2) if need_bias else None,)
-    else:
-        data = np.matmul(a.data, b.data)
-        a_data, b_data = a.data if need_b else None, b.data if need_a else None
+    def vjp(g):
+        grads = g @ b_data.T if need_a else None, a_data.T @ g if need_b else None
+        return grads + (_column_sum(g) if need_bias else None,) if biased else grads
 
-        def vjp(g):
-            return (np.matmul(g, np.swapaxes(b_data, -1, -2)) if need_a else None,
-                    np.matmul(np.swapaxes(a_data, -1, -2), g) if need_b else None)
-
-    return _make(data, parents, vjp)
+    return _make(data, (a, b, bias) if biased else (a, b), vjp)
 
 
 def relu(a):
@@ -381,14 +349,15 @@ def dropout(x, rate, rng):
     return _make(x.data * keep, (x,), vjp)
 
 
-def concat(tensors, axis=-1):
+def concat(tensors):
+    """Tensors joined along their last axis; the vjp splits the gradient
+    back at the same columns."""
     tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    splits = np.cumsum([t.shape[-1] for t in tensors])[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=-1))
 
     return _make(data, tuple(tensors), vjp)
 

@@ -206,10 +206,12 @@ def _float_records(path: Path):
 def read_features_csv(path: Path) -> np.ndarray:
     """A comma-separated float table -> float32 (rows, cols). A `#` line is
     a bad field, not a comment; a bad file raises at its first bad line."""
-    try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2, comments=None)
-    except ValueError:
-        _reject(path, _float_records(path), "float")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2, comments=None)
+        except ValueError:
+            _reject(path, _float_records(path), "float")
 
 
 def _edge_records(path: Path, num_nodes):

@@ -180,7 +180,7 @@ class PathSageModel:
                 # this length's representation of every walk, (B, n_l, d)
                 pooled.append(ag.canonical_bucket_mean(ag.take_rows(reprs, start + inverse)))
                 start += len(rows)
-        concat = ag.concat(pooled, axis=-1)                 # (B, s*d)
+        concat = ag.concat(pooled)                          # (B, s*d)
         return head_forward(self.head, concat, rng=rng,
                             dropout_rate=self.config.dropout_output)
 

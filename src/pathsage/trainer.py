@@ -61,6 +61,8 @@ class TrainConfig:
             raise InvalidSetting("epochs must be >= 1")
         if not 0.0 <= self.lr < math.inf:
             raise InvalidSetting(f"lr {self.lr} is not a finite number >= 0")
+        if any(c < 1 for c in self.counts_per_length):
+            raise InvalidSetting(f"each count must be >= 1, got {self.counts_per_length}")
         if len(self.counts_per_length) != self.depth_s:
             raise InvalidSetting(f"{len(self.counts_per_length)} counts for depth {self.depth_s}")
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking, the
-reducers that turn an op's output into a scalar loss, `tape_bytes`, the
+"""Shared test utilities: finite-difference gradient checking, the ops
+the package itself does not need (the reducers that turn an op's output
+into a scalar loss, and `bmm`, a batched product), `tape_bytes`, the
 memory a recorded graph keeps alive, and `reference_layer`, an encoder
 layer composed of autograd primitives."""
 
@@ -36,6 +37,20 @@ def mul(a, b):
     return ag._make(a_data * b_data, (a, b), vjp)
 
 
+def bmm(a, b):
+    """Batched matrix product of two tensors with the same leading dims:
+    (..., M, K) @ (..., K, N) -> (..., M, N)."""
+    a, b = ag._as_tensor(a), ag._as_tensor(b)
+    if a.data.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeMismatch("bmm operands incompatible", a.shape, b.shape)
+    a_data, b_data = a.data, b.data
+
+    def vjp(g):
+        return g @ b_data.swapaxes(-1, -2), a_data.swapaxes(-1, -2) @ g
+
+    return ag._make(a_data @ b_data, (a, b), vjp)
+
+
 def closure_values(fn):
     """The values a function's closure cells hold (empty cells skipped)."""
     values = []
@@ -50,14 +65,14 @@ def closure_values(fn):
 def tape_bytes(t):
     """Bytes of the distinct array buffers that t's recorded graph reaches.
 
-    The walk starts at t's parents and vjp, not at t's own data. It follows
-    graph nodes (their parents and vjp), tensors (their data, parents and
-    vjp), functions (their closure cells, so a wrapped vjp is seen through)
+    The walk starts at t's graph node, not at t's own data. It follows
+    graph nodes (their parents and vjp), tensors (their data and node),
+    functions (their closure cells, so a wrapped vjp is seen through)
     and tuples and lists. A view counts as the buffer at the end of its
     `.base` chain, each buffer once.
     """
     seen, buffers = set(), {}
-    stack = [t._parents, t._vjp]
+    stack = [t._node]
     while stack:
         obj = stack.pop()
         if obj is None or id(obj) in seen:
@@ -68,7 +83,7 @@ def tape_bytes(t):
                 obj = obj.base
             buffers[id(obj)] = obj.nbytes
         elif isinstance(obj, ag.Tensor):
-            stack += [obj.data, obj._parents, obj._vjp]
+            stack += [obj.data, obj._node]
         elif isinstance(obj, ag._Node):
             stack += [obj.parents, obj.vjp]
         elif isinstance(obj, (tuple, list)):
@@ -143,21 +158,25 @@ def reference_layer(layer, x, heads, dropout_rate, rng, readout=False):
 
     The queries are all T tokens, or with `readout` position 0 alone. This
     is the layer as the encoder ran it before attention became one fused
-    op; the fused layer is checked against it, values and gradients. Its
-    two dropout masks take the same draws, in the same order, as the fused
-    layer's.
+    op; the fused layer is checked against it, values and gradients. Each
+    weight product runs on the (N * R or N * T, d) rows, the scores and the
+    context on `bmm`. Its two dropout masks take the same draws, in the
+    same order, as the fused layer's.
     """
     n, t, d = x.shape
-    rows = ag.reshape(ag.select(x, 1, 0), (n, 1, d)) if readout else x
-    q = _split_heads(ag.matmul(rows, layer.wq, layer.bq), heads)
-    k = ag.transpose(ag.reshape(ag.matmul(x, layer.wk), (n, t, heads, d // heads)), (0, 2, 3, 1))
-    v = _split_heads(ag.matmul(x, layer.wv, layer.bv), heads)
-    scores = ag.scale(ag.matmul(q, k), 1.0 / math.sqrt(d // heads))
+    r = 1 if readout else t
+    tokens = ag.reshape(x, (n * t, d))
+    rows = ag.select(x, 1, 0) if readout else tokens  # (N * R, d)
+    q = _split_heads(ag.reshape(ag.matmul(rows, layer.wq, layer.bq), (n, r, d)), heads)
+    k = ag.transpose(ag.reshape(ag.matmul(tokens, layer.wk), (n, t, heads, d // heads)),
+                     (0, 2, 3, 1))
+    v = _split_heads(ag.reshape(ag.matmul(tokens, layer.wv, layer.bv), (n, t, d)), heads)
+    scores = ag.scale(bmm(q, k), 1.0 / math.sqrt(d // heads))
     attn = ag.softmax(scores)                       # (N, h, R, T)
-    ctx = ag.reshape(ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)), rows.shape)
+    ctx = ag.reshape(ag.transpose(bmm(attn, v), (0, 2, 1, 3)), (n * r, d))
     out = ag.dropout(ag.matmul(ctx, layer.wo, layer.bo), dropout_rate, rng)
     x = ag.layer_norm(ag.add(rows, out), layer.ln1_g, layer.ln1_b)
     ff = ag.matmul(ag.relu(ag.matmul(x, layer.w1, layer.b1)), layer.w2, layer.b2)
     ff = ag.dropout(ff, dropout_rate, rng)
     x = ag.layer_norm(ag.add(x, ff), layer.ln2_g, layer.ln2_b)
-    return x, attn.data
+    return ag.reshape(x, (n, r, d)), attn.data

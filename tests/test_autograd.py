@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from pathsage import autograd as ag
 from pathsage import head
+from pathsage.encoder import _attention
 from pathsage.errors import InvalidSetting, NonScalarLoss, ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.metrics import eval_split
@@ -11,7 +14,7 @@ from pathsage.sampler import SamplePlan, sample_paths, stream_rng
 from pathsage.synth import synth_planted_khop
 from pathsage.trainer import OptimizerState, TrainConfig, train_epoch
 
-from helpers import check_grad, closure_values, mul, tape_bytes, tsum
+from helpers import bmm, check_grad, closure_values, mul, tape_bytes, tsum
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -92,19 +95,27 @@ def test_matmul_gradient():
 
 
 def test_batched_matmul_gradient():
+    # matmul takes 2-D operands only; the batched product lives in the tests
     a = RNG.normal(size=(2, 2, 3, 4))
     b = RNG.normal(size=(2, 2, 4, 3))
-    check_grad(lambda ts: tsum(mul(m := ag.matmul(ts[0], ts[1]), m)), [a, b])
+    with pytest.raises(ShapeMismatch):
+        ag.matmul(ag.Tensor(a), ag.Tensor(b))
+    check_grad(lambda ts: tsum(mul(m := bmm(ts[0], ts[1]), m)), [a, b])
 
 
 def test_batched_matmul_with_shared_2d_operand():
-    a = RNG.normal(size=(3, 4, 5))
+    # (N, T, d) activations meet a shared weight as (N * T, d) rows; b's
+    # gradient sums over every row, above and below GEMM_MIN_ROWS
     w = RNG.normal(size=(5, 2))
-    check_grad(lambda ts: tsum(mul(m := ag.matmul(ts[0], ts[1]), m)), [a, w])
+    for rows in (12, 20):
+        check_grad(lambda ts: tsum(mul(m := ag.matmul(ts[0], ts[1]), m)),
+                   [RNG.normal(size=(rows, 5)), w])
+    with pytest.raises(ShapeMismatch):
+        ag.matmul(ag.Tensor(RNG.normal(size=(3, 4, 5))), ag.Tensor(w))
 
 
 def test_matmul_with_bias_adds_it_to_every_row():
-    a = RNG.normal(size=(2, 5, 3)).astype(np.float32)
+    a = RNG.normal(size=(10, 3)).astype(np.float32)
     w = RNG.normal(size=(3, 4)).astype(np.float32)
     bias = RNG.normal(size=4).astype(np.float32)
     fused = ag.matmul(ag.Tensor(a), ag.Tensor(w), ag.Tensor(bias)).data
@@ -114,20 +125,20 @@ def test_matmul_with_bias_adds_it_to_every_row():
 @pytest.mark.parametrize("b_shape,bias_shape", [
     ((3, 4), (3,)),        # wrong width
     ((3, 4), (1, 4)),      # not a row vector
-    ((2, 3, 4), (4,)),     # a batched b takes no bias
+    ((2, 3, 4), (4,)),     # a batched b is rejected, bias or not
 ])
 def test_matmul_bias_shape_mismatch(b_shape, bias_shape):
     with pytest.raises(ShapeMismatch):
-        ag.matmul(ag.Tensor(np.ones((2, 5, 3))), ag.Tensor(np.ones(b_shape)),
+        ag.matmul(ag.Tensor(np.ones((10, 3))), ag.Tensor(np.ones(b_shape)),
                   ag.Tensor(np.ones(bias_shape)))
 
 
 @pytest.mark.parametrize("op,b_shape", [
-    ("matmul", (4, 5)), ("matmul", (2, 4, 5)), ("matmul_bias", (4, 5)), ("add", (4,)),
+    ("matmul", (4, 5)), ("matmul", (4, 1)), ("matmul_bias", (4, 5)), ("add", (6, 4)),
 ])
 @pytest.mark.parametrize("constant", [0, 1])
 def test_constant_operand_gets_no_gradient(op, b_shape, constant):
-    a, b, bias = RNG.normal(size=(2, 3, 4)), RNG.normal(size=b_shape), RNG.normal(size=5)
+    a, b, bias = RNG.normal(size=(6, 4)), RNG.normal(size=b_shape), RNG.normal(size=5)
 
     def run(needs):
         ts = [ag.Tensor(x, requires_grad=need) for x, need in zip((a, b), needs)]
@@ -163,9 +174,9 @@ def _max_rel(got, want):
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [
-    ((6, 9, 16), (16, 12)),       # (N, T, d) activation times a weight
-    ((2, 3, 4, 5), (5, 6)),
-    ((2, 3, 4, 5), (2, 3, 5, 6)),  # batched b: attention scores and context
+    ((54, 16), (16, 12)),  # (N * T, d) token rows times a weight
+    ((24, 5), (5, 6)),
+    ((3, 5), (5, 6)),      # fewer rows than GEMM_MIN_ROWS: a padded forward
 ])
 def test_float32_matmul_matches_float64_oracle(a_shape, b_shape):
     a32 = RNG.normal(size=a_shape).astype(np.float32)
@@ -175,11 +186,7 @@ def test_float32_matmul_matches_float64_oracle(a_shape, b_shape):
     out = ag.matmul(a, b)
     ag.backward(tsum(mul(out, ag.Tensor(g32))))
     a64, b64, g64 = (x.astype(np.float64) for x in (a32, b32, g32))
-    ga = np.matmul(g64, np.swapaxes(b64, -1, -2))
-    gb = np.matmul(np.swapaxes(a64, -1, -2), g64)
-    if b32.ndim == 2:  # a shared b collects the gradient of every row
-        gb = gb.reshape(-1, *b_shape).sum(axis=0)
-    for got, want in ((out.data, np.matmul(a64, b64)), (a.grad, ga), (b.grad, gb)):
+    for got, want in ((out.data, a64 @ b64), (a.grad, g64 @ b64.T), (b.grad, a64.T @ g64)):
         assert got.dtype == np.float32 and got.shape == want.shape
         assert _max_rel(got, want) <= 1e-5
 
@@ -190,8 +197,8 @@ def test_float32_matmul_matches_float64_oracle(a_shape, b_shape):
     ("dropout", [(6, 3)]),
     ("select", [(4, 3, 2)]),
     ("concat", [(2, 3), (2, 4)]),
-    ("add_bias", [(4, 3, 5), (5,)]),
-    ("matmul_bias", [(2, 5, 3), (3, 4), (4,)]),
+    ("add", [(4, 5), (4, 5)]),
+    ("matmul_bias", [(10, 3), (3, 4), (4,)]),
     ("scale", [(3, 3)]),
     ("reshape", [(2, 6)]),
     ("transpose", [(2, 3, 4)]),
@@ -217,8 +224,8 @@ def test_primitive_gradients(prim, shapes):
         elif prim == "take_rows_repeated":
             y = ag.take_rows(ts[0], np.array([3, 0, 3, 3]))
         elif prim == "concat":
-            y = ag.concat(ts, axis=-1)
-        elif prim == "add_bias":
+            y = ag.concat(ts)
+        elif prim == "add":
             y = ag.add(ts[0], ts[1])
         elif prim == "matmul_bias":
             y = ag.matmul(ts[0], ts[1], ts[2])
@@ -321,19 +328,20 @@ def test_non_scalar_loss_raises():
 
 
 def test_shape_mismatch_reports_both_shapes():
-    with pytest.raises(ShapeMismatch) as exc:
-        ag.matmul(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((4, 2))))
-    assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
-    # a batched b under a 2-D a has no vjp that sums ga back to a's shape
-    with pytest.raises(ShapeMismatch) as exc:
-        ag.matmul(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((5, 3, 4))))
-    assert "(2, 3)" in str(exc.value) and "(5, 3, 4)" in str(exc.value)
-    # nor may b drop batch dims of a: its vjp would not reduce gb to b's shape
-    with pytest.raises(ShapeMismatch) as exc:
-        ag.matmul(ag.Tensor(np.ones((2, 3, 4, 5))), ag.Tensor(np.ones((3, 5, 6))))
-    assert "(2, 3, 4, 5)" in str(exc.value) and "(3, 5, 6)" in str(exc.value)
-    with pytest.raises(ShapeMismatch):  # nor may b broadcast a batch dim of a
-        ag.matmul(ag.Tensor(np.ones((2, 3, 4, 5))), ag.Tensor(np.ones((1, 3, 5, 6))))
+    for op, a_shape, b_shape in [
+        (ag.matmul, (2, 3), (4, 2)),              # inner dims differ
+        (ag.matmul, (2, 3), (5, 3, 4)),           # every non-2-D operand is rejected
+        (ag.matmul, (2, 3, 4, 5), (3, 5, 6)),
+        (ag.matmul, (2, 3, 4, 5), (1, 3, 5, 6)),
+        (ag.matmul, (2, 3, 4, 5), (5, 6)),
+        (ag.matmul, (2, 3, 4, 5), (2, 3, 5, 6)),
+        (ag.matmul, (3,), (3, 2)),
+        (ag.add, (4, 3, 5), (5,)),                # add broadcasts nothing
+        (ag.add, (4, 5), (5, 4)),
+    ]:
+        with pytest.raises(ShapeMismatch) as exc:
+            op(ag.Tensor(np.ones(a_shape)), ag.Tensor(np.ones(b_shape)))
+        assert str(a_shape) in str(exc.value) and str(b_shape) in str(exc.value)
 
 
 def test_canonical_bucket_mean_bit_identical_under_permutation():
@@ -348,32 +356,36 @@ def test_canonical_bucket_mean_bit_identical_under_permutation():
 # --- no_record ------------------------------------------------------------
 
 def _every_op(x, w, gain, bias):
-    """One output of each primitive, from inputs x (2, 3, 4) and w (4, 4)."""
-    rows = ag.reshape(x, (6, 4))
-    return [ag.add(x, bias), ag.scale(x, 2.0), ag.matmul(x, w), ag.matmul(x, w, bias),
+    """One output of each primitive and of the encoder's attention op (full
+    and readout queries over two paths of 3 tokens), from inputs x (6, 4),
+    w (4, 4) and gain and bias (4,)."""
+    layer = SimpleNamespace(wq=w, bq=bias, wk=w, wv=w, bv=bias, wo=w, bo=bias)
+    return [ag.add(x, x), ag.scale(x, 2.0), ag.matmul(x, w), ag.matmul(x, w, bias),
             ag.relu(x), ag.softmax(x),
             ag.layer_norm(x, gain, bias),
             ag.dropout(x, 0.5, np.random.Generator(np.random.PCG64(3))),
-            ag.concat([x, x]), ag.select(x, 1, 0), ag.take_rows(rows, [[5, 0]]), rows,
-            ag.transpose(x, (2, 0, 1)),
+            ag.concat([x, x]), ag.select(x, 1, 0), ag.take_rows(x, [[5, 0]]),
+            ag.reshape(x, (2, 3, 4)), ag.transpose(x, (1, 0)),
             ag.canonical_bucket_mean(x),
-            ag.softmax_cross_entropy(rows, np.zeros(6, dtype=np.int64)),
-            ag.bce_with_logits(rows, np.zeros((6, 4)))]
+            ag.softmax_cross_entropy(x, np.zeros(6, dtype=np.int64)),
+            ag.bce_with_logits(x, np.zeros((6, 4))),
+            _attention(layer, x, ((3, 2),), 2)[0],
+            _attention(layer, x, ((3, 2),), 2, np.array([0, 3]))[0]]
 
 
 def test_no_record_outputs_carry_no_graph():
     inputs = [ag.Tensor(RNG.normal(size=shape), requires_grad=True)
-              for shape in ((2, 3, 4), (4, 4), (4,), (4,))]
+              for shape in ((6, 4), (4, 4), (4,), (4,))]
     assert all(out._vjp is not None for out in _every_op(*inputs))
     with ag.no_record():
         outs = _every_op(*inputs)
     for out in outs:
-        assert (out._vjp, out._parents, out.requires_grad) == (None, None, False)
+        assert (out._vjp, out._node, out.requires_grad) == (None, None, False)
 
 
 def test_vjp_closures_hold_no_tensor():
     inputs = [ag.Tensor(RNG.normal(size=shape), requires_grad=True)
-              for shape in ((2, 3, 4), (4, 4), (4,), (4,))]
+              for shape in ((6, 4), (4, 4), (4,), (4,))]
     for out in _every_op(*inputs):
         values = closure_values(out._vjp)
         values += [v for c in values if isinstance(c, (tuple, list)) for v in c]

@@ -158,7 +158,11 @@ def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(pathsage.__file__).parents[1]))
     ckpt = tmp_path / "m.psck"
     train = ["train", "--dataset", str(dataset), "--checkpoint", str(ckpt)]
+    nested = tmp_path / "out" / "sub"
     for argv in ([*train, "--counts", ""],  # depth 0
+                 # rejected before the checkpoint's directory is made
+                 ["train", "--dataset", str(dataset), "--checkpoint", str(nested / "m.psck"),
+                  "--counts", "0,1"],
                  ["synth", "--nodes", "5", "--k", "1", "--out", str(tmp_path / "s")],
                  [*train, "--seed", "-1"],
                  ["sample", "--dataset", str(dataset), "--node", "0",
@@ -180,7 +184,7 @@ def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
         assert proc.returncode == 2, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert "pathsage: error:" in proc.stderr
-    assert not ckpt.exists()
+    assert not ckpt.exists() and not nested.parent.exists()
 
 
 def test_degenerate_synth_at_the_last_seed_exits_2_with_one_line(tmp_path):
@@ -279,6 +283,9 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
     if case == "feature header line":  # `#` starts no comment
         (raw / "features.csv").write_text("# header\n0.5,1\n")
         return argv, "features.csv:1: non-numeric field '# header'"
+    if case in ("empty features", "blank features"):  # numpy warns of no data
+        (raw / "features.csv").write_text("" if case == "empty features" else "\n\n")
+        return argv, "features rows 0 != num_nodes 60"
     if case == "ragged features":
         (raw / "features.csv").write_text("0.5,1\n0.5,1,2\n")
         return argv, "features.csv:2: 3 fields, the first row has 2"
@@ -295,7 +302,8 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
                                   "ragged dump record", "non-integer dump fields", "huge dump label",
                                   "no classes", "huge features header", "non-numeric feature",
                                   "feature after a blank line", "feature header line",
-                                  "ragged features", "out-of-range edge"])
+                                  "ragged features", "empty features", "blank features",
+                                  "out-of-range edge"])
 def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
     argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
     capsys.readouterr()

@@ -291,7 +291,7 @@ def full_layers(params, pos, feats, rate=0.0, rng=None):
     output, attention)."""
     n, t, _ = feats.shape
     segments = ((t, n),)
-    x = ag.add(ag.matmul(Tensor(feats.reshape(n * t, -1)), params.w_in), params.b_in)
+    x = ag.matmul(Tensor(feats.reshape(n * t, -1)), params.w_in, params.b_in)
     x = ag.add(x, Tensor(np.tile(pos[:t], (n, 1))))
     attn = []
     for layer in params.layers:

@@ -30,7 +30,7 @@ def make_head(depth=2, hidden=4, classes=3, seed=0, dtype=np.float64):
 
 def pool(buckets):
     """C_1 || ... || C_s from (..., n_l, d) buckets, pooled as forward_batch does."""
-    return ag.concat([ag.canonical_bucket_mean(b) for b in buckets], axis=-1)
+    return ag.concat([ag.canonical_bucket_mean(b) for b in buckets])
 
 
 def test_mean_of_identical_vectors():
