@@ -18,42 +18,40 @@ import logging
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, InvalidSetting, NumericalError, PathSageError
 from .graph import SPLIT_NAMES, is_int, load_dataset, read_features_csv, write_features_bin
 from .metrics import attention_stats, dump_attention, eval_runs, eval_split
-from .model import ModelConfig, PathSageModel
+from .model import PathSageModel
 from .sampler import SamplePlan, sample_paths, stream_rng
 from .synth import synth_planted_khop
 from .trainer import TrainConfig, fit, load_model_checkpoint
 
 log = logging.getLogger("pathsage")
 
-# CLI setting -> TrainConfig field; the defaults of these settings are the
-# TrainConfig defaults. The depth is not a setting: it is the number of counts.
-TRAIN_SETTINGS = {
-    "seed": "seed",
-    "epochs": "epochs",
-    "counts": "counts_per_length",
-    "hidden": "hidden",
-    "heads": "heads",
-    "layers": "layers",
-    "batch_size": "batch_size",
-    "lr": "lr",
-    "warmup_ratio": "warmup_ratio",
-    "dropout_encoder": "dropout_encoder",
-    "dropout_output": "dropout_output",
-}
 
-CONFIG_DEFAULTS = {
-    "dataset": None,
-    "out": None,
-    "checkpoint": None,
-    **{key: getattr(TrainConfig, name) for key, name in TRAIN_SETTINGS.items()},
-    "runs": 5,
-    "node": None,
-    "split": "test",
+def _parse_counts(text):
+    return [int(c) for c in str(text).split(",") if c != ""]
+
+
+# Setting -> (type, default). The type is its flag's argparse type and, through
+# JSON_CHECKS, the JSON value a config file may give it. The train settings are
+# the TrainConfig fields named here (`counts` is counts_per_length), with that
+# field's default; the depth is not a setting but the number of counts.
+SETTINGS = {
+    "dataset": (str, None), "out": (str, None), "checkpoint": (str, None),
+    "seed": (int, TrainConfig.seed), "epochs": (int, TrainConfig.epochs),
+    "counts": (_parse_counts, TrainConfig.counts_per_length),
+    "hidden": (int, TrainConfig.hidden), "heads": (int, TrainConfig.heads),
+    "layers": (int, TrainConfig.layers), "batch_size": (int, TrainConfig.batch_size),
+    "lr": (float, TrainConfig.lr), "warmup_ratio": (float, TrainConfig.warmup_ratio),
+    "dropout_encoder": (float, TrainConfig.dropout_encoder),
+    "dropout_output": (float, TrainConfig.dropout_output),
+    "runs": (int, 5), "node": (int, None), "split": (str, "test"),
 }
 
 # Subcommand -> the settings its cmd_* function reads. Each becomes a flag
@@ -90,13 +88,9 @@ def _log_json(**fields):
     log.info(json.dumps(fields, sort_keys=True))
 
 
-def _parse_counts(text):
-    return [int(c) for c in str(text).split(",") if c != ""]
-
-
 def resolve_config(args):
     """Merge defaults <- config file <- explicitly-set flags."""
-    cfg = dict(CONFIG_DEFAULTS)
+    cfg = {key: default for key, (_, default) in SETTINGS.items()}
     config_path = args.config
     if config_path:
         try:
@@ -111,10 +105,8 @@ def resolve_config(args):
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         cfg.update({key: _config_value(key, value) for key, value in raw.items()})
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    cfg.update({key: value for key, value in vars(args).items()
+                if key in cfg and value is not None})
     return cfg
 
 
@@ -122,8 +114,8 @@ def _config_value(key, value):
     """Check a config-file value against its setting's type and return it,
     with a counts string parsed as the flag parses it. null only stands for
     a setting whose default is null."""
-    kind = SETTING_TYPES[key]
-    if value is None and CONFIG_DEFAULTS[key] is None:
+    kind, default = SETTINGS[key]
+    if value is None and default is None:
         return None
     if kind is _parse_counts and isinstance(value, str):
         try:
@@ -133,11 +125,6 @@ def _config_value(key, value):
     elif JSON_CHECKS[kind][0](value):
         return value
     raise InvalidSetting(f"config key {key!r} must be {JSON_CHECKS[kind][1]}, got {value!r}")
-
-
-def _train_config(cfg):
-    return TrainConfig(depth_s=len(cfg["counts"]),
-                       **{name: cfg[key] for key, name in TRAIN_SETTINGS.items()})
 
 
 def _require(cfg, key, flag):
@@ -218,12 +205,9 @@ def _output_file(cfg, key, flag):
 def cmd_train(cfg, args):
     ckpt = _output_file(cfg, "checkpoint", "--checkpoint")
     graph, labels, splits = load_dataset(_require(cfg, "dataset", "--dataset"))
-    tc = _train_config(cfg)
-    mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=labels.num_classes,
-                     task=labels.task, hidden=tc.hidden, heads=tc.heads,
-                     layers=tc.layers, depth_s=tc.depth_s,
-                     dropout_encoder=tc.dropout_encoder,
-                     dropout_output=tc.dropout_output)
+    tc = TrainConfig(depth_s=len(cfg["counts"]), counts_per_length=cfg["counts"],
+                     **{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
+    mc = tc.model_config(graph.feature_dim, labels.num_classes, labels.task)
     model = PathSageModel.init(mc, stream_rng(tc.seed, "init"))
 
     def eval_fn(m, epoch):
@@ -243,8 +227,10 @@ def cmd_train(cfg, args):
 
 def _model_and_dataset(cfg):
     """-> (model, TrainConfig, graph, labels, splits) for --checkpoint and
-    --dataset, rejecting a dataset that the model was not built for."""
+    --dataset, rejecting a non-finite model or a dataset it was not built for."""
     model, _, tc, _ = load_model_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
+    if bad := model.non_finite_param():
+        raise DataError(f"checkpoint parameter {bad} is not finite")
     graph, labels, splits = load_dataset(_require(cfg, "dataset", "--dataset"))
     for name, value in (("feature_dim", graph.feature_dim),
                         ("num_classes", labels.num_classes), ("task", labels.task)):
@@ -285,16 +271,6 @@ def cmd_attn_stats(cfg, args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-# Type of every setting: the argparse type of its flag and, through
-# JSON_CHECKS, the JSON value a config file may give it.
-SETTING_TYPES = {
-    "dataset": str, "out": str, "checkpoint": str, "seed": int, "epochs": int,
-    "counts": _parse_counts, "hidden": int, "heads": int,
-    "layers": int, "batch_size": int, "lr": float, "warmup_ratio": float,
-    "dropout_encoder": float, "dropout_output": float, "runs": int, "node": int,
-    "split": str,
-}
-
 # setting type -> (accepts a JSON value, what it expects)
 JSON_CHECKS = {
     int: (is_int, "an integer"),
@@ -309,7 +285,7 @@ def _command(sub, name, fn, help_text):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config")
     for key in COMMAND_FLAGS[name]:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=SETTING_TYPES[key])
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=SETTINGS[key][0])
     p.set_defaults(fn=fn)
     return p
 
@@ -345,7 +321,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.fn(resolve_config(args), args)
+        with np.errstate(all="ignore"):
+            return args.fn(resolve_config(args), args)
     except NumericalError as exc:
         print(f"pathsage: numerical failure: {exc}", file=sys.stderr)
         return 3

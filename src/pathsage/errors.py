@@ -60,7 +60,7 @@ class DegenerateGraph(DataError):
 
 # --- sampler ---
 
-class InvalidPlan(PathSageError):
+class InvalidPlan(InvalidSetting):
     pass
 
 

@@ -130,6 +130,11 @@ class PathSageModel:
         yield from self.encoder.named_params()
         yield from self.head.named_params()
 
+    def non_finite_param(self):
+        """The name of the first parameter holding a NaN or an infinity, or None."""
+        return next((name for name, p in self.named_params()
+                     if not np.isfinite(p.data).all()), None)
+
     def zero_grad(self):
         for _, p in self.named_params():
             p.zero_grad()

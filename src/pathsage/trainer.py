@@ -14,7 +14,7 @@ import math
 import resource
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import autograd as ag
 from . import head as head_ops
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (IncompleteCheckpoint, InvalidSetting, NonFiniteGradient, NonFiniteLoss,
-                     ShapeMismatch)
+                     NumericalError, ShapeMismatch)
 from .metrics import micro_f1
 from .model import ModelConfig, PathSageModel
 from .sampler import SamplePlan, sample_paths, stream_rng
@@ -52,7 +52,7 @@ class TrainConfig:
     dropout_output: float = ModelConfig.dropout_output
 
     def __post_init__(self):
-        self.counts_per_length = tuple(int(c) for c in self.counts_per_length)
+        self.counts_per_length = SamplePlan(self.counts_per_length).counts_per_length
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise InvalidSetting(f"warmup_ratio {self.warmup_ratio} outside [0,1]")
         if self.batch_size < 1:
@@ -61,10 +61,23 @@ class TrainConfig:
             raise InvalidSetting("epochs must be >= 1")
         if not 0.0 <= self.lr < math.inf:
             raise InvalidSetting(f"lr {self.lr} is not a finite number >= 0")
-        if any(c < 1 for c in self.counts_per_length):
-            raise InvalidSetting(f"each count must be >= 1, got {self.counts_per_length}")
         if len(self.counts_per_length) != self.depth_s:
             raise InvalidSetting(f"{len(self.counts_per_length)} counts for depth {self.depth_s}")
+
+    def model_config(self, feature_dim, num_classes, task):
+        """This run's ModelConfig for a dataset of these features, classes and task."""
+        shared = {f.name for f in fields(self)} & {f.name for f in fields(ModelConfig)}
+        return ModelConfig(feature_dim=feature_dim, num_classes=num_classes, task=task,
+                           **{name: getattr(self, name) for name in shared})
+
+
+def _run_model_config(config, cfg):
+    """cfg's ModelConfig for config's dataset; InvalidSetting names a field they differ in."""
+    expected = cfg.model_config(config.feature_dim, config.num_classes, config.task)
+    for name, value in vars(expected).items():
+        if getattr(config, name) != value:
+            raise InvalidSetting(f"model {name} {getattr(config, name)!r} != train {name} {value!r}")
+    return expected
 
 
 def lr_at(step, total_steps, cfg: TrainConfig):
@@ -167,6 +180,9 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
                 f"non-finite gradient norm {norm} at epoch {epoch} step {state.step}")
         lr = lr_at(state.step + 1, total_steps, cfg)
         adam_step(model.named_params(), grads, state, lr)
+        if bad := model.non_finite_param():
+            raise NumericalError(f"non-finite parameter {bad} after epoch {epoch} "
+                                 f"step {state.step - 1} (lr={lr:.3e})")
         t4 = clock()
         for name, seconds in zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             phases[name] = phases.get(name, 0.0) + seconds
@@ -259,6 +275,8 @@ def fit(model, graph, labels, splits, cfg: TrainConfig, state=None,
 
 def save_model_checkpoint(path, model, state, cfg, next_epoch, best_val=-1.0,
                           bad_epochs=0):
+    """Write the run's state; a model `cfg` does not describe raises InvalidSetting first."""
+    _run_model_config(model.config, cfg)
     blocks = {}
     for name, p in model.named_params():
         blocks[f"param:{name}"] = p.data
@@ -267,7 +285,7 @@ def save_model_checkpoint(path, model, state, cfg, next_epoch, best_val=-1.0,
         blocks[f"adam.v:{name}"] = state.v[name]
     meta = {
         "model": asdict(model.config),
-        "train": dict(asdict(cfg), counts_per_length=list(cfg.counts_per_length)),
+        "train": asdict(cfg),
         "adam": {"step": state.step},
         "next_epoch": next_epoch,
         "best_val": best_val,
@@ -281,6 +299,7 @@ def load_model_checkpoint(path):
 
     A file that passes its checksum but lacks a block or a state key,
     carries an unknown config key or a config value that does not convert,
+    has a model block that is not the model its train settings describe,
     holds a parameter or Adam moment of the wrong shape, a moment without
     its partner, or a block that names no parameter raises
     IncompleteCheckpoint. Restoring draws no random numbers.
@@ -295,7 +314,8 @@ def load_model_checkpoint(path):
 
 
 def _restore(meta, blocks):
-    mc = ModelConfig(**meta["model"])
+    cfg = TrainConfig(**meta["train"])
+    mc = _run_model_config(ModelConfig(**meta["model"]), cfg)
     # load_checkpoint gives each block its own array
     model = PathSageModel.build(mc, lambda name, shape: blocks.pop(f"param:{name}"))
     state = OptimizerState(step=meta["adam"]["step"])
@@ -309,8 +329,6 @@ def _restore(meta, blocks):
                 raise ShapeMismatch(f"block {key!r}", moments[name].shape, p.shape)
     if blocks:
         raise ValueError(f"block {min(blocks)!r} names no parameter")
-    cfg = TrainConfig(**dict(meta["train"],
-                             counts_per_length=tuple(meta["train"]["counts_per_length"])))
     extras = {"next_epoch": meta["next_epoch"], "best_val": meta["best_val"],
               "bad_epochs": meta["bad_epochs"]}
     return model, state, cfg, extras

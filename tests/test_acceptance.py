@@ -217,8 +217,7 @@ def overfit_run(tmp_path_factory):
     graph, labels, splits = load_dataset(d)
     cfg = TrainConfig(epochs=200, seed=0, depth_s=2, counts_per_length=(8, 8),
                       hidden=32, heads=4, layers=2, batch_size=32)
-    mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=3,
-                     task=labels.task, hidden=32, heads=4, layers=2, depth_s=2)
+    mc = cfg.model_config(graph.feature_dim, 3, labels.task)
     model = PathSageModel.init(mc, rng_for(derive_sample_seed(0, 0, 0xC0DE)))
     state = OptimizerState()
     total = math.ceil(len(splits.train) / cfg.batch_size) * cfg.epochs
@@ -258,9 +257,7 @@ def test_depth_sensitivity(capsys, tmp_path):
         cfg = TrainConfig(epochs=30, seed=seed, depth_s=depth,
                           counts_per_length=counts, hidden=32, heads=4,
                           layers=2, batch_size=32)
-        mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=4,
-                         task=labels.task, hidden=32, heads=4, layers=2,
-                         depth_s=depth)
+        mc = cfg.model_config(graph.feature_dim, 4, labels.task)
         model = PathSageModel.init(mc, rng_for(seed))
         fit(model, graph, labels, splits, cfg)
         f1, _ = eval_split(model, graph, labels, splits.test, counts, seed)
@@ -325,9 +322,7 @@ def test_determinism_and_replay(capsys, tmp_path):
                       hidden=16, heads=2, layers=1, batch_size=16)
 
     def fresh():
-        mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=3,
-                         task=labels.task, hidden=16, heads=2, layers=1,
-                         depth_s=2)
+        mc = cfg.model_config(graph.feature_dim, 3, labels.task)
         return PathSageModel.init(mc, rng_for(1))
 
     r1 = fit(fresh(), graph, labels, splits, cfg)

@@ -402,9 +402,8 @@ def test_a_paper_shape_tape_holds_only_what_its_vjps_read_until_backward(tmp_pat
         tmp_path / "ring", num_nodes=30, avg_degree=1.0, k=3, num_classes=4, seed=3,
         topology="ring"))
     cfg = TrainConfig()  # the paper defaults: hidden 128, 8 heads, depth 8
-    model = PathSageModel.init(ModelConfig(
-        feature_dim=graph.feature_dim, num_classes=4, task=labels.task, hidden=cfg.hidden,
-        heads=cfg.heads, layers=cfg.layers, depth_s=cfg.depth_s), stream_rng(1, "init"))
+    model = PathSageModel.init(cfg.model_config(graph.feature_dim, 4, labels.task),
+                               stream_rng(1, "init"))
     nodes = np.arange(4)
     walks = sample_paths(graph, nodes, SamplePlan(cfg.counts_per_length), 1, "walk", 0)
     logits = model.forward_batch(graph, walks, rng=stream_rng(1, "dropout", 0, 0))

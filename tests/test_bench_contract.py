@@ -1,6 +1,9 @@
 """The benchmark in perfbench/ rebinds package functions by name; a name it
 needs must not disappear from the module that binds it."""
 
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +76,17 @@ def test_traced_train_epoch_and_eval_split(tmp_path):
     assert (hygiene["child_outside_parent"], hygiene["negative_self_time"],
             hygiene["open_spans"]) == (0, 0, 0)
     assert len(rec.losses) == 3 and rec.preds
+
+
+def test_benchmark_selftest_passes_on_a_copy_of_the_tree(tmp_path):
+    # the benchmark's own contract check, on a copy so that its work
+    # directory (.perfbench_work/) lands under tmp_path
+    root = Path(__file__).resolve().parents[1]
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_work")
+    for name in ("src", "perfbench"):
+        shutil.copytree(root / name, tmp_path / name, ignore=skip)
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and "selftest: ok" in proc.stdout, proc.stdout + proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -16,7 +17,7 @@ import pytest
 import pathsage
 from pathsage import cli, encoder, trainer
 from pathsage.checkpoint import load_checkpoint, save_checkpoint
-from pathsage.cli import COMMAND_FLAGS, CONFIG_DEFAULTS, build_parser, main, resolve_config
+from pathsage.cli import COMMAND_FLAGS, SETTINGS, build_parser, main, resolve_config
 from pathsage.graph import load_dataset, read_features_bin, write_features_bin
 from pathsage.sampler import derive_sample_seed, rng_for, stream_rng
 
@@ -84,9 +85,12 @@ def test_bad_config_value_exits_2(dataset, tmp_path, capsys, raw, needle):
     assert "Traceback" not in err
 
 
-def test_every_setting_has_a_type():
-    assert set(cli.SETTING_TYPES) == set(CONFIG_DEFAULTS)
-    assert set(cli.JSON_CHECKS) == set(cli.SETTING_TYPES.values())
+def test_every_train_field_is_a_setting_with_its_default():
+    # the depth is not a setting: it is the number of counts
+    train = {"counts" if f.name == "counts_per_length" else f.name: f.default
+             for f in dataclasses.fields(trainer.TrainConfig) if f.name != "depth_s"}
+    assert {key: SETTINGS[key][1] for key in train if key in SETTINGS} == train
+    assert set(cli.JSON_CHECKS) == {kind for kind, _ in SETTINGS.values()}
 
 
 def test_dropout_rates_train_from_config(dataset, tmp_path):
@@ -331,6 +335,48 @@ def test_non_finite_gradient_exits_3(dataset, tmp_path, capsys, monkeypatch):
     assert "non-finite gradient norm nan at epoch 0 step 0" in capsys.readouterr().err
 
 
+def test_diverged_run_exits_3_with_one_line_and_keeps_the_checkpoint(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "m.psck"
+    train = ["train", "--dataset", str(dataset), "--checkpoint", str(ckpt)]
+    assert main([*train, *TRAIN_FLAGS]) == 0
+    before = ckpt.read_bytes()
+    # one step per epoch; the first step's lr of 1e308 overflows the float32 parameters
+    env = dict(os.environ, PYTHONPATH=str(Path(pathsage.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pathsage.cli", *train, "--counts", "2",
+                           "--hidden", "8", "--heads", "2", "--layers", "1", "--epochs", "3",
+                           "--batch-size", "1000", "--lr", "1e308"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    not_json = []
+    for line in lines:
+        try:
+            json.loads(line)
+        except ValueError:
+            not_json.append(line)
+    assert len(not_json) == 1, lines
+    assert re.fullmatch(r"pathsage: numerical failure: non-finite parameter \S+ after epoch 0 "
+                        r"step 0 \(lr=1\.000e\+308\)", not_json[0]), not_json
+    assert ckpt.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["eval", "attn-dump"])
+def test_non_finite_checkpoint_exits_2(dataset, checkpoint, tmp_path, capsys, command):
+    meta, blocks = load_checkpoint(checkpoint)
+    blocks["param:encoder.layer0.wv"][0, 1] = np.nan
+    bad = tmp_path / "bad.psck"
+    save_checkpoint(bad, meta, blocks)
+    dump = tmp_path / "a.jsonl"
+    argv = {"eval": ["eval"], "attn-dump": ["attn-dump", "--node", "0", "--out", str(dump)]}
+    capsys.readouterr()
+    code = main([*argv[command], "--dataset", str(dataset), "--checkpoint", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "pathsage: data error: checkpoint parameter encoder.layer0.wv is not finite"]
+    assert not dump.exists()
+
+
 def test_train_init_stream_is_not_a_walk_stream(dataset, tmp_path, monkeypatch):
     class Stop(Exception):
         pass
@@ -389,7 +435,7 @@ def test_subcommand_flags_follow_the_table():
     sub = next(a for a in parser._actions if a.dest == "command")
     slots = 0
     for name, p in sub.choices.items():
-        flags = {a.dest for a in p._actions if a.dest in CONFIG_DEFAULTS or a.dest == "config"}
+        flags = {a.dest for a in p._actions if a.dest in SETTINGS or a.dest == "config"}
         assert flags == {"config", *COMMAND_FLAGS[name]}, name
         slots += len(flags)
     assert slots == 35

@@ -17,10 +17,10 @@ from pathsage import checkpoint
 from pathsage import trainer as trainer_mod
 from pathsage.checkpoint import load_checkpoint, save_checkpoint
 from pathsage.errors import (ChecksumMismatch, IncompleteCheckpoint, InvalidSetting,
-                             NonFiniteGradient, VersionMismatch)
+                             NonFiniteGradient, NumericalError, VersionMismatch)
 from pathsage.graph import load_dataset
 from pathsage.metrics import eval_split
-from pathsage.model import ModelConfig, PathSageModel
+from pathsage.model import PathSageModel
 from pathsage.sampler import rng_for
 from pathsage.synth import synth_planted_khop
 from pathsage.trainer import (
@@ -52,9 +52,7 @@ def tiny_dataset(tmp_path_factory):
 
 
 def make_model(graph, labels, cfg):
-    mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=labels.num_classes,
-                     task=labels.task, hidden=cfg.hidden, heads=cfg.heads,
-                     layers=cfg.layers, depth_s=cfg.depth_s)
+    mc = cfg.model_config(graph.feature_dim, labels.num_classes, labels.task)
     return PathSageModel.init(mc, rng_for(7))
 
 
@@ -248,6 +246,17 @@ def test_non_finite_gradient_stops_training(tiny_dataset, monkeypatch, bad):
         assert (p.data == before[name]).all(), name
 
 
+def test_diverged_step_stops_before_the_next(tiny_dataset):
+    graph, labels, splits = tiny_dataset
+    cfg = tiny_cfg(lr=1e308)  # over 10 steps the warmup is 1 step, so step 0 takes lr 1e308
+    model = make_model(graph, labels, cfg)
+    state = OptimizerState()
+    needle = r"non-finite parameter \S+ after epoch 0 step 0 \(lr=1\.000e\+308\)"
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=needle):
+        train_epoch(model, graph, labels, splits.train, cfg, 0, state, 10)
+    assert state.step == 1
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_64_bits_rejected(tiny_dataset, seed):
     graph, labels, splits = tiny_dataset
@@ -267,14 +276,12 @@ import hashlib, sys
 import numpy as np
 from pathsage import autograd as ag
 from pathsage.graph import load_dataset
-from pathsage.model import ModelConfig, PathSageModel
+from pathsage.model import PathSageModel
 from pathsage.sampler import SamplePlan, rng_for, sample_paths
 from pathsage.trainer import OptimizerState, TrainConfig, train_epoch
 graph, labels, splits = load_dataset(sys.argv[1])
 cfg = TrainConfig(epochs=1, seed=3, batch_size=32)
-mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=labels.num_classes,
-                 task=labels.task, hidden=cfg.hidden, heads=cfg.heads,
-                 layers=cfg.layers, depth_s=cfg.depth_s)
+mc = cfg.model_config(graph.feature_dim, labels.num_classes, labels.task)
 model = PathSageModel.init(mc, rng_for(7))
 nodes = splits.train[:32]
 loss, _, _ = train_epoch(model, graph, labels, nodes, cfg, 0, OptimizerState(), 1)
@@ -496,7 +503,7 @@ def test_failed_save_keeps_previous_checkpoint(tiny_dataset, tmp_path, monkeypat
     assert load_model_checkpoint(path)[3]["next_epoch"] == 1
 
 
-def _resave_altered(src, dst, block=None, meta_key=None, model_key=None, put=None):
+def _resave_altered(src, dst, block=None, meta_key=None, model_key=None, put=None, train=None):
     """Rewrite a checkpoint with one part removed, added or replaced; the
     result carries a valid CRC."""
     meta, blocks = load_checkpoint(src)
@@ -504,6 +511,7 @@ def _resave_altered(src, dst, block=None, meta_key=None, model_key=None, put=Non
     meta.pop(meta_key, None)
     if model_key:
         meta["model"][model_key] = 1
+    meta["train"].update(train or {})
     blocks.update(put or {})
     save_checkpoint(dst, meta, blocks)
     return dst
@@ -522,6 +530,11 @@ def _resave_altered(src, dst, block=None, meta_key=None, model_key=None, put=Non
      "'adam.v:encoder.layer0.wq': (8,) vs (8, 8)"),
     ({"put": {"adam.m:head.b3": np.zeros(3), "adam.v:head.b3": np.zeros(3)}},
      "'adam.m:head.b3' names no parameter"),
+    # the train block describes another model than the model block
+    ({"train": {"hidden": 64}}, "model hidden 8 != train hidden 64"),
+    ({"train": {"depth_s": 3, "counts_per_length": [2, 2, 2]}},
+     "model depth_s 2 != train depth_s 3"),
+    ({"train": {"dropout_output": 0.5}}, "model dropout_output 0.3 != train dropout_output 0.5"),
 ])
 def test_incomplete_checkpoint_names_the_key(tiny_dataset, tmp_path, part, needle):
     graph, labels, splits = tiny_dataset
@@ -534,6 +547,20 @@ def test_incomplete_checkpoint_names_the_key(tiny_dataset, tmp_path, part, needl
     bad = _resave_altered(full, tmp_path / "bad.psck", **part)
     with pytest.raises(IncompleteCheckpoint, match=re.escape(needle)):
         load_model_checkpoint(bad)
+
+
+def test_save_refuses_a_model_its_run_does_not_describe(tiny_dataset, tmp_path):
+    graph, labels, _ = tiny_dataset
+    cfg = tiny_cfg()
+    path = tmp_path / "m.psck"
+    save_model_checkpoint(path, make_model(graph, labels, cfg), OptimizerState(), cfg,
+                          next_epoch=0)
+    before = path.read_bytes()
+    wider = make_model(graph, labels, tiny_cfg(hidden=16))
+    with pytest.raises(InvalidSetting, match="model hidden 16 != train hidden 8"):
+        save_model_checkpoint(path, wider, OptimizerState(), cfg, next_epoch=1)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.psck"]
 
 
 # A format-4 checkpoint written by the code as it stood before every model was
