@@ -35,11 +35,14 @@ so for the model's tested shapes a row's bits do not depend on how many
 rows share its GEMM (README states the limits).
 
 An op outside this module is built the same way, on `_make`: the encoder's
-fused attention (`encoder._attention`) uses `gemm`, `softmax_rows_` and
-`softmax_vjp`, which reduce an attention row's short last axis (its 2-9
-keys) one column at a time rather than through numpy's per-row reduce.
-Since that op took over the attention math, no code in the package calls
-`scale`, `softmax`, `transpose`, `select` or `reshape`. They stay because
+two branch ops, attention (`encoder._attention`) and feed-forward
+(`encoder._feed_forward`), each with its dropout and residual add. They
+use `gemm`, the dropout helpers `dropout_keep` (a bool mask) and
+`scale_kept`, and for attention `softmax_rows_` and `softmax_vjp`, which
+reduce an attention row's short last axis (its 2-9 keys) one column at a
+time rather than through numpy's per-row reduce. Since those ops took
+over the encoder's math, no code in the package calls `scale`, `softmax`,
+`transpose`, `select` or `reshape`. They stay because
 the benchmark's op tracer (`perfbench/tracer.py`, `AUTOGRAD_OPS`) binds
 every one of them by name; the tests' primitive reference layer
 (`tests/helpers.py::reference_layer`) also composes them.
@@ -47,6 +50,7 @@ every one of them by name; the tests' primitive reference layer
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -330,23 +334,43 @@ def layer_norm(x, gain, bias):
     return _make(data, (x, gain, bias), vjp)
 
 
-def dropout(x, rate, rng):
-    """Inverted dropout: kept activations are scaled by 1/(1-rate).
-
-    The mask, of x's shape, is drawn from the dropout stream `rng`. Returns
-    `x` itself when there is no stream (inference) or rate is 0.
-    """
-    x = _as_tensor(x)
+def dropout_keep(shape, rate, rng):
+    """Inverted dropout's keep mask for an output of `shape`: a bool array,
+    True where the stream rng's uniform draw is >= rate, or None when there
+    is no stream (inference) or rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise InvalidSetting(f"dropout rate {rate} outside [0, 1)")
     if rng is None or rate == 0.0:
+        return None
+    return rng.random(shape) >= rate
+
+
+def scale_kept(a, keep, rate, out=None):
+    """Inverted dropout of a by the bool mask `keep`: a times the mask, then
+    times 1/(1-rate) rounded to a's dtype, into `out` (a new array unless
+    given; pass a to work in place). Those are the bits of one product with
+    a float mask of 0s and 1/(1-rate)s, for every value of a."""
+    out = np.multiply(a, keep, out=out)
+    out *= a.dtype.type(1) / a.dtype.type(1.0 - rate)
+    return out
+
+
+def dropout(x, rate, rng):
+    """Inverted dropout: kept activations are scaled by 1/(1-rate).
+
+    The mask, of x's shape, is drawn from the dropout stream `rng`
+    (`dropout_keep`). Returns `x` itself when there is no stream
+    (inference) or rate is 0.
+    """
+    x = _as_tensor(x)
+    keep = dropout_keep(x.shape, rate, rng)
+    if keep is None:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
 
     def vjp(g):
-        return (g * keep,)
+        return (scale_kept(g, keep, rate),)
 
-    return _make(x.data * keep, (x,), vjp)
+    return _make(scale_kept(x.data, keep, rate), (x,), vjp)
 
 
 def concat(tensors):
@@ -421,21 +445,60 @@ def transpose(x, axes):
     return _make(data, (x,), vjp)
 
 
+@functools.cache
+def sorting_network(n):
+    """The (i, j) comparators, i < j, of Batcher's merge exchange for n
+    inputs (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M; Batcher, "Sorting
+    networks and their applications", AFIPS 1968): applied in order, each
+    putting the smaller of entries i and j at i, they sort any n values.
+    n = 10 takes 31 comparators, n = 50 takes 395. Cached per n."""
+    net = []
+    t = max(n - 1, 0).bit_length()
+    p = 1 << t >> 1
+    while p > 0:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            net += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(net)
+
+
 def canonical_bucket_mean(x):
     """Mean over axis -2 with each column summed in ascending value order.
 
-    Input (..., n, d) -> output (..., d). Each column is sorted in 64-bit
-    before the summation; a column's sorted values do not depend on the
-    order of the rows, so the result is bit-identical under any permutation
-    of the rows. The gradient of a mean is permutation-free, so the vjp is
-    a plain uniform spread.
+    Input (..., n, d) -> output (..., d). The n rows are ordered column by
+    column by a sorting network (`sorting_network`): each comparator is one
+    `np.minimum` and one `np.maximum` over whole (..., d) rows, in the
+    input dtype. The ordered rows are then added in 64-bit to +0.0,
+    smallest first, and the mean is rounded once to the input dtype.
+    float32 -> float64 is exact and monotone, and a sum that starts at +0.0
+    cannot see which of a tied -0.0 and +0.0 a comparator kept, so for a
+    width above 1 these are the bits of
+    `np.sort(x.astype(np.float64), axis=-2).sum(axis=-2) / n` (a single
+    column numpy sums pairwise). A column's ordered values do not depend on
+    the order of the rows, so the result is bit-identical under any
+    permutation of the rows. The gradient of a mean is permutation-free,
+    so the vjp is a plain uniform spread.
     """
     x = _as_tensor(x)
     if x.data.ndim < 2 or x.shape[-2] == 0:
         raise ShapeMismatch("canonical_bucket_mean needs >=2-D input with rows", x.shape)
     n = x.shape[-2]
-    total = np.sort(x.data.astype(np.float64), axis=-2).sum(axis=-2)
-    data = (total / n).astype(x.dtype)
+    rows = list(np.moveaxis(x.data, -2, 0).copy())  # n contiguous (..., d) rows
+    spare = np.empty_like(rows[0])
+    for i, j in sorting_network(n):
+        lo, hi = rows[i], rows[j]
+        np.minimum(lo, hi, out=spare)
+        np.maximum(lo, hi, out=hi)
+        rows[i], spare = spare, lo
+    total = np.add(rows[0], 0.0, dtype=np.float64)  # numpy's sum starts at +0.0 too
+    for row in rows[1:]:
+        total += row
+    total /= n
+    data = total.astype(x.dtype)
 
     def vjp(g):
         return (np.repeat(np.expand_dims(g / n, -2), n, axis=-2),)

@@ -9,14 +9,17 @@ Paths of several lengths are encoded in one pass, packed: `encode_paths`
 takes the (P, F) features of every token, with one (T, U) segment per
 length (U paths of T tokens, path by path). Each tokenwise op, from the
 projections and the feed-forward block to layer norm and dropout, runs
-once per layer over all P rows. Attention is one autograd op,
-`_attention`, with a hand-derived vjp: it runs each segment's heads as
-strided views of one query and one key|value buffer. Only the position-0
-row leaves the encoder, so the last layer queries from those rows alone:
-its keys and values come from every token, and everything past them runs
-on one row per path. `attention_maps` runs every layer on all T rows of
-equal-length paths to report the full (T, T) maps. `layer_shapes` names
-and shapes one layer's parameters; `model.PathSageModel.build` makes them.
+once per layer over all P rows. A layer records four autograd ops: the
+attention branch (`_attention`), layer norm, the feed-forward branch
+(`_feed_forward`) and layer norm. Each branch op has a hand-derived vjp
+and applies its dropout and residual add in place; attention runs each
+segment's heads as strided views of one query and one key|value buffer.
+Only the position-0 row leaves the encoder, so the last layer queries from
+those rows alone: its keys and values come from every token, and
+everything past them runs on one row per path. `attention_maps` runs every
+layer on all T rows of equal-length paths to report the full (T, T) maps.
+`layer_shapes` names and shapes one layer's parameters;
+`model.PathSageModel.build` makes them.
 """
 
 from __future__ import annotations
@@ -88,20 +91,23 @@ def _heads(rows, u, r, heads):
     return rows.reshape(u, r, heads, -1).transpose(0, 2, 1, 3)
 
 
-def _attention(layer, x, segments, heads, q_index=None):
-    """Multi-head scaled dot-product attention over packed paths, as one
-    autograd op -> (output Tensor (R, d), each segment's (U, h, T or 1, T)
-    attention array).
+def _attention(layer, x, segments, heads, q_index=None, dropout_rate=0.0, rng=None):
+    """The attention branch of a layer over packed paths, as one autograd
+    op: rows + dropout(attention(x)) -> (output Tensor (R, d), each
+    segment's (U, h, T or 1, T) attention array).
 
     x (P, d) holds the tokens of every segment, path by path. Keys and
-    values come from every token of a path; its queries come from all its
-    rows, or from the rows `q_index` alone (the position-0 rows, one per
-    path). One GEMM makes the queries and one the keys and values of every
-    token; each segment then runs its heads as strided views of those
-    buffers and writes its context straight into one (R, d) buffer, which
-    the output GEMM reads. The vjp loops over the segments the same way and
-    sums each weight gradient in one GEMM. It keeps the weights by
-    reference and the query, key|value, attention and context buffers.
+    values come from every token of a path; its queries, and the residual
+    rows, are all its rows, or the rows `q_index` alone (the position-0
+    rows, one per path). One GEMM makes the queries and one the keys and
+    values of every token; each segment then runs its heads as strided
+    views of those buffers and writes its context straight into one (R, d)
+    buffer, which the output GEMM reads. Dropout, with a mask drawn from
+    `rng`, and the residual rows are applied in place on the GEMM's output.
+    The vjp loops over the segments the same way, sums each weight gradient
+    in one GEMM and adds the residual gradient into x's. It keeps the
+    weights by reference, the query, key|value, attention and context
+    buffers and the bool dropout mask.
     """
     parents = (x, layer.wq, layer.bq, layer.wk, layer.wv, layer.bv, layer.wo, layer.bo)
     need = [p.requires_grad for p in parents]
@@ -110,7 +116,8 @@ def _attention(layer, x, segments, heads, q_index=None):
     dh = d // heads
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=xd.dtype)
     readout = q_index is not None
-    q = ag.gemm(xd[q_index] if readout else xd, wq)
+    rows = xd[q_index] if readout else xd
+    q = ag.gemm(rows, wq)
     q += bq
     kv = ag.gemm(xd, np.concatenate((wk, wv), axis=1))  # (P, 2d): keys | values
     kv[:, d:] += bv
@@ -126,9 +133,14 @@ def _attention(layer, x, segments, heads, q_index=None):
         attn.append(s)
     out = ag.gemm(ctx, wo)
     out += bo
+    keep = ag.dropout_keep(out.shape, dropout_rate, rng)
+    if keep is not None:
+        ag.scale_kept(out, keep, dropout_rate, out=out)
+    out += rows
 
     def vjp(g):
-        gctx = g @ wo.T
+        gout = g if keep is None else ag.scale_kept(g, keep, dropout_rate)
+        gctx = gout @ wo.T
         gq, gkv = np.empty_like(q), np.empty_like(kv)
         for (t, u, r, toks, qrows), s in zip(spans, attn):
             kv5 = kv[toks].reshape(u, t, 2, heads, dh)
@@ -146,8 +158,10 @@ def _attention(layer, x, segments, heads, q_index=None):
             gx = gkv @ np.concatenate((wk, wv), axis=1).T
             if readout:
                 gx[q_index] += gq @ wq.T
+                gx[q_index] += g
             else:
                 gx += gq @ wq.T
+                gx += g
         gkv_w = xd.T @ gkv if need[3] or need[4] else None
         return (gx,
                 (xd[q_index] if readout else xd).T @ gq if need[1] else None,
@@ -155,29 +169,68 @@ def _attention(layer, x, segments, heads, q_index=None):
                 np.ascontiguousarray(gkv_w[:, :d]) if need[3] else None,
                 np.ascontiguousarray(gkv_w[:, d:]) if need[4] else None,
                 ag._column_sum(gkv[:, d:]) if need[5] else None,
-                ctx.T @ g if need[6] else None,
-                ag._column_sum(g) if need[7] else None)
+                ctx.T @ gout if need[6] else None,
+                ag._column_sum(gout) if need[7] else None)
 
     return ag._make(out, parents, vjp), attn
 
 
+def _feed_forward(layer, x, dropout_rate, rng):
+    """The feed-forward branch of a layer, as one autograd op:
+    x + dropout(relu(x w1 + b1) w2 + b2) for rows x (R, d) -> (R, d).
+
+    Each bias is added in place into its GEMM's output, and ReLU, dropout
+    (a mask drawn from `rng`) and the residual run in place too. The vjp
+    keeps x, the post-ReLU h and the bool dropout mask (and the weights by
+    reference); each gradient sums in the order of the `matmul`, `relu`,
+    `matmul`, `dropout` and `add` chain it replaces.
+    """
+    parents = (x, layer.w1, layer.b1, layer.w2, layer.b2)
+    need = [p.requires_grad for p in parents]
+    xd, w1, b1, w2, b2 = (p.data for p in parents)
+    h = ag.gemm(xd, w1)
+    h += b1
+    np.maximum(h, 0, out=h)
+    out = ag.gemm(h, w2)
+    out += b2
+    keep = ag.dropout_keep(out.shape, dropout_rate, rng)
+    if keep is not None:
+        ag.scale_kept(out, keep, dropout_rate, out=out)
+    out += xd
+    need_h = need[0] or need[1] or need[2]
+
+    def vjp(g):
+        gf = g if keep is None else ag.scale_kept(g, keep, dropout_rate)
+        gh = None
+        if need_h:
+            gh = gf @ w2.T
+            gh *= h > 0
+        gx = None
+        if need[0]:
+            gx = gh @ w1.T
+            gx += g
+        return (gx,
+                xd.T @ gh if need[1] else None,
+                ag._column_sum(gh) if need[2] else None,
+                h.T @ gf if need[3] else None,
+                ag._column_sum(gf) if need[4] else None)
+
+    return ag._make(out, parents, vjp)
+
+
 def _encoder_layer(layer, x, segments, heads, dropout_rate, rng, readout=False):
     """One post-norm layer on packed tokens x (P, d) -> (output (R, d),
-    each segment's attention array).
+    each segment's attention array): the attention branch, layer norm, the
+    feed-forward branch, layer norm, each one autograd op.
 
     Keys and values come from every token of a path. The R query rows are
     all P tokens, or with `readout` each path's position-0 row alone (one
-    row per path), the row the path representation is read from. Each bias
-    is added inside its GEMM.
+    row per path), the row the path representation is read from.
     """
     q_index = _first_rows(segments) if readout else None
-    rows = ag.take_rows(x, q_index) if readout else x
-    out, attn = _attention(layer, x, segments, heads, q_index)
-    out = ag.dropout(out, dropout_rate, rng)
-    x = ag.layer_norm(ag.add(rows, out), layer.ln1_g, layer.ln1_b)
-    ff = ag.matmul(ag.relu(ag.matmul(x, layer.w1, layer.b1)), layer.w2, layer.b2)
-    ff = ag.dropout(ff, dropout_rate, rng)
-    x = ag.layer_norm(ag.add(x, ff), layer.ln2_g, layer.ln2_b)
+    out, attn = _attention(layer, x, segments, heads, q_index, dropout_rate, rng)
+    x = ag.layer_norm(out, layer.ln1_g, layer.ln1_b)
+    x = ag.layer_norm(_feed_forward(layer, x, dropout_rate, rng), layer.ln2_g, layer.ln2_b)
     return x, attn
 
 

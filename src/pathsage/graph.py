@@ -3,7 +3,8 @@
 Dataset directory layout:
     meta.json     {"num_nodes", "feature_dim" >= 1, "num_classes" >= 1, "task", "directed"}
     edges.csv     one `src,dst` per line, 0-based, no header
-    features.bin  magic "PSGF", u32 version, u64 rows, u64 cols, f32 LE row-major
+    features.bin  magic "PSGF", u32 version, u64 rows, u64 cols, f32 LE row-major,
+                  every value finite
     labels.csv    single_label: `node,label`, one line per node; multi_label: `node,l1;l2;...`
     splits.json   {"train": [...], "val": [...], "test": [...]}
 
@@ -16,6 +17,7 @@ first bad line and raises its error.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -41,6 +43,7 @@ SINGLE_LABEL = "single_label"
 MULTI_LABEL = "multi_label"
 SPLIT_NAMES = ("train", "val", "test")  # the fields of SplitMasks
 _CSV_SLICE_ROWS = 1 << 16  # edges.csv rows formatted per write: ~5 MB of Python ints
+_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103  # the least magnitude float32 rounds to infinity
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def _reject(path: Path, records, kind="int64"):
 
 
 def _float_records(path: Path):
-    """One row of float fields per line, each as wide as the first."""
+    """One row of finite float fields per line, each as wide as the first."""
     width = None
     for line_no, line in _csv_lines(path):
         parts = line.split(",")
@@ -197,21 +200,31 @@ def _float_records(path: Path):
             raise MalformedRecord(path, line_no, f"{len(parts)} fields, the first row has {width}")
         for field in parts:
             try:
-                float(field)
+                value = float(field)
             except ValueError:
                 raise MalformedRecord(path, line_no, f"non-numeric field {field.strip()!r}") from None
+            if not abs(value) < _F32_OVERFLOW:  # NaN fails the comparison too
+                raise MalformedRecord(path, line_no, f"non-finite field {field.strip()!r}")
         yield
 
 
 def read_features_csv(path: Path) -> np.ndarray:
-    """A comma-separated float table -> float32 (rows, cols). A `#` line is
-    a bad field, not a comment; a bad file raises at its first bad line."""
+    """A comma-separated table of finite floats -> float32 (rows, cols). A
+    `#` line is a bad field, not a comment; a NaN, an infinity or a value
+    past float32's range is an error too. A bad file raises at its first
+    bad line."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2, comments=None)
+            table = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2, comments=None)
         except ValueError:
             _reject(path, _float_records(path), "float")
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        line_no, line = next(itertools.islice(_csv_lines(path), row, None))
+        raise MalformedRecord(path, line_no, f"non-finite field {line.split(',')[col].strip()!r}")
+    return table
 
 
 def _edge_records(path: Path, num_nodes):
@@ -357,6 +370,11 @@ def load_dataset(dir_path):
         raise DimensionMismatch(f"features rows {features.shape[0]} != num_nodes {num_nodes}")
     if features.shape[1] != feature_dim:
         raise DimensionMismatch(f"features cols {features.shape[1]} != feature_dim {feature_dim}")
+    finite = np.isfinite(features)
+    if not finite.all():
+        node, col = np.argwhere(~finite)[0]
+        raise MalformedRecord(root / "features.bin", 0, f"node {node} has a non-finite feature "
+                                                        f"{features[node, col]} in column {col}")
 
     edges = _read_edges(root / "edges.csv", num_nodes)
     offsets, neighbors = build_csr(num_nodes, edges, directed)

@@ -82,7 +82,10 @@ def _run_model_config(config, cfg):
 
 def lr_at(step, total_steps, cfg: TrainConfig):
     """Piecewise-linear schedule: 0 -> lr over the first ceil(ratio*total)
-    steps, then lr -> 0 at total_steps."""
+    steps, then lr -> 0 at total_steps. A step outside [0, total_steps]
+    raises InvalidSetting."""
+    if not 0 <= step <= total_steps:
+        raise InvalidSetting(f"step {step} outside the schedule's [0, {total_steps}]")
     warmup = math.ceil(cfg.warmup_ratio * total_steps)
     if step <= warmup:
         return cfg.lr * step / warmup if warmup else (cfg.lr if step else 0.0)
@@ -146,8 +149,13 @@ def train_epoch(model: PathSageModel, graph, labels, train_nodes, cfg: TrainConf
     JSON `step` line with its epoch, step, loss, pre-clip grad_norm and lr.
     A dict `phases` gains, under each `PHASES` name, the wall seconds the
     steps spent sampling walks, in the forward pass and loss, in backward,
-    and in clip plus Adam.
+    and in clip plus Adam. An epoch whose steps would run past
+    `total_steps` raises InvalidSetting before its first step.
     """
+    steps = math.ceil(len(train_nodes) / cfg.batch_size)
+    if state.step + steps > total_steps:
+        raise InvalidSetting(f"epoch {epoch} would run steps {state.step + 1} to "
+                             f"{state.step + steps}, past total_steps {total_steps}")
     plan = SamplePlan(cfg.counts_per_length)
     order = stream_rng(cfg.seed, "shuffle", epoch).permutation(train_nodes)
     losses = []

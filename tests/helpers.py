@@ -1,8 +1,9 @@
 """Shared test utilities: finite-difference gradient checking, the ops
 the package itself does not need (the reducers that turn an op's output
 into a scalar loss, and `bmm`, a batched product), `tape_bytes`, the
-memory a recorded graph keeps alive, and `reference_layer`, an encoder
-layer composed of autograd primitives."""
+memory a recorded graph keeps alive, `recorded_ops`, the op behind each
+recorded node, and `reference_layer`, an encoder layer composed of
+autograd primitives."""
 
 import math
 
@@ -91,6 +92,21 @@ def tape_bytes(t):
         elif callable(obj) and hasattr(obj, "__closure__"):
             stack += closure_values(obj)
     return sum(buffers.values())
+
+
+def recorded_ops(t):
+    """The op name of every node in t's recorded graph, one entry per node:
+    the function whose vjp the node holds (`matmul` for
+    `matmul.<locals>.vjp`)."""
+    ops, seen, stack = [], set(), [t._node]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, ag._Node) or id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops.append(node.vjp.__qualname__.split(".")[0])
+        stack += node.parents
+    return ops
 
 
 def fd_grad(fn, arr, step=1e-6):

@@ -5,7 +5,7 @@ import pytest
 
 from pathsage import autograd as ag
 from pathsage import head
-from pathsage.encoder import _attention
+from pathsage.encoder import _attention, _feed_forward
 from pathsage.errors import InvalidSetting, NonScalarLoss, ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.metrics import eval_split
@@ -307,6 +307,19 @@ def test_dropout_identity_in_eval_and_scales_in_train():
         ag.dropout(x, 1.0, rng)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bool_mask_dropout_has_the_bits_of_the_float_mask(dtype):
+    # the float mask the bool mask replaced: 0s and 1/(1-rate)s in x's dtype
+    x = RNG.normal(size=(400, 250)).astype(dtype)
+    x[0, :6] = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e-41)
+    for rate in (0.1, 0.2, 0.3, 0.4, 0.5, 0.7):
+        keep = ag.dropout_keep(x.shape, rate, np.random.Generator(np.random.PCG64(6)))
+        keep[0, :6] = (False, False, False, True, False, True)
+        float_mask = keep.astype(dtype) / (1.0 - rate)
+        with np.errstate(invalid="ignore"):
+            assert ag.scale_kept(x, keep, rate).tobytes() == (x * float_mask).tobytes(), rate
+
+
 def test_gradient_accumulates_across_branches():
     x = ag.Tensor([1.0, -2.0, 3.0], requires_grad=True)
     ag.backward(tsum(ag.add(mul(x, x), mul(x, x))))
@@ -353,13 +366,52 @@ def test_canonical_bucket_mean_bit_identical_under_permutation():
         assert (base == again).all()
 
 
+def _pool_oracle(x):
+    """The mean as it was summed before the sorting network: every column
+    sorted in float64, then added smallest first."""
+    n = x.shape[-2]
+    return (np.sort(x.astype(np.float64), axis=-2).sum(axis=-2) / n).astype(x.dtype)
+
+
+def test_canonical_bucket_mean_matches_the_sort_and_sum_oracle():
+    rng = np.random.Generator(np.random.PCG64(4321))
+    tiny = np.float32(1e-41)  # a float32 subnormal
+    for n in range(1, 65):
+        x = rng.normal(size=(3, n, 9)).astype(np.float32)
+        x[0, :, 0] = np.round(x[0, :, 0])          # ties
+        x[1, :, 1] = rng.choice([0.0, -0.0], size=n)  # zeros of either sign only
+        x[2, :, 1] = -0.0
+        x[0, :, 2] = rng.choice([tiny, -tiny, 0.0, 3 * tiny], size=n)
+        x[1, rng.integers(n), 3] = np.inf
+        x[2, rng.integers(n), 3] = -np.inf
+        x[0, :, 4] = rng.choice([np.inf, -np.inf, 1.0], size=n)  # inf - inf: NaN
+        x[2, rng.integers(n), 5] = np.nan  # one NaN column
+        with np.errstate(invalid="ignore"):
+            got = ag.canonical_bucket_mean(ag.Tensor(x)).data
+            want = _pool_oracle(x)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes(), n
+    assert len(ag.sorting_network(10)) == 31 and len(ag.sorting_network(50)) == 395
+
+
+def test_sorting_network_sorts_every_0_1_input():
+    # the 0-1 principle: a comparator network that sorts every 0/1 input sorts all inputs
+    for n in range(1, 13):
+        bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        for i, j in ag.sorting_network(n):
+            assert i < j
+            bits[:, [i, j]] = np.sort(bits[:, [i, j]], axis=1)
+        assert (np.diff(bits, axis=1) >= 0).all(), n
+
+
 # --- no_record ------------------------------------------------------------
 
 def _every_op(x, w, gain, bias):
     """One output of each primitive and of the encoder's attention op (full
-    and readout queries over two paths of 3 tokens), from inputs x (6, 4),
-    w (4, 4) and gain and bias (4,)."""
-    layer = SimpleNamespace(wq=w, bq=bias, wk=w, wv=w, bv=bias, wo=w, bo=bias)
+    and readout queries over two paths of 3 tokens, and with dropout) and
+    feed-forward op, from inputs x (6, 4), w (4, 4) and gain and bias (4,)."""
+    layer = SimpleNamespace(wq=w, bq=bias, wk=w, wv=w, bv=bias, wo=w, bo=bias,
+                            w1=w, b1=bias, w2=w, b2=bias)
     return [ag.add(x, x), ag.scale(x, 2.0), ag.matmul(x, w), ag.matmul(x, w, bias),
             ag.relu(x), ag.softmax(x),
             ag.layer_norm(x, gain, bias),
@@ -370,7 +422,11 @@ def _every_op(x, w, gain, bias):
             ag.softmax_cross_entropy(x, np.zeros(6, dtype=np.int64)),
             ag.bce_with_logits(x, np.zeros((6, 4))),
             _attention(layer, x, ((3, 2),), 2)[0],
-            _attention(layer, x, ((3, 2),), 2, np.array([0, 3]))[0]]
+            _attention(layer, x, ((3, 2),), 2, np.array([0, 3]))[0],
+            _attention(layer, x, ((3, 2),), 2, None, 0.5,
+                       np.random.Generator(np.random.PCG64(4)))[0],
+            _feed_forward(layer, x, 0.0, None),
+            _feed_forward(layer, x, 0.5, np.random.Generator(np.random.PCG64(5)))]
 
 
 def test_no_record_outputs_carry_no_graph():
@@ -393,7 +449,8 @@ def test_vjp_closures_hold_no_tensor():
 
 
 # `tape_bytes` of the loss below when the graph still held every op output
-# and its vjps captured whole tensors; the split graph holds 15,759,952
+# and its vjps captured whole tensors; the split graph held 15,759,952, and
+# with the fused branch ops and bool dropout masks it holds 14,433,816
 PARENT_TAPE_BYTES = 29_582_672
 
 

@@ -11,8 +11,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import bench  # noqa: E402
 import tracer  # noqa: E402
+from helpers import recorded_ops  # noqa: E402
 
-from pathsage import graph, head, metrics, trainer  # noqa: E402
+from pathsage import autograd, graph, head, metrics, trainer  # noqa: E402
 from pathsage.model import ModelConfig, PathSageModel  # noqa: E402
 from pathsage.sampler import rng_for  # noqa: E402
 from pathsage.synth import synth_planted_khop  # noqa: E402
@@ -76,6 +77,32 @@ def test_traced_train_epoch_and_eval_split(tmp_path):
     assert (hygiene["child_outside_parent"], hygiene["negative_self_time"],
             hygiene["open_spans"]) == (0, 0, 0)
     assert len(rec.losses) == 3 and rec.preds
+
+
+# Recorded ops the tracer neither times nor counts: their vjp time lands in
+# `autograd.backward.self_s`, not in an op or an encoder layer. A new fused op
+# is listed here until the benchmark traces it.
+UNTRACED = {"_attention", "_feed_forward", "take_rows"}
+
+
+def test_every_recorded_op_is_traced_or_listed(tmp_path, monkeypatch):
+    g, labels, splits = graph.load_dataset(synth_planted_khop(
+        tmp_path / "ds", num_nodes=30, avg_degree=3.0, k=1, num_classes=3, seed=1))
+    cfg = TrainConfig(epochs=1, seed=1, depth_s=2, counts_per_length=(2, 2), hidden=8,
+                      heads=2, layers=2, batch_size=8)
+    model = PathSageModel.init(cfg.model_config(g.feature_dim, labels.num_classes,
+                                                labels.task), rng_for(1))
+    seen = []
+    real_backward = autograd.backward
+
+    def backward(loss):
+        seen.extend(recorded_ops(loss))
+        real_backward(loss)
+
+    monkeypatch.setattr(autograd, "backward", backward)
+    trainer.train_epoch(model, g, labels, splits.train[:8], cfg, 0, OptimizerState(),
+                        total_steps=1)
+    assert seen and {op for op in seen if op not in tracer.AUTOGRAD_OPS} == UNTRACED
 
 
 def test_benchmark_selftest_passes_on_a_copy_of_the_tree(tmp_path):

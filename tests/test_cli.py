@@ -273,6 +273,14 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
             fh.write(struct.pack("<QQ", 2 ** 63, 2))
         return ["sample", "--dataset", str(bad), "--node", "0", "--counts", "2"], \
             "features.bin:0: truncated feature payload"
+    if case == "NaN feature in features.bin":  # a data error, not a non-finite loss
+        bad = tmp_path / "nan_feature"
+        shutil.copytree(dataset, bad)
+        feats = read_features_bin(bad / "features.bin")
+        feats[5, 2] = np.nan
+        write_features_bin(bad / "features.bin", feats)
+        return ["train", "--dataset", str(bad), "--checkpoint", str(tmp_path / "m.psck"),
+                *TRAIN_FLAGS], "features.bin:0: node 5 has a non-finite feature nan in column 2"
     raw = tmp_path / "raw"
     raw.mkdir()
     for name in ("meta.json", "edges.csv", "labels.csv", "splits.json"):
@@ -293,6 +301,12 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
     if case == "ragged features":
         (raw / "features.csv").write_text("0.5,1\n0.5,1,2\n")
         return argv, "features.csv:2: 3 fields, the first row has 2"
+    if case == "non-finite features":
+        (raw / "features.csv").write_text("1,2\n\n3,inf\nnan,3\n")
+        return argv, "features.csv:3: non-finite field 'inf'"
+    if case == "non-finite feature among bad ones":  # the line-by-line scan stops first
+        (raw / "features.csv").write_text("1,2\n-inf,3\n0.5,abc\n")
+        return argv, "features.csv:2: non-finite field '-inf'"
     feats = read_features_bin(dataset / "features.bin")
     np.savetxt(raw / "features.csv", feats, delimiter=",", fmt="%.8g")
     (raw / "edges.csv").write_text("0,1\n1,60\n")  # out-of-range edge: 60 nodes
@@ -307,7 +321,8 @@ def _bad_input(case, dataset, checkpoint, tmp_path):
                                   "no classes", "huge features header", "non-numeric feature",
                                   "feature after a blank line", "feature header line",
                                   "ragged features", "empty features", "blank features",
-                                  "out-of-range edge"])
+                                  "non-finite features", "non-finite feature among bad ones",
+                                  "NaN feature in features.bin", "out-of-range edge"])
 def test_bad_input_exits_2_with_one_line(dataset, checkpoint, tmp_path, capsys, case):
     argv, needle = _bad_input(case, dataset, checkpoint, tmp_path)
     capsys.readouterr()

@@ -8,6 +8,7 @@ from pathsage.autograd import Tensor
 from pathsage.encoder import (
     _attention,
     _encoder_layer,
+    _feed_forward,
     attention_maps,
     build_position_table,
     encode_paths,
@@ -282,6 +283,52 @@ def test_fused_layer_matches_the_primitive_reference(readout, rate):
     for name, g, want in zip(["x"] + [name for name, _ in layer_shapes(d)], grads, ref_grads):
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-12, err_msg=name)
     assert tail.tobytes() == ref_tail.tobytes()  # the same number of dropout draws
+
+
+FFN_PARAMS = ("w1", "b1", "w2", "b2")
+
+
+@pytest.mark.parametrize("rows", [5, 24])  # both sides of GEMM_MIN_ROWS
+@pytest.mark.parametrize("rate,stream", [(0.0, None), (0.0, 5), (0.3, 5), (0.5, 6)])
+def test_feed_forward_matches_the_primitive_chain_byte_for_byte(rows, rate, stream):
+    d = 8
+    feats = RNG.normal(size=(rows, d)).astype(np.float32)
+    feats[0, :3] = (0.0, -0.0, np.float32(1e-41))
+    grad_out = RNG.normal(size=(rows, d)).astype(np.float32)
+    results = []
+    for fused in (True, False):
+        layer = tiny_encoder(d=d, dtype=np.float32, seed=36).layers[0]
+        rng = None if stream is None else np.random.Generator(np.random.PCG64(stream))
+        x = Tensor(feats, requires_grad=True)
+        if fused:
+            out = _feed_forward(layer, x, rate, rng)
+        else:
+            ff = ag.matmul(ag.relu(ag.matmul(x, layer.w1, layer.b1)), layer.w2, layer.b2)
+            out = ag.add(x, ag.dropout(ff, rate, rng))
+        ag.backward(tsum(mul(out, Tensor(grad_out))))
+        tail = np.empty(0) if rng is None else rng.random(2)  # the same number of draws
+        results.append([out.data, x.grad] + [getattr(layer, n).grad for n in FFN_PARAMS]
+                       + [tail])
+    for name, got, want in zip(("out", "x") + FFN_PARAMS + ("draws after",), *results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4])
+def test_feed_forward_gradients_finite_difference(rate):
+    d = 8
+    layer = tiny_encoder(d=d, seed=37).layers[0]
+    weights = Tensor(RNG.normal(size=(6, d)))
+    arrays = [RNG.normal(size=(6, d))] + [getattr(layer, n).data.copy() for n in FFN_PARAMS]
+
+    def build(ts):
+        for name, t in zip(FFN_PARAMS, ts[1:]):
+            setattr(layer, name, t)
+        # a fresh generator per call draws the same mask every time
+        out = _feed_forward(layer, ts[0], rate, np.random.Generator(np.random.PCG64(9)))
+        return tsum(mul(out, weights))
+
+    worst = check_grad(build, arrays, step=1e-6, rtol=1e-5)
+    assert worst < 1e-5
 
 
 # --- position-0 readout of the last layer --------------------------------

@@ -17,6 +17,7 @@ from pathsage.graph import (
     SPLIT_NAMES,
     load_dataset,
     read_features_bin,
+    read_features_csv,
     write_dataset,
     write_features_bin,
 )
@@ -261,6 +262,31 @@ def test_feature_row_count_mismatch(tmp_path):
     write_features_bin(d / "features.bin", np.zeros((5, 3), dtype=np.float32))
     with pytest.raises(DimensionMismatch):
         load_dataset(d)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_names_the_first_bad_node(tmp_path, value):
+    d = make_dataset(tmp_path, [(0, 1)], 9)
+    feats = read_features_bin(d / "features.bin")
+    feats[7, 0] = feats[5, 2] = value
+    write_features_bin(d / "features.bin", feats)
+    with pytest.raises(MalformedRecord, match=f"node 5 has a non-finite feature {value} "
+                                              "in column 2"):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("text,line,field", [
+    ("1,2\nnan,3\ninf,1\n", 2, "nan"),
+    ("1,2\n\n3,-inf\n", 3, "-inf"),
+    ("1,2\n3, 1e39\n", 2, "1e39"),  # finite as text, past float32's range
+    ("1,2\n-INF,x\n", 2, "-INF"),   # the line-by-line scan finds it too
+    ("1,2\n-3.5e38,1\n1,x\n", 2, "-3.5e38"),
+])
+def test_non_finite_features_csv_names_its_line(tmp_path, text, line, field):
+    path = tmp_path / "features.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedRecord, match=f"features.csv:{line}: non-finite field '{field}'"):
+        read_features_csv(path)
 
 
 def test_split_overlap(tmp_path):

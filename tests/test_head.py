@@ -64,12 +64,13 @@ def test_width_mismatch():
 
 
 def test_bucket_shuffle_bit_identical():
-    bucket = [RNG.normal(size=4).astype(np.float32) for _ in range(9)]
-    base = pool([np.stack(bucket)]).data
-    for _ in range(6):
-        perm = RNG.permutation(9)
-        again = pool([np.stack([bucket[i] for i in perm])]).data
-        assert (base == again).all()
+    for n in range(2, 41):
+        bucket = [RNG.normal(size=4).astype(np.float32) for _ in range(n)]
+        base = pool([np.stack(bucket)]).data
+        for _ in range(6):
+            perm = RNG.permutation(n)
+            again = pool([np.stack([bucket[i] for i in perm])]).data
+            assert base.tobytes() == again.tobytes(), n
 
 
 # --- head_forward -------------------------------------------------------

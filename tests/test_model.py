@@ -1,11 +1,13 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from pathsage import autograd as ag
+from pathsage import head
 from pathsage import model as model_module
 from pathsage.autograd import Tensor, no_record
 from pathsage.encoder import attention_maps
@@ -15,7 +17,7 @@ from pathsage.model import ModelConfig, PathSageModel, distinct_rows
 from pathsage.sampler import SamplePlan, rng_for, sample_paths
 from pathsage.synth import synth_planted_khop
 
-from helpers import mul, tsum
+from helpers import mul, recorded_ops, tsum
 
 RNG = np.random.Generator(np.random.PCG64(17))
 
@@ -120,6 +122,23 @@ def test_logits_and_gradients_do_not_depend_on_the_chunking(setup, monkeypatch, 
     assert plain.tobytes() == base_plain.tobytes()
     for g, want in zip(grads, base_grads):
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+
+
+def test_a_ring3_small_shaped_step_records_24_nodes(setup):
+    # ring3-small's model and counts, 32 nodes: 1,472 tokens, one chunk. The
+    # chunk records the embed GEMM and position add, then 4 nodes per layer;
+    # each of the 4 lengths records take_rows and pooling; then concat, the
+    # head (matmul, relu, dropout, matmul) and the loss.
+    graph, _ = setup
+    mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=3, task="single_label",
+                     hidden=32, heads=4, layers=2, depth_s=4)
+    model = PathSageModel.init(mc, rng_for(3))
+    walks = walks_for(graph, range(32), counts=(2, 2, 4, 4))
+    logits = model.forward_batch(graph, walks, rng=rng_for(5))
+    ops = Counter(recorded_ops(head.loss(logits, np.zeros(32, dtype=np.int64), mc.task)))
+    assert sum(ops.values()) == 24
+    assert (ops["_attention"], ops["layer_norm"], ops["_feed_forward"]) == (2, 4, 2)
+    assert (ops["take_rows"], ops["canonical_bucket_mean"], ops["matmul"]) == (4, 4, 3)
 
 
 def _same_groups(x, y):

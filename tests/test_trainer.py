@@ -112,6 +112,30 @@ def test_lr_odd_warmup_boundary_rounds_up():
     assert lr_at(1, 15, cfg) == pytest.approx(cfg.lr / 2)
 
 
+@pytest.mark.parametrize("step,total", [(11, 10), (2, 1), (1, 0), (-1, 10)])
+def test_lr_rejects_a_step_outside_the_schedule(step, total):
+    # past the end the line would go negative (gradient ascent) or divide by zero
+    with pytest.raises(InvalidSetting, match=f"step {step} outside"):
+        lr_at(step, total, TrainConfig())
+
+
+def test_epoch_that_would_run_past_total_steps_raises_before_its_first_step(tiny_dataset):
+    graph, labels, splits = tiny_dataset
+    cfg = tiny_cfg()
+    steps = math.ceil(len(splits.train) / cfg.batch_size)
+    assert steps >= 2
+    model = make_model(graph, labels, cfg)
+    before = {n: p.data.copy() for n, p in model.named_params()}
+    state = OptimizerState(step=1)
+    with pytest.raises(InvalidSetting, match=f"steps 2 to {steps + 1}, past total_steps {steps}"):
+        train_epoch(model, graph, labels, splits.train, cfg, 0, state, total_steps=steps)
+    assert state.step == 1
+    assert all((p.data == before[n]).all() and p.grad is None for n, p in model.named_params())
+    # an epoch that ends exactly at total_steps runs, and its last lr is 0
+    train_epoch(model, graph, labels, splits.train, cfg, 0, state, total_steps=steps + 1)
+    assert state.step == steps + 1
+
+
 # --- adam ---------------------------------------------------------------
 
 class _P:
