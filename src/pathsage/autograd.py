@@ -29,15 +29,18 @@ closure and parents right after its vjp runs. Inside a `no_record()` block
 on.
 
 A GEMM with fewer than `GEMM_MIN_ROWS` rows runs on a zero-padded copy of
-that many rows (`gemm`). BLAS gives a row different bits when M is small
-(the gemv path at M = 1, other kernels below 16 rows at K = 512 and 1024),
-so for the model's tested shapes a row's bits do not depend on how many
-rows share its GEMM (README states the limits).
+that many rows (`gemm`, also for a stack of GEMMs, one per head). BLAS
+gives a row different bits when M is small (the gemv path at M = 1, other
+kernels below 16 rows at K = 512 and 1024), so for the model's tested
+shapes a row's bits do not depend on how many rows share its GEMM (README
+states the limits).
 
 An op outside this module is built the same way, on `_make`: the encoder's
-two branch ops, attention (`encoder._attention`) and feed-forward
-(`encoder._feed_forward`), each with its dropout and residual add. They
-use `gemm`, the dropout helpers `dropout_keep` (a bool mask) and
+branch ops, each with its dropout and residual add. They are attention
+with every token a query (`encoder._attention`), attention with one
+position-0 query per path in the readout layer
+(`encoder._readout_attention`), and feed-forward (`encoder._feed_forward`).
+They use `gemm`, the dropout helpers `dropout_keep` (a bool mask) and
 `scale_kept`, and for attention `softmax_rows_` and `softmax_vjp`, which
 reduce an attention row's short last axis (its 2-9 keys) one column at a
 time rather than through numpy's per-row reduce. Since those ops took
@@ -183,16 +186,17 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), vjp)
 
 
-def gemm(a2, b):
-    """`a2 @ b` for 2-D operands. An a2 of fewer than `GEMM_MIN_ROWS` rows
-    is multiplied as a zero-padded copy of that many rows, so a row's bits
-    do not depend on how many rows share the GEMM."""
-    m = a2.shape[0]
+def gemm(a, b):
+    """`a @ b` for 2-D operands, or for stacks of them (..., M, K) and
+    (..., K, N). An a of fewer than `GEMM_MIN_ROWS` rows M is multiplied as
+    a zero-padded copy of that many rows, so a row's bits do not depend on
+    how many rows share the GEMM."""
+    m = a.shape[-2]
     if m >= GEMM_MIN_ROWS:
-        return a2 @ b
-    padded = np.zeros((GEMM_MIN_ROWS, a2.shape[1]), dtype=a2.dtype)
-    padded[:m] = a2
-    return (padded @ b)[:m]
+        return a @ b
+    padded = np.zeros(a.shape[:-2] + (GEMM_MIN_ROWS, a.shape[-1]), dtype=a.dtype)
+    padded[..., :m, :] = a
+    return (padded @ b)[..., :m, :]
 
 
 def scale(a, s):

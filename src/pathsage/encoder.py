@@ -10,16 +10,19 @@ takes the (P, F) features of every token, with one (T, U) segment per
 length (U paths of T tokens, path by path). Each tokenwise op, from the
 projections and the feed-forward block to layer norm and dropout, runs
 once per layer over all P rows. A layer records four autograd ops: the
-attention branch (`_attention`), layer norm, the feed-forward branch
-(`_feed_forward`) and layer norm. Each branch op has a hand-derived vjp
-and applies its dropout and residual add in place; attention runs each
+attention branch, layer norm, the feed-forward branch (`_feed_forward`)
+and layer norm. Each branch op has a hand-derived vjp and applies its
+dropout and residual add in place. Attention (`_attention`) runs each
 segment's heads as strided views of one query and one key|value buffer.
 Only the position-0 row leaves the encoder, so the last layer queries from
-those rows alone: its keys and values come from every token, and
-everything past them runs on one row per path. `attention_maps` runs every
-layer on all T rows of equal-length paths to report the full (T, T) maps.
-`layer_shapes` names and shapes one layer's parameters;
-`model.PathSageModel.build` makes them.
+those rows alone (`_readout_attention`). With one query per path, the key
+and value projections fold into the query and the context: scores are
+each token against W_K applied to the query, and the context is W_V
+applied to the attention-weighted sum of the tokens. So no token is
+projected to a key or a value, and everything past that sum runs on one
+row per path. `attention_maps` runs every layer on all T rows of
+equal-length paths to report the full (T, T) maps. `layer_shapes` names
+and shapes one layer's parameters; `model.PathSageModel.build` makes them.
 """
 
 from __future__ import annotations
@@ -73,41 +76,52 @@ class EncoderParams:
                 yield f"encoder.layer{k}.{name}", tensor
 
 
-def _spans(segments, readout):
-    """(T, U, R, token rows, query rows) of each packed segment: U paths of
-    T tokens, R query rows per path (1 with `readout`, else T), and the
-    slices of the packed token rows and query rows that hold them."""
-    tok = qry = 0
+def _spans(segments):
+    """(T, U, token rows, paths) of each packed segment: U paths of T
+    tokens, the slice of the packed token rows that holds them, and the
+    slice of the path index (one row per path) that numbers them."""
+    tok = path = 0
     for t, u in segments:
-        r = 1 if readout else t
-        yield t, u, r, slice(tok, tok + u * t), slice(qry, qry + u * r)
+        yield t, u, slice(tok, tok + u * t), slice(path, path + u)
         tok += u * t
-        qry += u * r
+        path += u
 
 
-def _heads(rows, u, r, heads):
-    """A (u * r, d) block of rows, path by path, as a (u, heads, r, d/heads)
+def _heads(rows, u, t, heads):
+    """A (u * t, d) block of rows, path by path, as a (u, heads, t, d/heads)
     view."""
-    return rows.reshape(u, r, heads, -1).transpose(0, 2, 1, 3)
+    return rows.reshape(u, t, heads, -1).transpose(0, 2, 1, 3)
 
 
-def _attention(layer, x, segments, heads, q_index=None, dropout_rate=0.0, rng=None):
-    """The attention branch of a layer over packed paths, as one autograd
-    op: rows + dropout(attention(x)) -> (output Tensor (R, d), each
-    segment's (U, h, T or 1, T) attention array).
+def _by_head(rows, heads):
+    """(U, d) rows as a (heads, U, d/heads) view: head h's columns of every
+    row."""
+    return rows.reshape(len(rows), heads, rows.shape[1] // heads).transpose(1, 0, 2)
 
-    x (P, d) holds the tokens of every segment, path by path. Keys and
-    values come from every token of a path; its queries, and the residual
-    rows, are all its rows, or the rows `q_index` alone (the position-0
-    rows, one per path). One GEMM makes the queries and one the keys and
-    values of every token; each segment then runs its heads as strided
-    views of those buffers and writes its context straight into one (R, d)
-    buffer, which the output GEMM reads. Dropout, with a mask drawn from
-    `rng`, and the residual rows are applied in place on the GEMM's output.
-    The vjp loops over the segments the same way, sums each weight gradient
-    in one GEMM and adds the residual gradient into x's. It keeps the
-    weights by reference, the query, key|value, attention and context
-    buffers and the bool dropout mask.
+
+def _head_outer(a, b, heads):
+    """For a (U, heads, d) and b (U, d) -> (d, d) whose head h columns are
+    the sum over rows u of outer(a[u, h], head h of b[u]): the gradient of
+    W_K from q~ and the queries, and of W_V from z and the context."""
+    d = a.shape[2]
+    return (a.transpose(1, 2, 0) @ _by_head(b, heads)).transpose(1, 0, 2).reshape(d, d)
+
+
+def _attention(layer, x, segments, heads, dropout_rate=0.0, rng=None):
+    """The attention branch of a layer over packed paths, every token a
+    query, as one autograd op: x + dropout(attention(x)) -> (output Tensor
+    (P, d), each segment's (U, h, T, T) attention array).
+
+    x (P, d) holds the tokens of every segment, path by path. One GEMM
+    makes the queries and one the keys and values of every token; each
+    segment then runs its heads as strided views of those buffers and
+    writes its context straight into one (P, d) buffer, which the output
+    GEMM reads. Dropout, with a mask drawn from `rng`, and the residual are
+    applied in place on the GEMM's output. The vjp loops over the segments
+    the same way, sums each weight gradient in one GEMM and adds the
+    residual gradient into x's. It keeps the weights by reference, the
+    query, key|value, attention and context buffers and the bool dropout
+    mask.
     """
     parents = (x, layer.wq, layer.bq, layer.wk, layer.wv, layer.bv, layer.wo, layer.bo)
     need = [p.requires_grad for p in parents]
@@ -115,22 +129,107 @@ def _attention(layer, x, segments, heads, q_index=None, dropout_rate=0.0, rng=No
     d = xd.shape[1]
     dh = d // heads
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=xd.dtype)
-    readout = q_index is not None
-    rows = xd[q_index] if readout else xd
-    q = ag.gemm(rows, wq)
+    q = ag.gemm(xd, wq)
     q += bq
     kv = ag.gemm(xd, np.concatenate((wk, wv), axis=1))  # (P, 2d): keys | values
     kv[:, d:] += bv
     ctx = np.empty_like(q)
-    spans = list(_spans(segments, readout))
+    spans = list(_spans(segments))
     attn = []
-    for t, u, r, toks, qrows in spans:
+    for t, u, toks, _ in spans:
         kv5 = kv[toks].reshape(u, t, 2, heads, dh)
-        s = np.matmul(_heads(q[qrows], u, r, heads), kv5[:, :, 0].transpose(0, 2, 3, 1))
+        s = np.matmul(_heads(q[toks], u, t, heads), kv5[:, :, 0].transpose(0, 2, 3, 1))
         s *= scale
         ag.softmax_rows_(s)
-        np.matmul(s, kv5[:, :, 1].transpose(0, 2, 1, 3), out=_heads(ctx[qrows], u, r, heads))
+        np.matmul(s, kv5[:, :, 1].transpose(0, 2, 1, 3), out=_heads(ctx[toks], u, t, heads))
         attn.append(s)
+    out = ag.gemm(ctx, wo)
+    out += bo
+    keep = ag.dropout_keep(out.shape, dropout_rate, rng)
+    if keep is not None:
+        ag.scale_kept(out, keep, dropout_rate, out=out)
+    out += xd
+
+    def vjp(g):
+        gout = g if keep is None else ag.scale_kept(g, keep, dropout_rate)
+        gctx = gout @ wo.T
+        gq, gkv = np.empty_like(q), np.empty_like(kv)
+        for (t, u, toks, _), s in zip(spans, attn):
+            kv5 = kv[toks].reshape(u, t, 2, heads, dh)
+            gkv5 = gkv[toks].reshape(u, t, 2, heads, dh)
+            k, v = kv5[:, :, 0].transpose(0, 2, 1, 3), kv5[:, :, 1].transpose(0, 2, 1, 3)
+            gc = _heads(gctx[toks], u, t, heads)
+            gs = ag.softmax_vjp(np.matmul(gc, v.swapaxes(-1, -2)), s)
+            gs *= scale
+            np.matmul(s.swapaxes(-1, -2), gc, out=gkv5[:, :, 1].transpose(0, 2, 1, 3))
+            np.matmul(gs, k, out=_heads(gq[toks], u, t, heads))
+            np.matmul(gs.swapaxes(-1, -2), _heads(q[toks], u, t, heads),
+                      out=gkv5[:, :, 0].transpose(0, 2, 1, 3))
+        gx = None
+        if need[0]:
+            gx = gkv @ np.concatenate((wk, wv), axis=1).T
+            gx += gq @ wq.T
+            gx += g
+        gkv_w = xd.T @ gkv if need[3] or need[4] else None
+        return (gx,
+                xd.T @ gq if need[1] else None,
+                ag._column_sum(gq) if need[2] else None,
+                np.ascontiguousarray(gkv_w[:, :d]) if need[3] else None,
+                np.ascontiguousarray(gkv_w[:, d:]) if need[4] else None,
+                ag._column_sum(gkv[:, d:]) if need[5] else None,
+                ctx.T @ gout if need[6] else None,
+                ag._column_sum(gout) if need[7] else None)
+
+    return ag._make(out, parents, vjp), attn
+
+
+def _readout_attention(layer, x, segments, heads, dropout_rate=0.0, rng=None):
+    """The attention branch of the readout layer, one query per path, as
+    one autograd op: rows + dropout(attention(x)) for the position-0 rows
+    -> (output Tensor (U, d), each segment's (U, h, 1, T) attention array).
+
+    With a single query, the key and value projections fold into the query
+    and the context, so no token is projected. Per path and head h, let
+    q_h be head h of the position-0 row's query times 1/sqrt(d/h). The
+    scores over the path's tokens x_j are x_j . q~_h, where q~_h = W_K,h q_h
+    is a d-vector. The context is z_h W_V,h + b_V,h, where
+    z_h = sum_j s_j x_j; the bias stands outside the sum because the
+    scores s_j sum to 1. q~ and the context are each one stack of per-head
+    GEMMs on U rows, zero-padded as `ag.gemm` pads them; the scores and z
+    are one batched product per segment. The output GEMM, dropout (a
+    (U, d) mask drawn from `rng`) and the residual rows follow as in
+    `_attention`.
+
+    The vjp keeps the weights by reference, x, the scaled queries, the
+    attention and context arrays, z and the bool dropout mask; it
+    recomputes q~ from the queries and accumulates both per-token products
+    into x's gradient.
+    """
+    parents = (x, layer.wq, layer.bq, layer.wk, layer.wv, layer.bv, layer.wo, layer.bo)
+    need = [p.requires_grad for p in parents]
+    xd, wq, bq, wk, wv, bv, wo, bo = (p.data for p in parents)
+    d = xd.shape[1]
+    dh = d // heads
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=xd.dtype)
+    first = _first_rows(segments)
+    rows = xd[first]
+    qs = ag.gemm(rows, wq)  # the scaled queries, (U, d)
+    qs += bq
+    qs *= scale
+    wk_t = wk.reshape(d, heads, dh).transpose(1, 2, 0)  # (h, dh, d): each W_K,h^T
+    wv_h = wv.reshape(d, heads, dh).transpose(1, 0, 2)  # (h, d, dh): each W_V,h
+    qt = ag.gemm(_by_head(qs, heads), wk_t)  # (h, U, d): q~ of every path and head
+    z = np.empty((len(rows), heads, d), dtype=xd.dtype)
+    spans = list(_spans(segments))
+    attn = []
+    for t, u, toks, paths in spans:
+        xs = xd[toks].reshape(u, t, d)
+        s = np.matmul(qt[:, paths].transpose(1, 0, 2), xs.transpose(0, 2, 1))  # (u, h, t)
+        ag.softmax_rows_(s)
+        np.matmul(s, xs, out=z[paths])
+        attn.append(s[:, :, None])
+    ctx = ag.gemm(z.transpose(1, 0, 2), wv_h).transpose(1, 0, 2).reshape(len(rows), d)
+    ctx += bv
     out = ag.gemm(ctx, wo)
     out += bo
     keep = ag.dropout_keep(out.shape, dropout_rate, rng)
@@ -141,34 +240,37 @@ def _attention(layer, x, segments, heads, q_index=None, dropout_rate=0.0, rng=No
     def vjp(g):
         gout = g if keep is None else ag.scale_kept(g, keep, dropout_rate)
         gctx = gout @ wo.T
-        gq, gkv = np.empty_like(q), np.empty_like(kv)
-        for (t, u, r, toks, qrows), s in zip(spans, attn):
-            kv5 = kv[toks].reshape(u, t, 2, heads, dh)
-            gkv5 = gkv[toks].reshape(u, t, 2, heads, dh)
-            k, v = kv5[:, :, 0].transpose(0, 2, 1, 3), kv5[:, :, 1].transpose(0, 2, 1, 3)
-            gc = _heads(gctx[qrows], u, r, heads)
-            gs = ag.softmax_vjp(np.matmul(gc, v.swapaxes(-1, -2)), s)
-            gs *= scale
-            np.matmul(s.swapaxes(-1, -2), gc, out=gkv5[:, :, 1].transpose(0, 2, 1, 3))
-            np.matmul(gs, k, out=_heads(gq[qrows], u, r, heads))
-            np.matmul(gs.swapaxes(-1, -2), _heads(q[qrows], u, r, heads),
-                      out=gkv5[:, :, 0].transpose(0, 2, 1, 3))
-        gx = None
+        gz = _by_head(gctx, heads) @ wv_h.transpose(0, 2, 1)  # (h, U, d)
+        gqt = np.empty_like(z)  # (U, h, d)
+        gx = qt = None
         if need[0]:
-            gx = gkv @ np.concatenate((wk, wv), axis=1).T
-            if readout:
-                gx[q_index] += gq @ wq.T
-                gx[q_index] += g
-            else:
-                gx += gq @ wq.T
-                gx += g
-        gkv_w = xd.T @ gkv if need[3] or need[4] else None
+            gx = np.empty_like(xd)
+            qt = ag.gemm(_by_head(qs, heads), wk_t)
+        for (t, u, toks, paths), s in zip(spans, attn):
+            s = s[:, :, 0]
+            xs = xd[toks].reshape(u, t, d)
+            gzs = gz[:, paths].transpose(1, 0, 2)  # (u, h, d)
+            ge = ag.softmax_vjp(np.matmul(gzs, xs.transpose(0, 2, 1)), s)
+            np.matmul(ge, xs, out=gqt[paths])
+            if need[0]:
+                gxs = gx[toks].reshape(u, t, d)
+                np.matmul(s.transpose(0, 2, 1), gzs, out=gxs)
+                gxs += np.matmul(ge.transpose(0, 2, 1), qt[:, paths].transpose(1, 0, 2))
+        del gz, qt
+        gq = None
+        if need[0] or need[1] or need[2]:
+            gq = (gqt.transpose(1, 0, 2) @ wk_t.transpose(0, 2, 1)).transpose(1, 0, 2)
+            gq = gq.reshape(len(gq), d)  # a copy
+            gq *= scale
+        if need[0]:
+            gx[first] += gq @ wq.T
+            gx[first] += g
         return (gx,
-                (xd[q_index] if readout else xd).T @ gq if need[1] else None,
+                xd[first].T @ gq if need[1] else None,
                 ag._column_sum(gq) if need[2] else None,
-                np.ascontiguousarray(gkv_w[:, :d]) if need[3] else None,
-                np.ascontiguousarray(gkv_w[:, d:]) if need[4] else None,
-                ag._column_sum(gkv[:, d:]) if need[5] else None,
+                _head_outer(gqt, qs, heads) if need[3] else None,
+                _head_outer(z, gctx, heads) if need[4] else None,
+                ag._column_sum(gctx) if need[5] else None,
                 ctx.T @ gout if need[6] else None,
                 ag._column_sum(gout) if need[7] else None)
 
@@ -223,12 +325,13 @@ def _encoder_layer(layer, x, segments, heads, dropout_rate, rng, readout=False):
     each segment's attention array): the attention branch, layer norm, the
     feed-forward branch, layer norm, each one autograd op.
 
-    Keys and values come from every token of a path. The R query rows are
-    all P tokens, or with `readout` each path's position-0 row alone (one
-    row per path), the row the path representation is read from.
+    The R query rows are all P tokens (`_attention`), or with `readout`
+    each path's position-0 row alone, the row the path representation is
+    read from (`_readout_attention`, one row per path, which projects no
+    token to a key or value).
     """
-    q_index = _first_rows(segments) if readout else None
-    out, attn = _attention(layer, x, segments, heads, q_index, dropout_rate, rng)
+    branch = _readout_attention if readout else _attention
+    out, attn = branch(layer, x, segments, heads, dropout_rate, rng)
     x = ag.layer_norm(out, layer.ln1_g, layer.ln1_b)
     x = ag.layer_norm(_feed_forward(layer, x, dropout_rate, rng), layer.ln2_g, layer.ln2_b)
     return x, attn
@@ -237,7 +340,7 @@ def _encoder_layer(layer, x, segments, heads, dropout_rate, rng, readout=False):
 def _first_rows(segments):
     """The packed row of each path's position-0 token, in path order."""
     return np.concatenate([np.arange(toks.start, toks.stop, t)
-                           for t, _, _, toks, _ in _spans(segments, True)])
+                           for t, _, toks, _ in _spans(segments)])
 
 
 def _embed(params, pos, path_features, segments):
@@ -257,7 +360,7 @@ def _embed(params, pos, path_features, segments):
         raise ShapeMismatch("feature width vs input projection", shape, params.w_in.shape)
     x = ag.matmul(path_features, params.w_in, params.b_in)
     positions = np.concatenate([np.tile(np.arange(t), u) for t, u in segments])
-    return ag.add(x, Tensor(pos[positions].astype(x.dtype)))
+    return ag.add(x, Tensor(pos[positions].astype(x.dtype, copy=False)))
 
 
 def encode_paths(params: EncoderParams, pos, path_features, segments, rng=None,

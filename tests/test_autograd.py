@@ -5,11 +5,11 @@ import pytest
 
 from pathsage import autograd as ag
 from pathsage import head
-from pathsage.encoder import _attention, _feed_forward
+from pathsage.encoder import _attention, _feed_forward, _readout_attention
 from pathsage.errors import InvalidSetting, NonScalarLoss, ShapeMismatch
 from pathsage.graph import load_dataset
 from pathsage.metrics import eval_split
-from pathsage.model import ModelConfig, PathSageModel
+from pathsage.model import ModelConfig, PathSageModel, distinct_rows
 from pathsage.sampler import SamplePlan, sample_paths, stream_rng
 from pathsage.synth import synth_planted_khop
 from pathsage.trainer import OptimizerState, TrainConfig, train_epoch
@@ -407,9 +407,9 @@ def test_sorting_network_sorts_every_0_1_input():
 # --- no_record ------------------------------------------------------------
 
 def _every_op(x, w, gain, bias):
-    """One output of each primitive and of the encoder's attention op (full
-    and readout queries over two paths of 3 tokens, and with dropout) and
-    feed-forward op, from inputs x (6, 4), w (4, 4) and gain and bias (4,)."""
+    """One output of each primitive and of the encoder's attention ops (full
+    and readout queries over two paths of 3 tokens, and full with dropout)
+    and feed-forward op, from inputs x (6, 4), w (4, 4) and gain and bias (4,)."""
     layer = SimpleNamespace(wq=w, bq=bias, wk=w, wv=w, bv=bias, wo=w, bo=bias,
                             w1=w, b1=bias, w2=w, b2=bias)
     return [ag.add(x, x), ag.scale(x, 2.0), ag.matmul(x, w), ag.matmul(x, w, bias),
@@ -422,9 +422,8 @@ def _every_op(x, w, gain, bias):
             ag.softmax_cross_entropy(x, np.zeros(6, dtype=np.int64)),
             ag.bce_with_logits(x, np.zeros((6, 4))),
             _attention(layer, x, ((3, 2),), 2)[0],
-            _attention(layer, x, ((3, 2),), 2, np.array([0, 3]))[0],
-            _attention(layer, x, ((3, 2),), 2, None, 0.5,
-                       np.random.Generator(np.random.PCG64(4)))[0],
+            _readout_attention(layer, x, ((3, 2),), 2)[0],
+            _attention(layer, x, ((3, 2),), 2, 0.5, np.random.Generator(np.random.PCG64(4)))[0],
             _feed_forward(layer, x, 0.0, None),
             _feed_forward(layer, x, 0.5, np.random.Generator(np.random.PCG64(5)))]
 
@@ -449,8 +448,9 @@ def test_vjp_closures_hold_no_tensor():
 
 
 # `tape_bytes` of the loss below when the graph still held every op output
-# and its vjps captured whole tensors; the split graph held 15,759,952, and
-# with the fused branch ops and bool dropout masks it holds 14,433,816
+# and its vjps captured whole tensors; the split graph held 15,759,952, with
+# the fused branch ops and bool dropout masks 14,433,816, and with the
+# readout layer's own attention op it holds 13,942,296
 PARENT_TAPE_BYTES = 29_582_672
 
 
@@ -533,13 +533,18 @@ def test_forward_without_recording_is_bit_identical(graphs, topology, hidden, ba
     assert plain.data.tobytes() == recorded.data.tobytes()
 
 
-# depth 8 at hidden 128 is the paper's shape: the head's first GEMM has K = 1024
+# depth 8 at hidden 128 is the paper's shape: the head's first GEMM has K = 1024.
+# At depth 1 a ring node's walks are one distinct walk, so a batch of 1
+# encodes a single path and the readout's per-head GEMMs run on one row.
 @pytest.mark.parametrize("topology", ["ring", "er"])
-@pytest.mark.parametrize("hidden, depth", [(32, 3), (128, 3), (128, 8)])
+@pytest.mark.parametrize("hidden, depth", [(32, 1), (32, 3), (128, 1), (128, 3), (128, 8)])
 def test_eval_logits_do_not_depend_on_batch_or_position(graphs, topology, hidden, depth):
     graph, labels = graphs[topology]
     model = _model(graph, labels, hidden, depth)
     nodes = np.arange(64)
+    if topology == "ring":
+        walks = sample_paths(graph, nodes[:1], _plan(depth), 1, "eval", 0)
+        assert [len(distinct_rows(w.reshape(-1, w.shape[2]))[0]) for w in walks] == [1] * depth
 
     def logits(chunk):
         walks = sample_paths(graph, chunk, _plan(depth), 1, "eval", 0)
@@ -553,6 +558,16 @@ def test_eval_logits_do_not_depend_on_batch_or_position(graphs, topology, hidden
         assert parts.tobytes() == full.tobytes(), f"batches of {batch}"
     perm = np.random.Generator(np.random.PCG64(3)).permutation(64)
     assert logits(nodes[perm]).tobytes() == full[perm].tobytes()
+
+
+def test_stacked_gemm_rows_match_a_large_gemm():
+    # the readout's per-head products: (heads, M, K) @ (heads, K, N), M paths
+    a = RNG.normal(size=(8, 64, 16)).astype(np.float32)
+    b = RNG.normal(size=(8, 16, 128)).astype(np.float32)
+    full = ag.gemm(a, b)
+    assert full.tobytes() == (a @ b).tobytes()
+    for m in range(1, 16):
+        assert ag.gemm(a[:, :m], b).tobytes() == np.ascontiguousarray(full[:, :m]).tobytes(), m
 
 
 @pytest.mark.parametrize("k", [128, 512, 1024])

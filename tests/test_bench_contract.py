@@ -82,7 +82,7 @@ def test_traced_train_epoch_and_eval_split(tmp_path):
 # Recorded ops the tracer neither times nor counts: their vjp time lands in
 # `autograd.backward.self_s`, not in an op or an encoder layer. A new fused op
 # is listed here until the benchmark traces it.
-UNTRACED = {"_attention", "_feed_forward", "take_rows"}
+UNTRACED = {"_attention", "_readout_attention", "_feed_forward", "take_rows"}
 
 
 def test_every_recorded_op_is_traced_or_listed(tmp_path, monkeypatch):

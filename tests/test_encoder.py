@@ -9,6 +9,7 @@ from pathsage.encoder import (
     _attention,
     _encoder_layer,
     _feed_forward,
+    _readout_attention,
     attention_maps,
     build_position_table,
     encode_paths,
@@ -239,8 +240,7 @@ def test_attention_gradients_finite_difference(readout):
     d, heads = 8, 2
     layer = tiny_encoder(d=d, heads=heads, seed=31).layers[0]
     tokens = sum(t * u for t, u in MIXED)
-    q_index = first_rows(MIXED) if readout else None
-    rows = len(q_index) if readout else tokens
+    rows = sum(u for _, u in MIXED) if readout else tokens
     weights = Tensor(RNG.normal(size=(rows, d)))
     arrays = [RNG.normal(size=(tokens, d))]
     arrays += [getattr(layer, name).data.copy() for name in ATTENTION_PARAMS]
@@ -248,7 +248,7 @@ def test_attention_gradients_finite_difference(readout):
     def build(ts):
         for name, t in zip(ATTENTION_PARAMS, ts[1:]):
             setattr(layer, name, t)
-        out, attn = _attention(layer, ts[0], MIXED, heads, q_index)
+        out, attn = (_readout_attention if readout else _attention)(layer, ts[0], MIXED, heads)
         assert [a.shape for a in attn] == [(u, heads, 1 if readout else t, t) for t, u in MIXED]
         return tsum(mul(out, weights))
 
@@ -395,6 +395,29 @@ def test_dropout_stream_draws_one_row_per_path_in_the_readout_layer():
     np.testing.assert_allclose(reprs.data, expect, rtol=0, atol=1e-12)
     undropped = encode(params, pos, feats)
     assert not np.allclose(reprs.data, undropped.data)  # dropout did act
+
+
+def test_readout_layer_projects_no_token(monkeypatch):
+    # count work, not time: every GEMM of a recording readout-layer forward
+    # runs on one row per path; the all-token layer runs some on every token
+    params = tiny_encoder(layers=1, dtype=np.float32, seed=19)
+    segments = ((4, 5), (2, 3), (7, 2))
+    tokens, paths = 40, 10
+    rows = []
+
+    def counting_gemm(a, b, real=ag.gemm):
+        rows.append(a.shape[-2])
+        return real(a, b)
+
+    monkeypatch.setattr(ag, "gemm", counting_gemm)
+    x = Tensor(RNG.normal(size=(tokens, 8)).astype(np.float32), requires_grad=True)
+    out, _ = _encoder_layer(params.layers[0], x, segments, params.heads, 0.0, None,
+                            readout=True)
+    assert out.shape == (paths, 8) and out._vjp is not None
+    assert rows and set(rows) == {paths}
+    rows.clear()
+    _encoder_layer(params.layers[0], x, segments, params.heads, 0.0, None)
+    assert tokens in rows
 
 
 def test_readout_layer_gradients_finite_difference():

@@ -137,7 +137,8 @@ def test_a_ring3_small_shaped_step_records_24_nodes(setup):
     logits = model.forward_batch(graph, walks, rng=rng_for(5))
     ops = Counter(recorded_ops(head.loss(logits, np.zeros(32, dtype=np.int64), mc.task)))
     assert sum(ops.values()) == 24
-    assert (ops["_attention"], ops["layer_norm"], ops["_feed_forward"]) == (2, 4, 2)
+    assert (ops["_attention"], ops["_readout_attention"]) == (1, 1)
+    assert (ops["layer_norm"], ops["_feed_forward"]) == (4, 2)
     assert (ops["take_rows"], ops["canonical_bucket_mean"], ops["matmul"]) == (4, 4, 3)
 
 
