@@ -13,7 +13,8 @@ The engine serves 2-D rows, the shapes the model, head and losses feed it.
 `matmul` takes a 2-D a and a 2-D b: one GEMM each way, with an optional
 bias of b's width added in place into its output. `add` takes operands of
 one shape, and `concat` joins on the last axis. Any other operand shape
-raises `ShapeMismatch` naming both shapes.
+raises `ShapeMismatch` naming both shapes. `canonical_bucket_mean` gathers
+the rows it pools by index.
 
 The recorded graph holds no forward data. An op output that records gets a
 `_Node`: its vjp closure and its parents, where a parent is that input's
@@ -36,18 +37,19 @@ shapes a row's bits do not depend on how many rows share its GEMM (README
 states the limits).
 
 An op outside this module is built the same way, on `_make`: the encoder's
-branch ops, each with its dropout and residual add. They are attention
-with every token a query (`encoder._attention`), attention with one
-position-0 query per path in the readout layer
+branch ops, attention with every token a query (`encoder._attention`),
+attention with one position-0 query per path in the readout layer
 (`encoder._readout_attention`), and feed-forward (`encoder._feed_forward`).
-They use `gemm`, the dropout helpers `dropout_keep` (a bool mask) and
-`scale_kept`, and for attention `softmax_rows_` and `softmax_vjp`, which
-reduce an attention row's short last axis (its 2-9 keys) one column at a
-time rather than through numpy's per-row reduce. Since those ops took
-over the encoder's math, no code in the package calls `scale`, `softmax`,
-`transpose`, `select` or `reshape`. They stay because
-the benchmark's op tracer (`perfbench/tracer.py`, `AUTOGRAD_OPS`) binds
-every one of them by name; the tests' primitive reference layer
+Their vjps return every parent's gradient; `backward` drops the one of a
+parent recorded as None. They use `gemm`, the dropout helpers
+`dropout_keep` (a bool mask) and `scale_kept`, and for attention
+`softmax_rows_` and `softmax_vjp`, which reduce an attention row's short
+last axis (its 2-9 keys) one column at a time rather than through numpy's
+per-row reduce. No code in the package calls `add`, `scale`, `softmax`,
+`transpose`, `select` or `reshape`: those ops took over the encoder's
+math, and the positions add in place. They stay because the benchmark's
+op tracer (`perfbench/tracer.py`, `AUTOGRAD_OPS`) binds every one of them
+by name; the tests' primitive reference layer
 (`tests/helpers.py::reference_layer`) also composes them.
 """
 
@@ -406,27 +408,6 @@ def select(x, axis, index):
     return _make(data, (x,), vjp)
 
 
-def take_rows(x, index):
-    """Rows of x gathered along axis 0 by an int array `index` of any shape
-    -> index.shape + x.shape[1:]. The vjp scatters each row's gradient into
-    zeros of x's shape, and adds up the rows an index repeats."""
-    x = _as_tensor(x)
-    index = np.asarray(index, dtype=np.int64)
-    shape = x.shape
-    repeats = (_recording and x.requires_grad and index.size > 0
-               and np.bincount(index.reshape(-1), minlength=shape[0]).max() > 1)
-
-    def vjp(g):
-        gx = np.zeros(shape, dtype=g.dtype)
-        if repeats:
-            np.add.at(gx, index, g)
-        else:
-            gx[index] = g
-        return (gx,)
-
-    return _make(x.data[index], (x,), vjp)
-
-
 def reshape(x, shape):
     x = _as_tensor(x)
     old = x.shape
@@ -470,28 +451,32 @@ def sorting_network(n):
     return tuple(net)
 
 
-def canonical_bucket_mean(x):
-    """Mean over axis -2 with each column summed in ascending value order.
+def canonical_bucket_mean(x, index):
+    """Mean of the rows of x (R, d) that each row of an int array `index`
+    (B, n) picks, with each column summed in ascending value order -> (B, d).
 
-    Input (..., n, d) -> output (..., d). The n rows are ordered column by
-    column by a sorting network (`sorting_network`): each comparator is one
-    `np.minimum` and one `np.maximum` over whole (..., d) rows, in the
-    input dtype. The ordered rows are then added in 64-bit to +0.0,
-    smallest first, and the mean is rounded once to the input dtype.
+    The rows are gathered as n contiguous (B, d) rows, `x[index.T]`, and
+    ordered column by column by a sorting network (`sorting_network`): each
+    comparator is one `np.minimum` and one `np.maximum` over whole (B, d)
+    rows, in the input dtype. The ordered rows are then added in 64-bit to
+    +0.0, smallest first, and the mean is rounded once to the input dtype.
     float32 -> float64 is exact and monotone, and a sum that starts at +0.0
     cannot see which of a tied -0.0 and +0.0 a comparator kept, so for a
     width above 1 these are the bits of
-    `np.sort(x.astype(np.float64), axis=-2).sum(axis=-2) / n` (a single
-    column numpy sums pairwise). A column's ordered values do not depend on
-    the order of the rows, so the result is bit-identical under any
-    permutation of the rows. The gradient of a mean is permutation-free,
-    so the vjp is a plain uniform spread.
+    `np.sort(x[index].astype(np.float64), axis=1).sum(axis=1) / n` (a
+    single column numpy sums pairwise). A column's ordered values do not
+    depend on the order of the rows, so the result is bit-identical under
+    any permutation of an index row. The gradient of a mean is
+    permutation-free, so the vjp spreads g / n back into zeros of x's
+    shape, and adds up the rows an index repeats.
     """
     x = _as_tensor(x)
-    if x.data.ndim < 2 or x.shape[-2] == 0:
-        raise ShapeMismatch("canonical_bucket_mean needs >=2-D input with rows", x.shape)
-    n = x.shape[-2]
-    rows = list(np.moveaxis(x.data, -2, 0).copy())  # n contiguous (..., d) rows
+    index = np.asarray(index, dtype=np.int64)
+    if x.data.ndim != 2 or index.ndim != 2 or index.shape[1] == 0:
+        raise ShapeMismatch("canonical_bucket_mean needs (R, d) rows and a (B, n >= 1) index",
+                            x.shape, index.shape)
+    n, shape = index.shape[1], x.shape
+    rows = list(x.data[index.T])  # n contiguous (B, d) rows
     spare = np.empty_like(rows[0])
     for i, j in sorting_network(n):
         lo, hi = rows[i], rows[j]
@@ -502,12 +487,19 @@ def canonical_bucket_mean(x):
     for row in rows[1:]:
         total += row
     total /= n
-    data = total.astype(x.dtype)
+    repeats = (_recording and x.requires_grad and index.size > 0
+               and np.bincount(index.reshape(-1), minlength=shape[0]).max() > 1)
 
     def vjp(g):
-        return (np.repeat(np.expand_dims(g / n, -2), n, axis=-2),)
+        gx = np.zeros(shape, dtype=g.dtype)
+        spread = (g / n)[:, None]
+        if repeats:
+            np.add.at(gx, index, spread)
+        else:
+            gx[index] = spread
+        return (gx,)
 
-    return _make(data, (x,), vjp)
+    return _make(total.astype(x.dtype), (x,), vjp)
 
 
 def cross_entropy_rows(z, targets):

@@ -7,7 +7,7 @@ flag > config file > default, before the subcommand runs. Logs are
 line-oriented JSON on stderr; reports go to stdout, and files only to the
 --out or --checkpoint path a subcommand requires.
 Exit codes: 0 success, 1 usage error, 2 data error or invalid setting,
-3 numerical failure.
+3 numerical failure, 141 stdout closed early (a shell's SIGPIPE status).
 """
 
 from __future__ import annotations
@@ -322,7 +322,13 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         with np.errstate(all="ignore"):
-            return args.fn(resolve_config(args), args)
+            code = args.fn(resolve_config(args), args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: exit's flush of stdout cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except NumericalError as exc:
         print(f"pathsage: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -11,8 +11,9 @@ length (U paths of T tokens, path by path). Each tokenwise op, from the
 projections and the feed-forward block to layer norm and dropout, runs
 once per layer over all P rows. A layer records four autograd ops: the
 attention branch, layer norm, the feed-forward branch (`_feed_forward`)
-and layer norm. Each branch op has a hand-derived vjp and applies its
-dropout and residual add in place. Attention (`_attention`) runs each
+and layer norm. Each branch op has a hand-derived vjp that returns every
+parent's gradient, and ends in one in-place output GEMM, bias, dropout
+and residual add (`_output_end`). Attention (`_attention`) runs each
 segment's heads as strided views of one query and one key|value buffer.
 Only the position-0 row leaves the encoder, so the last layer queries from
 those rows alone (`_readout_attention`). With one query per path, the key
@@ -107,6 +108,25 @@ def _head_outer(a, b, heads):
     return (a.transpose(1, 2, 0) @ _by_head(b, heads)).transpose(1, 0, 2).reshape(d, d)
 
 
+def _output_end(h, w, b, residual, dropout_rate, rng):
+    """residual + dropout(h w + b), the end of every branch op, in place on
+    the GEMM's output, with a mask drawn from `rng` -> (output, bool mask
+    or None)."""
+    out = ag.gemm(h, w)
+    out += b
+    keep = ag.dropout_keep(out.shape, dropout_rate, rng)
+    if keep is not None:
+        ag.scale_kept(out, keep, dropout_rate, out=out)
+    out += residual
+    return out, keep
+
+
+def _output_end_vjp(g, h, w, keep, dropout_rate):
+    """(h's, w's, b's gradient) for `_output_end`'s output gradient g."""
+    gout = g if keep is None else ag.scale_kept(g, keep, dropout_rate)
+    return gout @ w.T, h.T @ gout, ag._column_sum(gout)
+
+
 def _attention(layer, x, segments, heads, dropout_rate=0.0, rng=None):
     """The attention branch of a layer over packed paths, every token a
     query, as one autograd op: x + dropout(attention(x)) -> (output Tensor
@@ -116,15 +136,13 @@ def _attention(layer, x, segments, heads, dropout_rate=0.0, rng=None):
     makes the queries and one the keys and values of every token; each
     segment then runs its heads as strided views of those buffers and
     writes its context straight into one (P, d) buffer, which the output
-    GEMM reads. Dropout, with a mask drawn from `rng`, and the residual are
-    applied in place on the GEMM's output. The vjp loops over the segments
-    the same way, sums each weight gradient in one GEMM and adds the
-    residual gradient into x's. It keeps the weights by reference, the
-    query, key|value, attention and context buffers and the bool dropout
-    mask.
+    end (`_output_end`) reads. The vjp loops over the segments the same
+    way, sums each weight gradient in one GEMM and adds the residual
+    gradient into x's; it returns every parent's gradient. It keeps the
+    weights by reference, the query, key|value, attention and context
+    buffers and the bool dropout mask.
     """
     parents = (x, layer.wq, layer.bq, layer.wk, layer.wv, layer.bv, layer.wo, layer.bo)
-    need = [p.requires_grad for p in parents]
     xd, wq, bq, wk, wv, bv, wo, bo = (p.data for p in parents)
     d = xd.shape[1]
     dh = d // heads
@@ -143,16 +161,10 @@ def _attention(layer, x, segments, heads, dropout_rate=0.0, rng=None):
         ag.softmax_rows_(s)
         np.matmul(s, kv5[:, :, 1].transpose(0, 2, 1, 3), out=_heads(ctx[toks], u, t, heads))
         attn.append(s)
-    out = ag.gemm(ctx, wo)
-    out += bo
-    keep = ag.dropout_keep(out.shape, dropout_rate, rng)
-    if keep is not None:
-        ag.scale_kept(out, keep, dropout_rate, out=out)
-    out += xd
+    out, keep = _output_end(ctx, wo, bo, xd, dropout_rate, rng)
 
     def vjp(g):
-        gout = g if keep is None else ag.scale_kept(g, keep, dropout_rate)
-        gctx = gout @ wo.T
+        gctx, gwo, gbo = _output_end_vjp(g, ctx, wo, keep, dropout_rate)
         gq, gkv = np.empty_like(q), np.empty_like(kv)
         for (t, u, toks, _), s in zip(spans, attn):
             kv5 = kv[toks].reshape(u, t, 2, heads, dh)
@@ -165,20 +177,14 @@ def _attention(layer, x, segments, heads, dropout_rate=0.0, rng=None):
             np.matmul(gs, k, out=_heads(gq[toks], u, t, heads))
             np.matmul(gs.swapaxes(-1, -2), _heads(q[toks], u, t, heads),
                       out=gkv5[:, :, 0].transpose(0, 2, 1, 3))
-        gx = None
-        if need[0]:
-            gx = gkv @ np.concatenate((wk, wv), axis=1).T
-            gx += gq @ wq.T
-            gx += g
-        gkv_w = xd.T @ gkv if need[3] or need[4] else None
-        return (gx,
-                xd.T @ gq if need[1] else None,
-                ag._column_sum(gq) if need[2] else None,
-                np.ascontiguousarray(gkv_w[:, :d]) if need[3] else None,
-                np.ascontiguousarray(gkv_w[:, d:]) if need[4] else None,
-                ag._column_sum(gkv[:, d:]) if need[5] else None,
-                ctx.T @ gout if need[6] else None,
-                ag._column_sum(gout) if need[7] else None)
+        # K|V made again, not kept from the forward: no (d, 2d) copy per chunk on the tape
+        gx = gkv @ np.concatenate((wk, wv), axis=1).T
+        gx += gq @ wq.T
+        gx += g
+        gkv_w = xd.T @ gkv
+        return (gx, xd.T @ gq, ag._column_sum(gq),
+                np.ascontiguousarray(gkv_w[:, :d]), np.ascontiguousarray(gkv_w[:, d:]),
+                ag._column_sum(gkv[:, d:]), gwo, gbo)
 
     return ag._make(out, parents, vjp), attn
 
@@ -196,17 +202,15 @@ def _readout_attention(layer, x, segments, heads, dropout_rate=0.0, rng=None):
     z_h = sum_j s_j x_j; the bias stands outside the sum because the
     scores s_j sum to 1. q~ and the context are each one stack of per-head
     GEMMs on U rows, zero-padded as `ag.gemm` pads them; the scores and z
-    are one batched product per segment. The output GEMM, dropout (a
-    (U, d) mask drawn from `rng`) and the residual rows follow as in
-    `_attention`.
+    are one batched product per segment. The output end (`_output_end`,
+    with a (U, d) dropout mask) adds the position-0 rows.
 
-    The vjp keeps the weights by reference, x, the scaled queries, the
-    attention and context arrays, z and the bool dropout mask; it
-    recomputes q~ from the queries and accumulates both per-token products
-    into x's gradient.
+    The vjp returns every parent's gradient. It keeps the weights by
+    reference, x, the scaled queries, the attention and context arrays, z
+    and the bool dropout mask; it recomputes q~ from the queries and
+    accumulates both per-token products into x's gradient.
     """
     parents = (x, layer.wq, layer.bq, layer.wk, layer.wv, layer.bv, layer.wo, layer.bo)
-    need = [p.requires_grad for p in parents]
     xd, wq, bq, wk, wv, bv, wo, bo = (p.data for p in parents)
     d = xd.shape[1]
     dh = d // heads
@@ -230,49 +234,31 @@ def _readout_attention(layer, x, segments, heads, dropout_rate=0.0, rng=None):
         attn.append(s[:, :, None])
     ctx = ag.gemm(z.transpose(1, 0, 2), wv_h).transpose(1, 0, 2).reshape(len(rows), d)
     ctx += bv
-    out = ag.gemm(ctx, wo)
-    out += bo
-    keep = ag.dropout_keep(out.shape, dropout_rate, rng)
-    if keep is not None:
-        ag.scale_kept(out, keep, dropout_rate, out=out)
-    out += rows
+    out, keep = _output_end(ctx, wo, bo, rows, dropout_rate, rng)
 
     def vjp(g):
-        gout = g if keep is None else ag.scale_kept(g, keep, dropout_rate)
-        gctx = gout @ wo.T
+        gctx, gwo, gbo = _output_end_vjp(g, ctx, wo, keep, dropout_rate)
         gz = _by_head(gctx, heads) @ wv_h.transpose(0, 2, 1)  # (h, U, d)
         gqt = np.empty_like(z)  # (U, h, d)
-        gx = qt = None
-        if need[0]:
-            gx = np.empty_like(xd)
-            qt = ag.gemm(_by_head(qs, heads), wk_t)
+        gx = np.empty_like(xd)
+        qt = ag.gemm(_by_head(qs, heads), wk_t)
         for (t, u, toks, paths), s in zip(spans, attn):
             s = s[:, :, 0]
             xs = xd[toks].reshape(u, t, d)
             gzs = gz[:, paths].transpose(1, 0, 2)  # (u, h, d)
             ge = ag.softmax_vjp(np.matmul(gzs, xs.transpose(0, 2, 1)), s)
             np.matmul(ge, xs, out=gqt[paths])
-            if need[0]:
-                gxs = gx[toks].reshape(u, t, d)
-                np.matmul(s.transpose(0, 2, 1), gzs, out=gxs)
-                gxs += np.matmul(ge.transpose(0, 2, 1), qt[:, paths].transpose(1, 0, 2))
+            gxs = gx[toks].reshape(u, t, d)
+            np.matmul(s.transpose(0, 2, 1), gzs, out=gxs)
+            gxs += np.matmul(ge.transpose(0, 2, 1), qt[:, paths].transpose(1, 0, 2))
         del gz, qt
-        gq = None
-        if need[0] or need[1] or need[2]:
-            gq = (gqt.transpose(1, 0, 2) @ wk_t.transpose(0, 2, 1)).transpose(1, 0, 2)
-            gq = gq.reshape(len(gq), d)  # a copy
-            gq *= scale
-        if need[0]:
-            gx[first] += gq @ wq.T
-            gx[first] += g
-        return (gx,
-                xd[first].T @ gq if need[1] else None,
-                ag._column_sum(gq) if need[2] else None,
-                _head_outer(gqt, qs, heads) if need[3] else None,
-                _head_outer(z, gctx, heads) if need[4] else None,
-                ag._column_sum(gctx) if need[5] else None,
-                ctx.T @ gout if need[6] else None,
-                ag._column_sum(gout) if need[7] else None)
+        gq = (gqt.transpose(1, 0, 2) @ wk_t.transpose(0, 2, 1)).transpose(1, 0, 2)
+        gq = gq.reshape(len(gq), d)  # a copy
+        gq *= scale
+        gx[first] += gq @ wq.T
+        gx[first] += g
+        return (gx, xd[first].T @ gq, ag._column_sum(gq), _head_outer(gqt, qs, heads),
+                _head_outer(z, gctx, heads), ag._column_sum(gctx), gwo, gbo)
 
     return ag._make(out, parents, vjp), attn
 
@@ -281,41 +267,26 @@ def _feed_forward(layer, x, dropout_rate, rng):
     """The feed-forward branch of a layer, as one autograd op:
     x + dropout(relu(x w1 + b1) w2 + b2) for rows x (R, d) -> (R, d).
 
-    Each bias is added in place into its GEMM's output, and ReLU, dropout
-    (a mask drawn from `rng`) and the residual run in place too. The vjp
-    keeps x, the post-ReLU h and the bool dropout mask (and the weights by
-    reference); each gradient sums in the order of the `matmul`, `relu`,
-    `matmul`, `dropout` and `add` chain it replaces.
+    The first bias is added in place into its GEMM's output and ReLU runs
+    in place; the output end (`_output_end`) follows. The vjp returns every
+    parent's gradient. It keeps x, the post-ReLU h and the bool dropout
+    mask (and the weights by reference); each gradient sums in the order
+    of the `matmul`, `relu`, `matmul`, `dropout` and `add` chain it
+    replaces.
     """
     parents = (x, layer.w1, layer.b1, layer.w2, layer.b2)
-    need = [p.requires_grad for p in parents]
     xd, w1, b1, w2, b2 = (p.data for p in parents)
     h = ag.gemm(xd, w1)
     h += b1
     np.maximum(h, 0, out=h)
-    out = ag.gemm(h, w2)
-    out += b2
-    keep = ag.dropout_keep(out.shape, dropout_rate, rng)
-    if keep is not None:
-        ag.scale_kept(out, keep, dropout_rate, out=out)
-    out += xd
-    need_h = need[0] or need[1] or need[2]
+    out, keep = _output_end(h, w2, b2, xd, dropout_rate, rng)
 
     def vjp(g):
-        gf = g if keep is None else ag.scale_kept(g, keep, dropout_rate)
-        gh = None
-        if need_h:
-            gh = gf @ w2.T
-            gh *= h > 0
-        gx = None
-        if need[0]:
-            gx = gh @ w1.T
-            gx += g
-        return (gx,
-                xd.T @ gh if need[1] else None,
-                ag._column_sum(gh) if need[2] else None,
-                h.T @ gf if need[3] else None,
-                ag._column_sum(gf) if need[4] else None)
+        gh, gw2, gb2 = _output_end_vjp(g, h, w2, keep, dropout_rate)
+        gh *= h > 0
+        gx = gh @ w1.T
+        gx += g
+        return gx, xd.T @ gh, ag._column_sum(gh), gw2, gb2
 
     return ag._make(out, parents, vjp)
 
@@ -360,7 +331,9 @@ def _embed(params, pos, path_features, segments):
         raise ShapeMismatch("feature width vs input projection", shape, params.w_in.shape)
     x = ag.matmul(path_features, params.w_in, params.b_in)
     positions = np.concatenate([np.tile(np.arange(t), u) for t, u in segments])
-    return ag.add(x, Tensor(pos[positions].astype(x.dtype, copy=False)))
+    # in place: the matmul vjp keeps its operands, never its output
+    x.data += pos[positions].astype(x.dtype, copy=False)
+    return x
 
 
 def encode_paths(params: EncoderParams, pos, path_features, segments, rng=None,

@@ -148,8 +148,8 @@ class PathSageModel:
         Consecutive lengths are grouped into chunks of at most
         `PACK_TOKENS` tokens (`_chunks`), and each chunk is one
         `encode_paths` call on its packed features, so every tokenwise op
-        runs once per layer per chunk. `take_rows` then gathers each
-        length's (B, n_l, d) representations for pooling.
+        runs once per layer per chunk. Pooling (`canonical_bucket_mean`)
+        gathers each length's (B, n_l) rows of the chunk's output itself.
 
         Without a dropout stream and outside recording (`ag.no_record`), a
         path's representation depends only on its node sequence, so each
@@ -182,8 +182,7 @@ class PathSageModel:
                                  dropout_rate=self.config.dropout_encoder)  # (sum U, d)
             start = 0
             for _, rows, inverse in chunk:
-                # this length's representation of every walk, (B, n_l, d)
-                pooled.append(ag.canonical_bucket_mean(ag.take_rows(reprs, start + inverse)))
+                pooled.append(ag.canonical_bucket_mean(reprs, start + inverse))
                 start += len(rows)
         concat = ag.concat(pooled)                          # (B, s*d)
         return head_forward(self.head, concat, rng=rng,

@@ -94,8 +94,8 @@ def synth_planted_khop(dir_path, num_nodes, avg_degree, k, num_classes, seed,
         raise InvalidSetting(f"unknown topology {topology!r}")
     if num_classes < 1:
         raise InvalidSetting(f"num_classes must be >= 1, got {num_classes}")
-    if not math.isfinite(avg_degree):
-        raise InvalidSetting(f"avg_degree {avg_degree} is not finite")
+    if not math.isfinite(avg_degree) or avg_degree < 0:
+        raise InvalidSetting(f"avg_degree {avg_degree} is not a finite number >= 0")
     if topology == "er" and avg_degree > num_nodes - 1:
         raise InvalidSetting(f"avg_degree {avg_degree} > {num_nodes - 1}, the degree "
                              f"of a complete graph on {num_nodes} nodes")

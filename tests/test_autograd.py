@@ -202,9 +202,9 @@ def test_float32_matmul_matches_float64_oracle(a_shape, b_shape):
     ("scale", [(3, 3)]),
     ("reshape", [(2, 6)]),
     ("transpose", [(2, 3, 4)]),
-    ("canon_mean", [(3, 4, 5)]),
-    ("take_rows", [(5, 3)]),
-    ("take_rows_repeated", [(5, 3)]),
+    ("canon_mean", [(12, 5)]),
+    ("canon_mean_gather", [(5, 3)]),
+    ("canon_mean_repeated", [(5, 3)]),
 ])
 def test_primitive_gradients(prim, shapes):
     arrays = [RNG.normal(size=s) for s in shapes]
@@ -219,10 +219,6 @@ def test_primitive_gradients(prim, shapes):
             y = ag.dropout(ts[0], 0.4, np.random.Generator(np.random.PCG64(8)))
         elif prim == "select":
             y = ag.select(ts[0], axis=1, index=1)
-        elif prim == "take_rows":
-            y = ag.take_rows(ts[0], np.array([[4, 0], [2, 1]]))
-        elif prim == "take_rows_repeated":
-            y = ag.take_rows(ts[0], np.array([3, 0, 3, 3]))
         elif prim == "concat":
             y = ag.concat(ts)
         elif prim == "add":
@@ -236,7 +232,11 @@ def test_primitive_gradients(prim, shapes):
         elif prim == "transpose":
             y = ag.transpose(ts[0], (2, 0, 1))
         elif prim == "canon_mean":
-            y = ag.canonical_bucket_mean(ts[0])
+            y = ag.canonical_bucket_mean(ts[0], np.arange(12).reshape(3, 4))
+        elif prim == "canon_mean_gather":  # some rows left out, in another order
+            y = ag.canonical_bucket_mean(ts[0], np.array([[4, 0], [2, 1]]))
+        elif prim == "canon_mean_repeated":  # rows picked more than once
+            y = ag.canonical_bucket_mean(ts[0], np.array([[3, 0, 3], [3, 1, 0]]))
         # squared sum makes the upstream gradient non-trivial
         return tsum(mul(y, y))
 
@@ -358,11 +358,11 @@ def test_shape_mismatch_reports_both_shapes():
 
 
 def test_canonical_bucket_mean_bit_identical_under_permutation():
-    x = RNG.normal(size=(7, 5)).astype(np.float32)
-    base = ag.canonical_bucket_mean(ag.Tensor(x)).data
+    x = ag.Tensor(RNG.normal(size=(7, 5)).astype(np.float32))
+    base = ag.canonical_bucket_mean(x, np.arange(7)[None]).data
     for _ in range(5):
         perm = RNG.permutation(7)
-        again = ag.canonical_bucket_mean(ag.Tensor(x[perm])).data
+        again = ag.canonical_bucket_mean(x, perm[None]).data
         assert (base == again).all()
 
 
@@ -371,6 +371,16 @@ def _pool_oracle(x):
     sorted in float64, then added smallest first."""
     n = x.shape[-2]
     return (np.sort(x.astype(np.float64), axis=-2).sum(axis=-2) / n).astype(x.dtype)
+
+
+def _pool_all(x):
+    """canonical_bucket_mean of each (n, d) bucket of x (B, n, d), gathered
+    from x's rows in a shuffled order -> (B, d)."""
+    b, n, d = x.shape
+    order = RNG.permutation(b * n)  # row order[i] of the shuffled rows is row i of x
+    rows = np.empty((b * n, d), dtype=x.dtype)
+    rows[order] = x.reshape(-1, d)
+    return ag.canonical_bucket_mean(ag.Tensor(rows), order.reshape(b, n)).data
 
 
 def test_canonical_bucket_mean_matches_the_sort_and_sum_oracle():
@@ -387,7 +397,7 @@ def test_canonical_bucket_mean_matches_the_sort_and_sum_oracle():
         x[0, :, 4] = rng.choice([np.inf, -np.inf, 1.0], size=n)  # inf - inf: NaN
         x[2, rng.integers(n), 5] = np.nan  # one NaN column
         with np.errstate(invalid="ignore"):
-            got = ag.canonical_bucket_mean(ag.Tensor(x)).data
+            got = _pool_all(x)
             want = _pool_oracle(x)
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes(), n
@@ -416,9 +426,9 @@ def _every_op(x, w, gain, bias):
             ag.relu(x), ag.softmax(x),
             ag.layer_norm(x, gain, bias),
             ag.dropout(x, 0.5, np.random.Generator(np.random.PCG64(3))),
-            ag.concat([x, x]), ag.select(x, 1, 0), ag.take_rows(x, [[5, 0]]),
+            ag.concat([x, x]), ag.select(x, 1, 0),
             ag.reshape(x, (2, 3, 4)), ag.transpose(x, (1, 0)),
-            ag.canonical_bucket_mean(x),
+            ag.canonical_bucket_mean(x, [[5, 0]]), ag.canonical_bucket_mean(x, [[5, 5]]),
             ag.softmax_cross_entropy(x, np.zeros(6, dtype=np.int64)),
             ag.bce_with_logits(x, np.zeros((6, 4))),
             _attention(layer, x, ((3, 2),), 2)[0],

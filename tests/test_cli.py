@@ -181,6 +181,10 @@ def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
                   "--out", str(tmp_path / "s")],
                  ["synth", "--nodes", "30", "--k", "1", "--avg-degree", "nan",
                   "--out", str(tmp_path / "s")],
+                 ["synth", "--nodes", "30", "--k", "1", "--avg-degree", "-3",
+                  "--out", str(tmp_path / "s")],
+                 ["synth", "--nodes", "30", "--k", "1", "--avg-degree", "-3",
+                  "--topology", "ring", "--out", str(tmp_path / "s")],
                  ["synth", "--nodes", "30", "--k", "1", "--classes", "0",
                   "--out", str(tmp_path / "s")]):
         proc = subprocess.run([sys.executable, "-m", "pathsage.cli", *argv], env=env,
@@ -189,6 +193,30 @@ def test_invalid_setting_exits_2_without_traceback(dataset, tmp_path):
         assert "Traceback" not in proc.stderr
         assert "pathsage: error:" in proc.stderr
     assert not ckpt.exists() and not nested.parent.exists()
+
+
+@pytest.mark.parametrize("case", ["sample", "sample past the buffer", "attn-stats"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(dataset, checkpoint, tmp_path,
+                                                         capsys, case):
+    # stdout is a pipe whose read end is closed before the run starts, as
+    # after `| head -1` exits: the first write to it raises BrokenPipeError,
+    # at the final flush or, past the buffer, in the middle of the report
+    argv = {"sample": ["sample", "--dataset", str(dataset), "--node", "3", "--counts", "2"],
+            "sample past the buffer": ["sample", "--dataset", str(dataset), "--node", "3",
+                                       "--counts", "2000,2000,2000,2000"],
+            "attn-stats": ["attn-stats", "--dump", str(tmp_path / "a.jsonl")]}[case]
+    if case == "attn-stats":
+        assert main(["attn-dump", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                     "--node", "3", "--out", str(tmp_path / "a.jsonl")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(pathsage.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pathsage.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_degenerate_synth_at_the_last_seed_exits_2_with_one_line(tmp_path):

@@ -285,6 +285,28 @@ def test_fused_layer_matches_the_primitive_reference(readout, rate):
     assert tail.tobytes() == ref_tail.tobytes()  # the same number of dropout draws
 
 
+@pytest.mark.parametrize("readout", [False, True])
+def test_a_frozen_weight_gets_no_gradient_and_moves_no_other(readout):
+    # the branch ops' vjps return every parent's gradient; backward drops the
+    # one of a parent recorded as None, and every other keeps its bits
+    n, t, d, heads = 5, 4, 8, 2
+    feats = RNG.normal(size=(n * t, d)).astype(np.float32)
+    grad_out = RNG.normal(size=(n if readout else n * t, d)).astype(np.float32)
+    runs = []
+    for frozen in (False, True):
+        layer = tiny_encoder(d=d, heads=heads, dtype=np.float32, seed=37).layers[0]
+        layer.wk.requires_grad = not frozen
+        x = Tensor(feats, requires_grad=True)
+        out, _ = _encoder_layer(layer, x, ((t, n),), heads, 0.3,
+                                np.random.Generator(np.random.PCG64(9)), readout=readout)
+        ag.backward(tsum(mul(out, Tensor(grad_out))))
+        runs.append({"x": x.grad, **{name: p.grad for name, p in vars(layer).items()}})
+    trainable, frozen = runs
+    assert trainable.pop("wk") is not None and frozen.pop("wk") is None
+    for name, g in trainable.items():
+        assert frozen[name].tobytes() == g.tobytes(), name
+
+
 FFN_PARAMS = ("w1", "b1", "w2", "b2")
 
 

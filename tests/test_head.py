@@ -29,8 +29,17 @@ def make_head(depth=2, hidden=4, classes=3, seed=0, dtype=np.float64):
 # --- per-length pooling ------------------------------------------------
 
 def pool(buckets):
-    """C_1 || ... || C_s from (..., n_l, d) buckets, pooled as forward_batch does."""
-    return ag.concat([ag.canonical_bucket_mean(b) for b in buckets])
+    """C_1 || ... || C_s from (..., n_l, d) buckets -> (..., s*d), pooled as
+    forward_batch pools: each bucket's rows, flattened to (R, d), by a
+    (B, n_l) index into them."""
+    pooled = []
+    for b in buckets:
+        b = ag._as_tensor(b)
+        lead, (n, d) = b.shape[:-2], b.shape[-2:]
+        index = np.arange(math.prod(lead) * n).reshape(math.prod(lead), n)
+        mean = ag.canonical_bucket_mean(ag.reshape(b, (-1, d)), index)
+        pooled.append(ag.reshape(mean, lead + (d,)))
+    return ag.concat(pooled)
 
 
 def test_mean_of_identical_vectors():

@@ -124,11 +124,11 @@ def test_logits_and_gradients_do_not_depend_on_the_chunking(setup, monkeypatch, 
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
 
 
-def test_a_ring3_small_shaped_step_records_24_nodes(setup):
+def test_a_ring3_small_shaped_step_records_19_nodes(setup):
     # ring3-small's model and counts, 32 nodes: 1,472 tokens, one chunk. The
-    # chunk records the embed GEMM and position add, then 4 nodes per layer;
-    # each of the 4 lengths records take_rows and pooling; then concat, the
-    # head (matmul, relu, dropout, matmul) and the loss.
+    # chunk records the embed GEMM (positions add in place), then 4 nodes per
+    # layer; each of the 4 lengths records its pooling, which gathers its own
+    # rows; then concat, the head (matmul, relu, dropout, matmul) and the loss.
     graph, _ = setup
     mc = ModelConfig(feature_dim=graph.feature_dim, num_classes=3, task="single_label",
                      hidden=32, heads=4, layers=2, depth_s=4)
@@ -136,10 +136,10 @@ def test_a_ring3_small_shaped_step_records_24_nodes(setup):
     walks = walks_for(graph, range(32), counts=(2, 2, 4, 4))
     logits = model.forward_batch(graph, walks, rng=rng_for(5))
     ops = Counter(recorded_ops(head.loss(logits, np.zeros(32, dtype=np.int64), mc.task)))
-    assert sum(ops.values()) == 24
+    assert sum(ops.values()) == 19
     assert (ops["_attention"], ops["_readout_attention"]) == (1, 1)
     assert (ops["layer_norm"], ops["_feed_forward"]) == (4, 2)
-    assert (ops["take_rows"], ops["canonical_bucket_mean"], ops["matmul"]) == (4, 4, 3)
+    assert (ops["canonical_bucket_mean"], ops["matmul"], ops["add"]) == (4, 3, 0)
 
 
 def _same_groups(x, y):

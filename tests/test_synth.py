@@ -159,7 +159,8 @@ def test_rejects_tiny_graphs(tmp_path):
 # test_cli runs that case in a subprocess with a timeout.
 @pytest.mark.parametrize("setting", [
     dict(num_classes=0), dict(avg_degree=float("nan")), dict(avg_degree=float("inf")),
-    dict(avg_degree=float("nan"), topology="ring")])
+    dict(avg_degree=float("nan"), topology="ring"), dict(avg_degree=-3.0),
+    dict(avg_degree=-3.0, topology="ring")])
 def test_rejects_settings_that_crash(tmp_path, setting):
     args = {**dict(num_nodes=20, avg_degree=2.0, k=1, num_classes=2, seed=0), **setting}
     with pytest.raises(InvalidSetting):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from pathsage import autograd as ag
 from pathsage import checkpoint
+from pathsage import model as model_mod
 from pathsage import trainer as trainer_mod
 from pathsage.checkpoint import load_checkpoint, save_checkpoint
 from pathsage.errors import (ChecksumMismatch, IncompleteCheckpoint, InvalidSetting,
@@ -54,6 +56,42 @@ def tiny_dataset(tmp_path_factory):
 def make_model(graph, labels, cfg):
     mc = cfg.model_config(graph.feature_dim, labels.num_classes, labels.task)
     return PathSageModel.init(mc, rng_for(7))
+
+
+@pytest.mark.parametrize("num_nodes", [200, 20_000])
+@pytest.mark.parametrize("avg_degree", [3.0, 30.0])
+def test_work_per_training_node_does_not_grow_with_the_graph(tmp_path, monkeypatch,
+                                                             num_nodes, avg_degree):
+    # the paper's "no neighbor explosion", counted as work: a training node
+    # costs sum n_l (l+1) encoded tokens and sum n_l l sampler steps (one
+    # neighbor read each), whatever the graph's size and degree
+    g, labels, splits = load_dataset(synth_planted_khop(
+        tmp_path / "ds", num_nodes=num_nodes, avg_degree=avg_degree, k=1, num_classes=3,
+        seed=2))
+    counts = (2, 2, 4, 4)
+    cfg = tiny_cfg(depth_s=4, counts_per_length=counts, batch_size=16)
+    reads, tokens = [], []
+
+    class CountingReads(np.ndarray):
+        def __getitem__(self, index):
+            out = super().__getitem__(index)
+            reads.append(np.size(out))
+            return out
+
+    def encode_paths(params, pos, path_features, segments, **kwargs):
+        tokens.append(sum(t * u for t, u in segments))
+        assert path_features.shape[0] == tokens[-1]
+        return real_encode(params, pos, path_features, segments, **kwargs)
+
+    real_encode = model_mod.encode_paths
+    monkeypatch.setattr(model_mod, "encode_paths", encode_paths)
+    g = dataclasses.replace(g, neighbors=g.neighbors.view(CountingReads))
+    nodes = splits.train[:32]
+    train_epoch(make_model(g, labels, cfg), g, labels, nodes, cfg, 0, OptimizerState(),
+                total_steps=2)
+    lengths = list(enumerate(counts, start=1))
+    assert sum(tokens) == len(nodes) * sum(n * (l + 1) for l, n in lengths)
+    assert sum(reads) == len(nodes) * sum(n * l for l, n in lengths)
 
 
 # --- config -------------------------------------------------------------
